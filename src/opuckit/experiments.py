@@ -349,9 +349,10 @@ def _run_continuity(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
     for fname, (fvals, tol) in directions.items():
         res = continuity_experiment(w, GridFunction(grid, fvals), cfg["p"], deltas,
                                     seed=spec.seed, band=band)
-        for delta, dist in res["rows"]:
+        for (delta, dist), est in zip(res["rows"], res["estimates"]):
             rows.append({"f": fname, "p": cfg["p"], "delta": delta, "distance": dist,
-                         "band": band, "grid_log2": spec.grid_log2, "seed": spec.seed})
+                         "converged": est.converged, "iterations": est.iterations, "band": band,
+                         "grid_log2": spec.grid_log2, "seed": spec.seed})
         ok = abs(res["slope"] - cfg["slope_target"]) <= tol
         fits[fname] = {"exponent": res["slope"], "r2": res["r2"],
                        "predicted_exponent": cfg["slope_target"], "pass": ok}
@@ -363,9 +364,10 @@ def _run_continuity(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         res = continuity_experiment(w, GridFunction(grid, directions["cos"][0]), float(p),
                                     [deltas[0], deltas[-1]], seed=cell_seed(spec.seed, i),
                                     band=band, trials=3)
-        for delta, dist in res["rows"]:
+        for (delta, dist), est in zip(res["rows"], res["estimates"]):
             rows.append({"f": "cos", "p": float(p), "delta": delta, "distance": dist,
-                         "band": band, "grid_log2": spec.grid_log2, "seed": spec.seed})
+                         "converged": est.converged, "iterations": est.iterations, "band": band,
+                         "grid_log2": spec.grid_log2, "seed": spec.seed})
     return fits, checks, flags
 
 

@@ -12,6 +12,10 @@ so that theta = 0 is never a node and weights like |1 - e^{i theta}|^{2b}
 Frequencies are kept in numpy FFT order throughout; `analyze` returns the
 coefficients c_k = (1/N) sum_j f(theta_j) e^{-ik theta_j}, which for
 band-limited f coincide with (1/2pi) int f e^{-ik theta} d theta.
+
+`CircleGrid.analyze`/`synthesize`, `fourier_multiplier` and `duality_map`
+act on (..., N) stacks along the last axis: k vectors go through one call
+as a (k, N) stack, and row r of the result is the call on row r alone.
 """
 
 from dataclasses import dataclass, field
@@ -61,18 +65,18 @@ class CircleGrid:
         return np.exp(-1j * np.pi * self.freqs / self.size)
 
     def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Fourier coefficients (FFT order) of samples on this grid."""
+        """Fourier coefficients (FFT order) of samples on this grid, shape (..., N)."""
         values = np.asarray(values)
-        if values.shape != (self.size,):
+        if values.shape[-1:] != (self.size,):
             raise GridSizeError(f"expected {self.size} samples, got shape {values.shape}")
-        return np.fft.fft(values) / self.size * self._phase
+        return np.fft.fft(values, axis=-1) / self.size * self._phase
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse of `analyze`: samples at the grid nodes."""
+        """Inverse of `analyze`: samples at the grid nodes, shape (..., N)."""
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (self.size,):
+        if coeffs.shape[-1:] != (self.size,):
             raise GridSizeError(f"expected {self.size} coefficients, got shape {coeffs.shape}")
-        return np.fft.ifft(coeffs / self._phase) * self.size
+        return np.fft.ifft(coeffs / self._phase, axis=-1) * self.size
 
 
 @dataclass
@@ -105,10 +109,6 @@ class GridFunction:
         return self.values.real
 
 
-def from_callable(grid: CircleGrid, fn) -> GridFunction:
-    return GridFunction(grid, fn(grid.nodes))
-
-
 def quadrature(f: GridFunction) -> complex:
     """Equal-weight quadrature: (2 pi / N) * sum f(theta_j) ~ int_T f dtheta.
 
@@ -124,9 +124,43 @@ def mean(f: GridFunction) -> complex:
     return float(out) if f.is_real else complex(out)
 
 
-def apply_multiplier(f: GridFunction, multiplier: np.ndarray) -> GridFunction:
-    """Apply a Fourier multiplier m(k) given in FFT frequency order."""
-    return GridFunction(f.grid, f.grid.synthesize(f.grid.analyze(f.values) * multiplier))
+def fourier_multiplier(values: np.ndarray, multiplier) -> np.ndarray:
+    """Apply a Fourier multiplier along the last axis of a (..., N) stack of samples.
+
+    `multiplier` is an array m(k) in FFT order, or a band (lo, hi) standing
+    for the 0/1 mask of lo <= k <= hi, which zeroes slices instead of
+    multiplying.  `synthesize(analyze(v) * m)` scales bin k by e^{-i pi k/N}/N
+    and back by N e^{i pi k/N}; both are diagonal, commute with m and cancel,
+    so ifft(fft(v) m) is the same operator without two passes (up to rounding).
+    """
+    spec = np.fft.fft(values, axis=-1)
+    if isinstance(multiplier, tuple):
+        lo, hi = multiplier
+        n = spec.shape[-1]
+        half = n // 2
+        # bins 0..N/2-1 hold k = 0..N/2-1 and bins N/2..N-1 hold k = -N/2..-1,
+        # so each sign half loses at most a slice below lo and one above hi
+        spec[..., : min(max(lo, 0), half)] = 0.0
+        spec[..., min(max(hi + 1, 0), half): half] = 0.0
+        spec[..., half: n + min(max(lo, -half), 0)] = 0.0
+        spec[..., n + min(max(hi + 1, -half), 0):] = 0.0
+    else:
+        spec *= multiplier
+    return np.fft.ifft(spec, axis=-1)
+
+
+def duality_map(values: np.ndarray, p: float) -> np.ndarray:
+    """L^p duality map |y|^{p-1} sign(y) of each row of a (..., N) stack, scaled
+    by the row's max |y|^{1-p} against overflow; a zero row maps to zeros."""
+    ay = np.abs(values)
+    m = ay.max(axis=-1, keepdims=True)
+    unit = np.where(ay > 0, values, 0.0) / np.where(ay > 0, ay, 1.0)
+    return (ay / np.where(m > 0, m, 1.0)) ** (p - 1.0) * unit
+
+
+def apply_multiplier(f: GridFunction, multiplier) -> GridFunction:
+    """Apply a Fourier multiplier: an array m(k) in FFT order, or a band (lo, hi)."""
+    return GridFunction(f.grid, fourier_multiplier(f.values, multiplier))
 
 
 def conjugate_function(f: GridFunction) -> GridFunction:
@@ -141,19 +175,17 @@ def conjugate_function(f: GridFunction) -> GridFunction:
     k = grid.freqs
     mult = -1j * np.sign(k).astype(complex)
     mult[k == -(grid.size // 2)] = 0.0
-    out = grid.synthesize(grid.analyze(vals) * mult)
-    return GridFunction(grid, out.real)
+    return GridFunction(grid, fourier_multiplier(vals, mult).real)
 
 
 def riesz_project(f: GridFunction) -> GridFunction:
     """Riesz projection: keep frequencies k >= 0, kill k < 0. Idempotent."""
-    return apply_multiplier(f, (f.grid.freqs >= 0).astype(float))
+    return apply_multiplier(f, (0, f.grid.size // 2 - 1))
 
 
 def band_project(f: GridFunction, lo: int, hi: int) -> GridFunction:
     """Keep frequencies lo <= k <= hi (signed), zero the rest."""
-    k = f.grid.freqs
-    return apply_multiplier(f, ((k >= lo) & (k <= hi)).astype(float))
+    return apply_multiplier(f, (lo, hi))
 
 
 def _check_in_disk(z: complex):

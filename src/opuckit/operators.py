@@ -12,16 +12,23 @@ trial metadata.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import zherk
 
 from .fits import fit_loglog
-from .grid import CircleGrid, GridFunction, band_project, riesz_project
+from .grid import (CircleGrid, GridFunction, duality_map, fourier_multiplier,
+                   riesz_project)  # noqa: F401  (riesz_project: the GridFunction form of P+)
 from .weights import Weight
+
+_BLOCK = 16  # inputs per probe call when materializing; 16 x 2^14 complex is 4 MB
 
 
 @dataclass
 class OperatorProbe:
+    """A linear operator on grid values and its adjoint, both mapping a (..., N)
+    stack to a stack of the same shape, row by row along the last axis."""
+
     grid: CircleGrid
-    apply: callable                 # values -> values
+    apply: callable                 # values (..., N) -> values (..., N)
     adjoint: callable               # adjoint w.r.t. the unweighted L^2 pairing
     band: int | None
     p: float
@@ -46,34 +53,27 @@ class NormEstimate:
     trials: int
     seed: int
     converged: bool = True
+    iterations: int = 0             # most power-method iterations any trial used
 
     def __post_init__(self):
         if self.method == "exact_svd_p2" and self.value < 0:
             raise ValueError("singular values are nonnegative")
 
 
-def _riesz_values(grid: CircleGrid, values: np.ndarray) -> np.ndarray:
-    return riesz_project(GridFunction(grid, values)).values
-
-
-def _band_values(grid: CircleGrid, values: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    return band_project(GridFunction(grid, values), lo, hi).values
-
-
 def weighted_riesz(w: Weight, p: float, band: int | None = None) -> OperatorProbe:
     """f -> w^{1/p} P^+ (w^{-1/p} f) on grid functions."""
     if p <= 1.0:
         raise ValueError("p > 1 required")
-    grid = w.grid
     u = w.values ** (1.0 / p)
+    keep = (0, w.grid.size // 2 - 1)
 
     def apply(x):
-        return u * _riesz_values(grid, x / u)
+        return u * fourier_multiplier(x / u, keep)
 
     def adjoint(x):
-        return (1.0 / u) * _riesz_values(grid, u * x)
+        return (1.0 / u) * fourier_multiplier(u * x, keep)
 
-    return OperatorProbe(grid, apply, adjoint, band, p,
+    return OperatorProbe(w.grid, apply, adjoint, band, p,
                          f"w^(1/p) P+ w^(-1/p), p={p}, family={w.family}")
 
 
@@ -98,22 +98,42 @@ def build_Q(w: Weight, p: float, n: int) -> OperatorProbe:
     """
     if p <= 1.0:
         raise ValueError("p > 1 required")
-    grid = w.grid
-    if n >= grid.size // 4:
+    if n >= w.grid.size // 4:
         raise ValueError("band cap n must stay below N/4")
     q = p / (p - 1.0)
     u = w.values ** (1.0 / p)        # w^{1/p}
     v = w.values ** (1.0 / q)        # w^{1/p'}
-    hi = n - 1
+    band = (0, n - 1)
 
     def apply(x):
-        return -(_band_values(grid, v * x, 0, hi)) / v + u * _band_values(grid, x / u, 0, hi)
+        return -fourier_multiplier(v * x, band) / v + u * fourier_multiplier(x / u, band)
 
     def adjoint(x):
-        return -v * _band_values(grid, x / v, 0, hi) + _band_values(grid, u * x, 0, hi) / u
+        return -v * fourier_multiplier(x / v, band) + fourier_multiplier(u * x, band) / u
 
-    return OperatorProbe(grid, apply, adjoint, 2 * n, p,
+    return OperatorProbe(w.grid, apply, adjoint, 2 * n, p,
                          f"Q_(w,p) with band {n}, p={p}, family={w.family}")
+
+
+def _on_stack(probe: OperatorProbe, fn, x: np.ndarray) -> np.ndarray:
+    # fn is probe.apply or probe.adjoint; a probe that ignores the stack axis
+    # would otherwise return wrong numbers without an error
+    y = fn(x)
+    if np.shape(y) != x.shape:
+        raise ValueError(f"probe '{probe.description}' must map a stack of shape "
+                         f"{x.shape} to the same shape, got {np.shape(y)}")
+    return y
+
+
+def _materialize(probe: OperatorProbe, inputs) -> np.ndarray:
+    """(N, k) matrix of the probe applied to inputs (k, rows), where rows(lo, hi)
+    returns the stack of inputs lo..hi-1; only one _BLOCK of them is built at a time."""
+    k, rows = inputs
+    out = np.empty((k, probe.grid.size), dtype=complex)
+    for lo in range(0, k, _BLOCK):
+        hi = min(lo + _BLOCK, k)
+        out[lo:hi] = _on_stack(probe, probe.apply, rows(lo, hi))
+    return out.T
 
 
 def materialize_band(probe: OperatorProbe, band: int) -> np.ndarray:
@@ -125,78 +145,78 @@ def materialize_band(probe: OperatorProbe, band: int) -> np.ndarray:
     grid = probe.grid
     if band >= grid.size // 2:
         raise ValueError("band exceeds the grid Nyquist range")
-    ks = np.arange(-band, band + 1)
-    cols = np.empty((grid.size, len(ks)), dtype=complex)
-    for i, k in enumerate(ks):
-        cols[:, i] = probe.apply(np.exp(1j * k * grid.nodes))
-    return cols / np.sqrt(grid.size)
+    # a block of consecutive k is a fixed table of e^{ij theta}, j < _BLOCK,
+    # times one row e^{i k_lo theta}: one complex exponential row per block
+    steps = np.exp(1j * np.arange(_BLOCK)[:, None] * grid.nodes) / np.sqrt(grid.size)
+    return _materialize(probe, (2 * band + 1, lambda lo, hi: (
+        steps[: hi - lo] * np.exp(1j * (lo - band) * grid.nodes))))
 
 
 def compress_band(probe: OperatorProbe, band: int) -> np.ndarray:
     """Square compression <T e_b, e_a> for |a|, |b| <= band (discrete L^2 pairing)."""
-    grid = probe.grid
     ks = np.arange(-band, band + 1)
-    mat = np.empty((len(ks), len(ks)), dtype=complex)
-    for i, k in enumerate(ks):
-        coeffs = grid.analyze(probe.apply(np.exp(1j * k * grid.nodes)))
-        mat[:, i] = coeffs[ks]
-    return mat
+    scale = np.sqrt(probe.grid.size)
+    return probe.grid.analyze(materialize_band(probe, band).T)[:, ks].T * scale
 
 
 def materialize_full(probe: OperatorProbe) -> np.ndarray:
-    grid = probe.grid
-    if grid.size > 1024:
+    n = probe.grid.size
+    if n > 1024:
         raise ValueError("full materialization is restricted to N <= 2^10")
-    eye = np.eye(grid.size, dtype=complex)
-    return np.column_stack([probe.apply(eye[:, j]) for j in range(grid.size)])
+    return _materialize(probe, (n, lambda lo, hi: np.eye(hi - lo, n, lo, dtype=complex)))
 
 
-def _lp_norm(values: np.ndarray, p: float) -> float:
-    m = float(np.max(np.abs(values)))
-    if m == 0.0:
-        return 0.0
-    return m * float(np.mean((np.abs(values) / m) ** p)) ** (1.0 / p)
-
-
-def _dual_sign(y: np.ndarray, p: float) -> np.ndarray:
-    ay = np.abs(y)
-    m = ay.max()
-    if m == 0.0:
-        return np.zeros_like(y)
-    unit = np.where(ay > 0, y, 0.0) / np.where(ay > 0, ay, 1.0)
-    return (ay / m) ** (p - 1.0) * unit
+def _lp_norm(values: np.ndarray, p: float) -> np.ndarray:
+    """Unweighted discrete L^p norm (mean pairing) of each row of a (..., N) stack."""
+    a = np.abs(values)
+    m = a.max(axis=-1)
+    scaled = a / np.where(m > 0, m, 1.0)[..., None]
+    return m * np.mean(scaled ** p, axis=-1) ** (1.0 / p)
 
 
 def power_method_lp(probe: OperatorProbe, p: float, x0: np.ndarray,
                     max_iters: int = 100, tol: float = 1e-11) -> tuple:
-    """Boyd's dual-norm iteration; the ratio ||Tx||_p / ||x||_p is monotone
-    non-decreasing, so the final value is a certified lower bound."""
+    """Boyd's dual-norm iteration from one start (N,) or a stack of starts (T, N).
+
+    Each start stops on its own test and then leaves the stack.  For every
+    start the ratio ||Tx||_p / ||x||_p is monotone non-decreasing, so the
+    result is a certified lower bound.  Returns (best ratio over starts,
+    all starts converged, most iterations any start used).
+    """
     q = p / (p - 1.0)
-    x = x0 / _lp_norm(x0, p)
-    best = 0.0
+    stack = np.ndim(x0) == 2  # a single start reaches the probe as a single vector
+    call = (lambda f, x: _on_stack(probe, f, x) if stack else f(x[0])[None])
+    x = np.atleast_2d(x0)
+    x = x / _lp_norm(x, p)[:, None]
+    best = np.zeros(len(x))
+    iters = np.full(len(x), max_iters)
+    live = np.arange(len(x))  # start index of each row of x
     for it in range(max_iters):
-        y = probe.apply(x)
+        y = call(probe.apply, x)
         r = _lp_norm(y, p)
-        if r <= best * (1.0 + tol):
-            return max(best, r), True, it
-        best = r
-        z = probe.adjoint(_dual_sign(y, p))
-        x_new = _dual_sign(z, q)
-        nx = _lp_norm(x_new, p)
-        if nx == 0.0:
-            return best, True, it
-        x = x_new / nx
-    return best, False, max_iters
+        stop = r <= best[live] * (1.0 + tol)
+        best[live] = np.where(stop, np.maximum(best[live], r), r)
+        if not stop.all():
+            x = duality_map(call(probe.adjoint, duality_map(y[~stop], p)), q)
+            nx = _lp_norm(x, p)
+            stop[~stop] = nx == 0.0
+            x = x[nx > 0.0] / nx[nx > 0.0, None]
+        iters[live[stop]] = it
+        live = live[~stop]
+        if live.size == 0:
+            break
+    return float(best.max()), bool(np.all(iters < max_iters)), int(iters.max())
 
 
 def operator_norm(probe: OperatorProbe, method: str = "auto", trials: int = 8,
                   seed: int = 0) -> NormEstimate:
     """Induced L^p -> L^p norm estimate.
 
-    p = 2: exact largest singular value (full node-basis matrix for
-    N <= 2^10, else the band restriction from probe.band).  p != 2:
-    dual-norm power method over `trials` random starts, reported as a
-    lower bound; non-convergence returns best-so-far flagged.
+    p = 2: exact largest singular value, as the root of the top eigenvalue
+    of M^H M (M the full node-basis matrix for N <= 2^10, else the band
+    restriction from probe.band).  p != 2: dual-norm power method over
+    `trials` random starts, iterated as one stack and reported as a lower
+    bound; non-convergence returns best-so-far flagged.
     """
     grid = probe.grid
     p = probe.p
@@ -208,32 +228,29 @@ def operator_norm(probe: OperatorProbe, method: str = "auto", trials: int = 8,
             raise ValueError("exact SVD applies at p = 2 only")
         if grid.size <= 1024 and probe.band is None:
             mat = materialize_full(probe)
+        elif probe.band is None:
+            raise ValueError("probe needs a band for exact p=2 norms on large grids")
         else:
-            band = probe.band
-            if band is None:
-                raise ValueError("probe needs a band for exact p=2 norms on large grids")
-            mat = materialize_band(probe, band)
-        value = float(np.linalg.svd(mat, compute_uv=False)[0])
-        return NormEstimate(value, "exact_svd_p2", trials=0, seed=seed)
+            mat = materialize_band(probe, probe.band)
+        # sqrt of the top eigenvalue of M^H M (zherk fills its upper triangle)
+        top = np.linalg.eigvalsh(zherk(1.0, mat, trans=2), UPLO="U")[-1]
+        return NormEstimate(float(np.sqrt(max(top, 0.0))), "exact_svd_p2", trials=0, seed=seed)
 
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    all_converged = True
-    for _ in range(max(trials, 1)):
-        if probe.band is not None:
-            ks = np.arange(-probe.band, probe.band + 1)
-            coeffs = np.zeros(grid.size, dtype=complex)
-            coeffs[ks] = rng.standard_normal(len(ks)) + 1j * rng.standard_normal(len(ks))
-            x0 = grid.synthesize(coeffs)
-        else:
-            x0 = rng.standard_normal(grid.size) + 1j * rng.standard_normal(grid.size)
-        if method == "random_probe":
-            best = max(best, _lp_norm(probe.apply(x0), p) / _lp_norm(x0, p))
-            continue
-        val, conv, _ = power_method_lp(probe, p, x0)
-        best = max(best, val)
-        all_converged = all_converged and conv
-    return NormEstimate(best, method, trials=trials, seed=seed, converged=all_converged)
+    # per trial, in trial order: the real parts, then the imaginary parts of
+    # the band coefficients (or of the node values when there is no band)
+    ks = np.arange(grid.size) if probe.band is None else np.arange(-probe.band, probe.band + 1)
+    draws = np.random.default_rng(seed).standard_normal((max(trials, 1), 2, len(ks)))
+    x0 = draws[:, 0] + 1j * draws[:, 1]
+    if probe.band is not None:
+        coeffs = np.zeros((len(x0), grid.size), dtype=complex)
+        coeffs[:, ks] = x0
+        x0 = grid.synthesize(coeffs)
+    if method == "random_probe":
+        best = float(np.max(_lp_norm(_on_stack(probe, probe.apply, x0), p) / _lp_norm(x0, p)))
+        return NormEstimate(best, method, trials=trials, seed=seed)
+    best, converged, iters = power_method_lp(probe, p, x0)
+    return NormEstimate(best, method, trials=trials, seed=seed, converged=converged,
+                        iterations=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -255,22 +272,23 @@ def continuity_experiment(w: Weight, f: GridFunction, p: float, deltas,
 
     Exact band-restricted norms at p = 2, power-method lower bounds otherwise.
     Rows are (delta, distance); the caller wraps them into experiment records.
+    `estimates` holds each row's NormEstimate, with its convergence state.
     """
     deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
     if np.any(deltas <= 0):
         raise ValueError("deltas must be positive")
     fv = f.real_values()
     base = weighted_riesz(w, p, band=band)
-    rows = []
+    estimates = []
     for delta in deltas:
         wd = perturbed_weight(w, fv, delta)
         diff = probe_difference(weighted_riesz(wd, p, band=band), base)
-        est = operator_norm(diff, method="auto", trials=trials, seed=seed)
-        rows.append((float(delta), est.value))
+        estimates.append(operator_norm(diff, method="auto", trials=trials, seed=seed))
+    rows = [(float(delta), est.value) for delta, est in zip(deltas, estimates)]
     d = np.array([r[1] for r in rows])
     if np.all(d > 0):
         slope, intercept, r2 = fit_loglog(deltas, d)
     else:
         slope, intercept, r2 = float("nan"), float("nan"), float("nan")
-    return {"rows": rows, "slope": slope, "intercept": intercept, "r2": r2,
-            "p": p, "band": band, "seed": seed}
+    return {"rows": rows, "estimates": estimates, "slope": slope, "intercept": intercept,
+            "r2": r2, "p": p, "band": band, "seed": seed}

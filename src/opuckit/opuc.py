@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import CircleGrid, GridFunction, MomentSequence
+from .grid import CircleGrid, GridFunction, MomentSequence, duality_map
 from .weights import Weight
 
 
@@ -262,13 +262,16 @@ def project(system: OPUCSystem, f: GridFunction, n: int, weight: Weight | None =
     w = weight or system.weight
     if w is None:
         raise ValueError("no weight attached to the system; pass one explicitly")
-    system._check_degree(n)
+    return GridFunction(w.grid, _project_values(system.orthonormal_table(n), w, f.values))
+
+
+def _project_values(table: np.ndarray, w: Weight, values: np.ndarray) -> np.ndarray:
+    # grid values of the projection onto the rows of an orthonormal table
     grid = w.grid
-    table = system.orthonormal_table(n)
-    h = grid.analyze(f.values * w.values)[: n + 1]
+    h = grid.analyze(values * w.values)[: len(table)]
     inner = np.conj(table) @ h              # <f, phi_k>_w
     coeffs = table.T @ inner                # coefficients of the projection
-    return GridFunction(grid, poly_values(grid, coeffs))
+    return poly_values(grid, coeffs)
 
 
 def weighted_lp_norm(f: GridFunction | np.ndarray, w: Weight, p: float) -> float:
@@ -281,16 +284,6 @@ def weighted_lp_norm(f: GridFunction | np.ndarray, w: Weight, p: float) -> float
         return 0.0
     scaled = np.abs(vals) / m
     return m * float(np.mean(scaled ** p * w.values)) ** (1.0 / p)
-
-
-def _lp_dual_sign(y: np.ndarray, p: float) -> np.ndarray:
-    # duality map J_p(y) = |y|^{p-1} sign(y), up to overall scale
-    ay = np.abs(y)
-    m = ay.max()
-    if m == 0.0:
-        return np.zeros_like(y)
-    unit = np.where(ay > 0, y, 0.0) / np.where(ay > 0, ay, 1.0)
-    return (ay / m) ** (p - 1.0) * unit
 
 
 def projection_norm_probe(system: OPUCSystem, n: int, p: float, trials: int = 8,
@@ -310,9 +303,10 @@ def projection_norm_probe(system: OPUCSystem, n: int, p: float, trials: int = 8,
     grid = w.grid
     rng = np.random.default_rng(seed)
     q = p / (p - 1.0)
+    table = system.orthonormal_table(n)
 
     def apply_p(x):
-        return project(system, GridFunction(grid, x), n, weight=w).values
+        return _project_values(table, w, x)
 
     def ratio(x):
         nx = weighted_lp_norm(x, w, p)
@@ -330,9 +324,9 @@ def projection_norm_probe(system: OPUCSystem, n: int, p: float, trials: int = 8,
         best = max(best, ratio(x))
 
         for _ in range(power_iters):
-            u = _lp_dual_sign(apply_p(x), p)
+            u = duality_map(apply_p(x), p)
             z = apply_p(u)  # self-adjoint in <.,.>_w
-            x_new = _lp_dual_sign(z, q)
+            x_new = duality_map(z, q)
             nx = weighted_lp_norm(x_new, w, p)
             if nx == 0.0:
                 break

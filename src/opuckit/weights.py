@@ -299,12 +299,6 @@ def _poisson_profiles(w: Weight, radii) -> tuple:
     return np.array(pw), np.array(pinv), np.array(plog)
 
 
-def default_disk_samples(grid: CircleGrid) -> np.ndarray:
-    """Radii 1 - 2^{-k}, k = 1..m-2, times all grid angles."""
-    radii = 1.0 - 2.0 ** -np.arange(1, grid.log2_size - 1)
-    return (radii[:, None] * grid.points[None, :]).ravel()
-
-
 def poisson_characteristics(w: Weight, z_samples=None) -> tuple:
     """(sup P(w,z) P(w^{-1},z),  sup P(w,z) exp(-P(log w,z))) over the samples.
 

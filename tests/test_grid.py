@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import opuckit as ok
-from opuckit.grid import GridSizeError, MomentError
+from opuckit.grid import GridSizeError, MomentError, duality_map, fourier_multiplier
 
 from conftest import random_bandlimited
 
@@ -205,3 +205,55 @@ def test_band_truncation_via_riesz_identity(seed, n):
     inner = ok.riesz_project(ok.GridFunction(g, zshift * f.values)).values
     rhs = ok.riesz_project(f).values - np.conj(zshift) * inner
     assert_allclose(lhs, rhs, atol=1e-11)
+
+
+def test_stacked_analyze_synthesize_match_rows():
+    g = ok.CircleGrid(8)
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((5, g.size)) + 1j * rng.standard_normal((5, g.size))
+    coeffs = g.analyze(stack)
+    vals = g.synthesize(coeffs)
+    assert coeffs.shape == vals.shape == stack.shape
+    for r in range(len(stack)):
+        assert np.array_equal(coeffs[r], g.analyze(stack[r]))
+        assert np.array_equal(vals[r], g.synthesize(coeffs[r]))
+    for bad in (np.ones(g.size + 1), np.ones((3, g.size + 1)), np.float64(1.0)):
+        with pytest.raises(GridSizeError):
+            g.analyze(bad)
+        with pytest.raises(GridSizeError):
+            g.synthesize(bad)
+
+
+def test_fourier_multiplier_stack_and_phase_free_form():
+    # the kernel skips analyze/synthesize's half-step phase, which cancels
+    g = ok.CircleGrid(8)
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((4, g.size)) + 1j * rng.standard_normal((4, g.size))
+    mult = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+    out = fourier_multiplier(stack, mult)
+    for r in range(len(stack)):
+        assert np.array_equal(out[r], fourier_multiplier(stack[r], mult))
+        assert_allclose(out[r], g.synthesize(g.analyze(stack[r]) * mult), atol=1e-13)
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 127), (0, 0), (0, 15), (-3, 5), (-10, -3),
+                                    (-128, 127), (-500, 500), (5, 3), (100, 200)])
+def test_fourier_multiplier_band_equals_mask(lo, hi):
+    g = ok.CircleGrid(8)
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((3, g.size)) + 1j * rng.standard_normal((3, g.size))
+    mask = ((g.freqs >= lo) & (g.freqs <= hi)).astype(float)
+    assert np.array_equal(fourier_multiplier(stack, (lo, hi)), fourier_multiplier(stack, mask))
+
+
+def test_duality_map_rows_and_zero_row():
+    rng = np.random.default_rng(6)
+    stack = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    stack[1] = 0.0
+    out = duality_map(stack, 3.0)
+    for r in range(len(stack)):
+        assert np.array_equal(out[r], duality_map(stack[r], 3.0))
+    assert np.array_equal(out[1], np.zeros(64))
+    # |y|^{p-1} sign(y) up to the row scale max|y|^{p-1}
+    expect = np.abs(stack[0]) ** 2 * stack[0] / np.abs(stack[0]) / np.max(np.abs(stack[0])) ** 2
+    assert_allclose(out[0], expect, rtol=1e-13)

@@ -49,8 +49,8 @@ def test_operator_norm_rank_one_exact():
     rng = np.random.default_rng(5)
     u = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
     v = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
-    probe = OperatorProbe(g, lambda x: np.mean(x * np.conj(u)) * v,
-                          lambda x: np.mean(x * np.conj(v)) * u,
+    probe = OperatorProbe(g, lambda x: np.mean(x * np.conj(u), axis=-1, keepdims=True) * v,
+                          lambda x: np.mean(x * np.conj(v), axis=-1, keepdims=True) * u,
                           band=None, p=2.0, description="rank one")
     est = ok.operator_norm(probe)
     nu = np.sqrt(np.mean(np.abs(u) ** 2))
@@ -205,3 +205,73 @@ def test_norm_estimate_metadata(grid12):
     assert est.trials == 4 and est.seed == 9
     est_r = ok.operator_norm(probe, method="random_probe", trials=4, seed=9)
     assert est_r.value <= est.value + 1e-9
+
+
+def test_blocked_materializers_match_column_loop(grid12):
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12)
+    probe = ok.build_Q(w, 2.5, 16)
+    band = 20  # 41 columns: two full blocks and a partial one
+    ks = np.arange(-band, band + 1)
+    cols = np.column_stack([probe.apply(np.exp(1j * k * grid12.nodes)) for k in ks])
+    assert_allclose(ok.materialize_band(probe, band), cols / np.sqrt(grid12.size), atol=1e-13)
+    comp = np.column_stack([grid12.analyze(cols[:, i])[ks] for i in range(len(ks))])
+    assert_allclose(ok.compress_band(probe, band), comp, atol=1e-13)
+
+    g = ok.CircleGrid(8)
+    small = ok.weighted_riesz(ok.make_weight("fisher_hartwig", {"beta": 0.2}, g), 2.0)
+    eye = np.eye(g.size, dtype=complex)
+    full = np.column_stack([small.apply(eye[:, j]) for j in range(g.size)])
+    assert_allclose(materialize_full(small), full, atol=1e-13)
+
+
+def test_materialize_rejects_probe_without_stacks(grid12):
+    probe = OperatorProbe(grid12, lambda x: np.ravel(x)[: grid12.size], lambda x: x,
+                          band=4, p=2.0, description="row-only probe")
+    for p in (2.0, 3.0):  # the materializer and the batched power method
+        probe.p = p
+        with pytest.raises(ValueError, match="row-only probe"):
+            ok.operator_norm(probe)
+
+
+def test_batched_power_method_matches_single_starts(grid12):
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12)
+    # Q converges after 8, 10 and 11 iterations from these starts; P+ at p = 3 runs out
+    for p, probe in [(2.5, ok.build_Q(w, 2.5, 8)), (3.0, ok.weighted_riesz(w, 3.0, band=16))]:
+        rng = np.random.default_rng(8)
+        starts = rng.standard_normal((3, grid12.size)) + 1j * rng.standard_normal((3, grid12.size))
+        single = [power_method_lp(probe, p, x0, max_iters=30) for x0 in starts]
+        best, conv, iters = power_method_lp(probe, p, starts, max_iters=30)
+        assert_allclose(best, max(s[0] for s in single), rtol=1e-12)
+        assert conv == all(s[1] for s in single)
+        assert iters == max(s[2] for s in single)
+        # each start leaves the stack after the iteration where it stops alone
+        heights = []
+        counted = OperatorProbe(grid12, lambda x: heights.append(len(x)) or probe.apply(x),
+                                probe.adjoint, probe.band, p, "counted")
+        power_method_lp(counted, p, starts, max_iters=30)
+        applies = sorted((s[2] + 1 if s[1] else 30) for s in single)
+        assert heights == [sum(a > i for a in applies) for i in range(applies[-1])]
+
+
+def test_gram_eigvalsh_norm_matches_svd(grid12):
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    probe = ok.weighted_riesz(w, 2.0, band=24)
+    svd = np.linalg.svd(ok.materialize_band(probe, 24), compute_uv=False)[0]
+    assert_allclose(ok.operator_norm(probe).value, svd, rtol=1e-13)
+    g = ok.CircleGrid(8)
+    small = ok.weighted_riesz(ok.make_weight("fisher_hartwig", {"beta": 0.3}, g), 2.0)
+    svd = np.linalg.svd(materialize_full(small), compute_uv=False)[0]  # square: N x N
+    assert_allclose(ok.operator_norm(small).value, svd, rtol=1e-13)
+    zero = OperatorProbe(grid12, lambda x: 0.0 * x, lambda x: 0.0 * x, 8, 2.0, "zero")
+    assert ok.operator_norm(zero).value == 0.0
+
+
+def test_continuity_carries_convergence_state():
+    g = ok.CircleGrid(10)
+    w = ok.make_weight("constant", {}, g)
+    f = ok.GridFunction(g, np.cos(g.nodes))
+    exact = ok.continuity_experiment(w, f, 2.0, [1e-2, 1e-1], band=16)
+    assert [(e.converged, e.iterations) for e in exact["estimates"]] == [(True, 0)] * 2
+    power = ok.continuity_experiment(w, f, 2.5, [1e-2, 1e-1], band=16, trials=3)
+    assert [e.value for e in power["estimates"]] == [dist for _, dist in power["rows"]]
+    assert all(1 <= e.iterations <= 100 for e in power["estimates"])
