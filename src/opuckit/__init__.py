@@ -50,6 +50,7 @@ from .opuc import (
     psi_integral_form,
     reversed_poly,
     second_kind,
+    steklov_norms,
     system_from_weight,
     szego_recursion,
     weighted_lp_norm,

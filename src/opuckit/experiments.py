@@ -22,9 +22,9 @@ from .clark import clark_weight, generalized_entropy
 from .fits import (classify_growth, fit_loglog, growth_exponent,
                    regression_ssr, threshold_intercept)
 from .grid import CircleGrid, GridFunction
-from .opuc import (gram_matrix, gram_schmidt_monic, poly_values,
-                   projection_norm_probe, second_kind, system_from_weight,
-                   weighted_lp_norm)
+from .opuc import (gram_matrix, gram_schmidt_monic, projection_norm_probe,
+                   second_kind, steklov_norms, system_from_weight)
+from .opuc import poly_values  # noqa: F401 - bench/test_bench.py traces this re-bound name
 from .operators import continuity_experiment
 from .szego import entropy, entropy_limit_target, strong_szego_error, szego_function
 from .weights import (ap_characteristic, fh_a2_exact, fh_subarc_product,
@@ -110,7 +110,7 @@ class ExperimentRecord:
             "fits": self.fits, "checks": self.checks, "flags": self.flags,
             "passed": self.passed,
         }
-        return json.dumps(payload, indent=2, default=float)
+        return json.dumps(_strict_json(payload), indent=2, default=float, allow_nan=False)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -140,6 +140,17 @@ class ExperimentRecord:
     def write(self, path: str, fmt: str):
         with open(path, "w") as fh:
             fh.write(self.to_json() if fmt == "json" else self.to_csv())
+
+
+def _strict_json(obj):
+    """Copy of a record payload with every non-finite float as None (JSON null)."""
+    if isinstance(obj, dict):
+        return {k: _strict_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict_json(v) for v in obj]
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if np.isfinite(obj) else None
+    return obj
 
 
 def _check(value, ok: bool, threshold) -> dict:
@@ -205,10 +216,17 @@ def _run_a2_scaling(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
     return fits, checks, flags
 
 
-def _steklov_norms(grid, beta: float, p: float, n_grid) -> list:
-    w = make_weight("fisher_hartwig", {"beta": beta}, grid)
-    sys = system_from_weight(w, max(n_grid))
-    return [weighted_lp_norm(poly_values(grid, sys.monic_coeffs(n)), w, p) for n in n_grid]
+def _steklov_norms(grid, pairs, n_grid) -> dict:
+    """(beta, p) -> [||Phi_n||_{L^p_w} for n in n_grid], one recursion pass per beta."""
+    p_by_beta = {}
+    for beta, p in pairs:
+        p_by_beta.setdefault(float(beta), []).append(float(p))
+    out = {}
+    for beta, p_grid in p_by_beta.items():
+        sys = system_from_weight(make_weight("fisher_hartwig", {"beta": beta}, grid), max(n_grid))
+        for p, norms in zip(p_grid, steklov_norms(sys, n_grid, p_grid).tolist()):
+            out[beta, p] = norms
+    return out
 
 
 def _run_fh_growth(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
@@ -220,9 +238,11 @@ def _run_fh_growth(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         pairs = [(float(spec.params["beta"]), float(p)) for p in spec.p_grid]
     fits, checks, flags = {}, {}, []
 
+    cb, cp = cfg["critical_pair"]
+    all_norms = _steklov_norms(grid, [*pairs, (cb, cp)], n_grid)
     worst_dev = 0.0
     for beta, p in pairs:
-        norms = _steklov_norms(grid, float(beta), float(p), n_grid)
+        norms = all_norms[float(beta), float(p)]
         for n, nv in zip(n_grid, norms):
             rows.append({"family": "fisher_hartwig", "beta": float(beta), "p": float(p),
                          "n": int(n), "norm": nv, "grid_log2": spec.grid_log2,
@@ -239,8 +259,7 @@ def _run_fh_growth(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         checks[f"exponent[{key}]"] = _check(g["exponent"], dev <= cfg["exponent_tol"],
                                             f"{predicted} +/- {cfg['exponent_tol']}")
 
-    cb, cp = cfg["critical_pair"]
-    norms = _steklov_norms(grid, float(cb), float(cp), n_grid)
+    norms = all_norms[float(cb), float(cp)]
     y = np.array(norms) ** float(cp)
     ssr_log = regression_ssr(n_grid, y, "log")
     log_wins = True
@@ -513,14 +532,11 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
     c_cal = float(np.exp(cal_icpt))
 
     def empirical_pstar(beta: float) -> tuple:
-        w = make_weight("fisher_hartwig", {"beta": beta}, grid)
-        sys = system_from_weight(w, max(n_grid))
+        sys = system_from_weight(make_weight("fisher_hartwig", {"beta": beta}, grid), max(n_grid))
         p_pred = 2.0 + 1.0 / beta
         p_grid = list(spec.p_grid) or [p_pred * f for f in cfg["p_grid_factors"]]
         es = []
-        for p in p_grid:
-            norms = [weighted_lp_norm(poly_values(grid, sys.monic_coeffs(n)), w, float(p))
-                     for n in n_grid]
+        for p, norms in zip(p_grid, steklov_norms(sys, n_grid, p_grid).tolist()):
             g = growth_exponent(n_grid, norms, float(p))
             es.append(g["e_model"])
             rows.append({"family": "fisher_hartwig", "beta": beta, "p": float(p),

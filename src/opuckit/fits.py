@@ -51,29 +51,41 @@ def fit_const_plus_power(n, y, e_lo: float = -1.5, e_hi: float = 1.5,
     """
     n = np.asarray(n, dtype=float)
     y = np.asarray(y, dtype=float)
-    ones = np.ones_like(n)
-
-    def ssr_at(e):
-        if abs(e) < 1e-12:
-            return np.inf, None
-        return _linear_ssr(np.column_stack([ones, n ** e]), y)
-
+    if not np.all(np.isfinite(y)):
+        raise ValueError("fit_const_plus_power needs finite y")
     lo, hi, steps = e_lo, e_hi, coarse
-    best = (np.inf, 0.0, None)
+    best_ssr, best_e = np.inf, 0.0
     for _ in range(refine + 1):
         grid = np.linspace(lo, hi, steps)
-        for e in grid:
-            ssr, coef = ssr_at(e)
-            if ssr < best[0]:
-                best = (ssr, float(e), coef)
+        ssr = _power_ssr(n, y, grid)
+        j = int(np.argmin(ssr))  # first minimum, as a scan with strict < keeps
+        if ssr[j] < best_ssr:
+            best_ssr, best_e = ssr[j], float(grid[j])
         step = (hi - lo) / (steps - 1)
-        lo, hi, steps = best[1] - step, best[1] + step, 41
+        lo, hi, steps = best_e - step, best_e + step, 41
 
-    ssr, e, coef = best
+    ssr, coef = _linear_ssr(np.column_stack([np.ones_like(n), n ** best_e]), y)
     total = y - y.mean()
     denom = float(total @ total)
     r2 = 1.0 - ssr / denom if denom > 0 else 1.0
-    return e, (float(coef[0]), float(coef[1])), ssr, float(r2)
+    return best_e, (float(coef[0]), float(coef[1])), ssr, float(r2)
+
+
+def _power_ssr(n: np.ndarray, y: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """SSR of y against {1, n^e} for every e at once (inf at e = 0, where the
+    design is singular), from the explicit residuals of the centered fit."""
+    yc = y - y.mean()
+    singular = np.abs(exponents) < 1e-12
+    if np.ptp(n) == 0:  # one distinct n: every design has rank one, the mean fit
+        return np.where(singular, np.inf, float(yc @ yc))
+    x = n[None, :] ** exponents[:, None]
+    xc = x - x.mean(axis=1, keepdims=True)
+    sxx = np.einsum("ij,ij->i", xc, xc)
+    sxx[singular] = 1.0
+    resid = yc - ((xc @ yc) / sxx)[:, None] * xc
+    ssr = np.einsum("ij,ij->i", resid, resid)
+    ssr[singular] = np.inf
+    return ssr
 
 
 def growth_exponent(n, norms, p: float) -> dict:

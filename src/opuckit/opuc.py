@@ -8,7 +8,12 @@ Phi_n and reversed polynomials Phi_n^* = z^n conj(Phi_n(1/conj(z))),
 
 where E_n = ||Phi_n||^2 and <f, g> = int f conj(g) dmu.  This is the
 Levinson-Durbin recursion on the Toeplitz moment matrix; each step costs
-one O(n) dot product, so the whole table is O(nmax^2).
+one O(n) dot product, so a run to degree nmax is O(nmax^2) work.  The loop
+exists once, in `_monic_rows`, which keeps only the current Phi_n in two
+rolling buffers.  `szego_recursion` keeps the Verblunsky coefficients and
+E_n, O(nmax) memory; `OPUCSystem.monic`, the O(nmax^2) table of every row,
+is rebuilt from the coefficients on first use, and `steklov_norms` streams
+the rows instead, in O(N + nmax) memory.
 
 Because the moments come from grid samples, the polynomials are exactly
 orthonormal for the discrete node measure, and every quadrature inner
@@ -16,6 +21,7 @@ product below inherits that exactness for degrees < N/2.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +46,7 @@ POSITIVITY_FLOOR = 1e-13
 
 @dataclass
 class OPUCSystem:
-    """Verblunsky coefficients plus the monic coefficient table.
+    """Verblunsky coefficients plus, on first use, the monic coefficient table.
 
     monic[n, :n+1] holds the coefficients of Phi_n (degree-n monic);
     kappa[n] = coeff_n(phi_n) = E_n^{-1/2} is the orthonormal leading
@@ -49,10 +55,18 @@ class OPUCSystem:
 
     nmax: int
     verblunsky: np.ndarray
-    monic: np.ndarray = field(repr=False)
     norms_sq: np.ndarray = field(repr=False)  # E_n = ||Phi_n||^2, n = 0..nmax
     moments: MomentSequence = field(repr=False)
     weight: Weight | None = field(default=None, repr=False)
+
+    @cached_property
+    def monic(self) -> np.ndarray:
+        """(nmax+1)^2 table, rebuilt from `verblunsky` (bitwise the rows the
+        moment-driven run produced, since the update arithmetic is shared)."""
+        monic = np.zeros((self.nmax + 1, self.nmax + 1), dtype=complex)
+        for n, b in _monic_rows(self.nmax, self.verblunsky):
+            monic[n, : n + 1] = b
+        return monic
 
     @property
     def kappa(self) -> np.ndarray:
@@ -76,35 +90,54 @@ class OPUCSystem:
             raise ValueError(f"degree {n} out of range [0, {self.nmax}]")
 
 
+def _monic_rows(nmax: int, alphas: np.ndarray, moments: MomentSequence | None = None,
+                norms_sq: np.ndarray | None = None):
+    """Yield (n, coefficients of Phi_n) for n = 0..nmax: the one Szego recursion loop.
+
+    Phi_n lives in one of two rolling buffers of length nmax + 1, so a
+    yielded view is valid only until the next step.  With `moments`, each
+    alpha_n comes from the Levinson-Durbin step and is written into
+    `alphas`, and E_{n+1} into `norms_sq`; without, `alphas` is read.
+    """
+    cur = np.zeros(nmax + 1, dtype=complex)
+    nxt = np.zeros(nmax + 1, dtype=complex)
+    cur[0] = 1.0
+    if moments is not None:
+        cc = np.conj(moments.c)
+        norms_sq[0] = moments.c[0].real
+    for n in range(nmax + 1):
+        b = cur[: n + 1]
+        yield n, b
+        if n == nmax:
+            return
+        if moments is None:
+            abar = np.conj(alphas[n])
+        else:
+            # <z Phi_n, 1> = sum_j b_j conj(c_{j+1})
+            abar = np.dot(b, cc[1: n + 2]) / norms_sq[n]
+            gap = 1.0 - abs(abar) ** 2
+            if gap <= POSITIVITY_FLOOR:
+                raise RecursionBreakdownError(n, np.conj(abar))
+            alphas[n] = np.conj(abar)
+            norms_sq[n + 1] = norms_sq[n] * gap
+        nxt[0] = 0.0
+        nxt[1: n + 2] = b
+        nxt[: n + 1] -= abar * np.conj(b[::-1])
+        cur, nxt = nxt, cur
+
+
 def szego_recursion(moments: MomentSequence, nmax: int, weight: Weight | None = None) -> OPUCSystem:
     """Run the moment-driven recursion up to degree nmax (needs kmax >= nmax)."""
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     if moments.kmax < nmax:
         raise ValueError(f"need moments up to order {nmax}, have kmax = {moments.kmax}")
-
-    c = moments.c
-    cc = np.conj(c)
-    monic = np.zeros((nmax + 1, nmax + 1), dtype=complex)
-    monic[0, 0] = 1.0
     alphas = np.zeros(nmax, dtype=complex)
     norms_sq = np.zeros(nmax + 1)
-    norms_sq[0] = c[0].real
-
-    for n in range(nmax):
-        b = monic[n, : n + 1]
-        # <z Phi_n, 1> = sum_j b_j conj(c_{j+1})
-        abar = np.dot(b, cc[1: n + 2]) / norms_sq[n]
-        gap = 1.0 - abs(abar) ** 2
-        if gap <= POSITIVITY_FLOOR:
-            raise RecursionBreakdownError(n, np.conj(abar))
-        alphas[n] = np.conj(abar)
-        monic[n + 1, 1: n + 2] = b
-        monic[n + 1, : n + 1] -= abar * np.conj(b[::-1])
-        norms_sq[n + 1] = norms_sq[n] * gap
-
-    return OPUCSystem(nmax=nmax, verblunsky=alphas, monic=monic,
-                      norms_sq=norms_sq, moments=moments, weight=weight)
+    for _ in _monic_rows(nmax, alphas, moments, norms_sq):
+        pass
+    return OPUCSystem(nmax=nmax, verblunsky=alphas, norms_sq=norms_sq,
+                      moments=moments, weight=weight)
 
 
 def system_from_weight(w: Weight, nmax: int) -> OPUCSystem:
@@ -146,16 +179,9 @@ def second_kind(system: OPUCSystem) -> OPUCSystem:
     The resulting orthonormal polynomials psi_n are orthonormal for the dual
     measure; leading coefficients coincide with the original system's.
     """
-    nmax = system.nmax
-    monic = np.zeros((nmax + 1, nmax + 1), dtype=complex)
-    monic[0, 0] = 1.0
-    for n in range(nmax):
-        b = monic[n, : n + 1]
-        abar = -np.conj(system.verblunsky[n])
-        monic[n + 1, 1: n + 2] = b
-        monic[n + 1, : n + 1] -= abar * np.conj(b[::-1])
-    return OPUCSystem(nmax=nmax, verblunsky=-system.verblunsky, monic=monic,
-                      norms_sq=system.norms_sq.copy(), moments=system.moments, weight=None)
+    alphas = -system.verblunsky
+    return OPUCSystem(nmax=system.nmax, verblunsky=alphas, norms_sq=system.norms_sq.copy(),
+                      moments=system.moments, weight=None)
 
 
 def psi_integral_form(system: OPUCSystem, w: Weight, n: int, z: complex) -> complex:
@@ -279,11 +305,43 @@ def weighted_lp_norm(f: GridFunction | np.ndarray, w: Weight, p: float) -> float
     if p < 1.0:
         raise ValueError("p >= 1 required")
     vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
-    m = float(np.max(np.abs(vals)))
+    return _lp_norms(np.abs(vals), w, (p,))[0]
+
+
+def _lp_norms(absv: np.ndarray, w: Weight, p_grid) -> list:
+    # weighted L^p norms of |f| = absv for every p, from one rescaling by max |f|
+    m = float(np.max(absv))
     if m == 0.0:
-        return 0.0
-    scaled = np.abs(vals) / m
-    return m * float(np.mean(scaled ** p * w.values)) ** (1.0 / p)
+        return [0.0] * len(p_grid)
+    scaled = absv / m
+    return [m * float(np.mean(scaled ** p * w.values)) ** (1.0 / p) for p in p_grid]
+
+
+def steklov_norms(system: OPUCSystem, n_grid, p_grid, weight: Weight | None = None) -> np.ndarray:
+    """(len(p_grid), len(n_grid)) table of ||Phi_n||_{L^p_w} for the monic Phi_n of a system.
+
+    Streams the recursion from the system's Verblunsky coefficients up to
+    max(n_grid) in O(N + nmax) memory: `system.monic` is not built, and
+    each requested degree costs one synthesize whatever the number of p.
+    Every entry equals
+    weighted_lp_norm(poly_values(w.grid, system.monic_coeffs(n)), w, p) bitwise.
+    """
+    w = weight or system.weight
+    if w is None:
+        raise ValueError("no weight attached to the system; pass one explicitly")
+    n_grid = [int(n) for n in n_grid]
+    top = min(system.nmax, w.grid.size // 2 - 1)
+    if not n_grid or min(n_grid) < 0 or max(n_grid) > top:
+        raise ValueError(f"n_grid must be a non-empty list of degrees in [0, {top}] "
+                         f"(nmax = {system.nmax}, N/2 = {w.grid.size // 2}), got {n_grid}")
+    p_grid = [float(p) for p in p_grid]
+    if not p_grid or min(p_grid) < 1.0:
+        raise ValueError(f"p_grid must be a non-empty list of exponents p >= 1, got {p_grid}")
+    wanted, by_degree = set(n_grid), {}
+    for n, b in _monic_rows(max(n_grid), system.verblunsky):
+        if n in wanted:
+            by_degree[n] = _lp_norms(np.abs(poly_values(w.grid, b)), w, p_grid)
+    return np.array([by_degree[n] for n in n_grid]).T
 
 
 def projection_norm_probe(system: OPUCSystem, n: int, p: float, trials: int = 8,

@@ -194,18 +194,22 @@ class ApReport:
     argmax_arc: tuple  # (node offset, length in nodes)
 
 
-def _window_sums(vals: np.ndarray, length: int) -> np.ndarray:
+def _circular_prefix(vals: np.ndarray) -> np.ndarray:
+    """Prefix sums of two laps of vals, so every circular window is one difference."""
+    return np.concatenate(([0.0], np.cumsum(np.concatenate([vals, vals]))))
+
+
+def _window_sums(prefix: np.ndarray, length: int) -> np.ndarray:
     """Circular sums over windows of `length` consecutive nodes, all offsets."""
-    n = len(vals)
-    cs = np.concatenate(([0.0], np.cumsum(np.concatenate([vals, vals[: length]]))))
-    return cs[length: length + n] - cs[:n]
+    n = (len(prefix) - 1) // 2
+    return prefix[length: length + n] - prefix[:n]
 
 
 def ap_characteristic(w: Weight, p: float, arcs: ArcFamily | None = None) -> ApReport:
     """Muckenhoupt characteristic over the arc family (a monotone lower bound).
 
     Scale invariant in w; >= 1 by the discrete Jensen inequality.  Cost is
-    O(N) per arc length via circular prefix sums.
+    O(N) per arc length via one circular prefix sum per input.
     """
     if p <= 1.0:
         raise ValueError(f"A_p requires p > 1, got p = {p}")
@@ -223,10 +227,11 @@ def ap_characteristic(w: Weight, p: float, arcs: ArcFamily | None = None) -> ApR
                 f"w^(1/(1-p)) overflows for p = {p}; weight dynamic range too large"
             ) from None
 
+    cw, cd = _circular_prefix(vals), _circular_prefix(dual)
     best = -np.inf
     best_arc = (0, 1)
     for length in arcs.lengths:
-        prod = _window_sums(vals, int(length)) * _window_sums(dual, int(length)) ** (p - 1.0)
+        prod = _window_sums(cw, int(length)) * _window_sums(cd, int(length)) ** (p - 1.0)
         # <w>_I <w^{1/(1-p)}>_I^{p-1} = (S_w / L) * (S_dual / L)^{p-1}
         prod /= float(length) ** p
         j = int(np.argmax(prod))
@@ -282,21 +287,17 @@ def fh_subarc_product(beta: float, a: float) -> float:
 # Poisson-type characteristics
 # ---------------------------------------------------------------------------
 
-def _poisson_profiles(w: Weight, radii) -> tuple:
-    """P(w, r e^{i theta_j}), P(w^{-1}, .), P(log w, .) for each radius, by the
-    r^{|k|} multiplier (exact extension of the interpolant, so P(1, .) = 1)."""
+def _poisson_profiles(w: Weight, radii):
+    """Yield the rows P(w, r e^{i theta_j}), P(w^{-1}, .), P(log w, .) for each
+    radius, by the r^{|k|} multiplier (exact extension of the interpolant, so
+    P(1, .) = 1): one (3, N) synthesize per radius.  No (radii, N) array is
+    built; at large N its allocation and release raise the peak memory of
+    later large temporaries."""
     grid = w.grid
     absk = np.abs(grid.freqs).astype(float)
-    fw = grid.analyze(w.values)
-    finv = grid.analyze(1.0 / w.values)
-    flog = grid.analyze(np.log(w.values))
-    pw, pinv, plog = [], [], []
+    spectra = grid.analyze(np.stack([w.values, 1.0 / w.values, np.log(w.values)]))
     for r in radii:
-        damp = r ** absk
-        pw.append(grid.synthesize(fw * damp).real)
-        pinv.append(grid.synthesize(finv * damp).real)
-        plog.append(grid.synthesize(flog * damp).real)
-    return np.array(pw), np.array(pinv), np.array(plog)
+        yield grid.synthesize(spectra * r ** absk).real
 
 
 def poisson_characteristics(w: Weight, z_samples=None) -> tuple:
@@ -308,10 +309,10 @@ def poisson_characteristics(w: Weight, z_samples=None) -> tuple:
     """
     grid = w.grid
     if z_samples is None:
-        radii = 1.0 - 2.0 ** -np.arange(1, grid.log2_size - 1)
-        pw, pinv, plog = _poisson_profiles(w, radii)
-        a2p = float(np.max(pw * pinv))
-        ainfp = float(np.max(pw * np.exp(-plog)))
+        a2p = ainfp = -np.inf
+        for pw, pinv, plog in _poisson_profiles(w, 1.0 - 2.0 ** -np.arange(1, grid.log2_size - 1)):
+            a2p = max(a2p, float(np.max(pw * pinv)))
+            ainfp = max(ainfp, float(np.max(pw * np.exp(-plog))))
         return a2p, ainfp
 
     z_samples = np.asarray(z_samples, dtype=complex).ravel()
@@ -343,12 +344,13 @@ def bmo_norm(f: GridFunction, arcs: ArcFamily | None = None, chunk: int = 1024) 
     arcs = arcs or ArcFamily(f.grid)
     n = f.grid.size
     doubled = np.concatenate([vals, vals])
+    prefix = _circular_prefix(vals)
     best = 0.0
     for length in arcs.lengths:
         length = int(length)
         if length == 1:
             continue  # single-node arcs have zero oscillation
-        means = _window_sums(vals, length) / length
+        means = _window_sums(prefix, length) / length
         windows = np.lib.stride_tricks.sliding_window_view(doubled, length)[:n]
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)

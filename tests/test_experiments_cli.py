@@ -42,6 +42,22 @@ def test_opuc_diagnostics_record(tmp_path):
     assert len(payload["rows"]) == 25
 
 
+def _strict_loads(text: str):
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_records_are_strict_json():
+    diag = run(ExperimentSpec(name="opuc_diagnostics", grid_log2=11, params={"nmax": 8}))
+    rows = _strict_loads(diag.to_json())["rows"]
+    assert rows[-1]["abs_alpha"] is None and rows[0]["abs_alpha"] is not None
+    growth = run(ExperimentSpec(name="fh_growth", grid_log2=12, params={"beta": 0.3},
+                                p_grid=(6.0,), n_grid=(64, 128, 256)))
+    ssr_rows = [r for r in _strict_loads(growth.to_json())["rows"] if r["n"] == -1]
+    assert ssr_rows and all(r["norm"] is None for r in ssr_rows)
+
+
 def test_fh_growth_record_schema(tmp_path):
     out = tmp_path / "growth.csv"
     spec = ExperimentSpec(name="fh_growth", grid_log2=12,
@@ -86,6 +102,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["a2", "--grid-log2", "10"]) == 3
     # 4: argparse-level input error
     assert main(["steklov", "--p", "abc"]) == 4
+    # a single-degree n-grid (--nmax below 64) runs to a verdict
+    assert main(["steklov", "--nmax", "48"]) == 3
     # 4: precondition violation (n-grid beyond N/4)
     assert main(["steklov", "--grid-log2", "10", "--nmax", "512"]) == 4
     capsys.readouterr()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -227,3 +229,122 @@ def test_normalization_sandwich(fh02_system, bs05_system):
         lower = np.exp(0.5 * np.mean(np.log(w.values)))
         assert np.all(inv_kappa <= 1.0 + 1e-10)
         assert np.all(inv_kappa >= lower - 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the streamed recursion and steklov_norms
+# ---------------------------------------------------------------------------
+
+STREAM_CASES = [("fisher_hartwig", {"beta": 0.0}), ("fisher_hartwig", {"beta": 0.2}),
+                ("fisher_hartwig", {"beta": 0.4}), ("bernstein_szego", {"a": 0.5})]
+
+
+@pytest.mark.parametrize("family,params", STREAM_CASES)
+def test_streamed_rows_equal_table_rows(grid12, family, params):
+    w = ok.make_weight(family, params, grid12)
+    nmax, wanted = 300, (0, 1, 64, 181, 300)
+    table = ok.szego_recursion(w.moments(nmax), nmax).monic
+    alphas, norms_sq = np.zeros(nmax, dtype=complex), np.zeros(nmax + 1)
+    streamed = {n: b.copy() for n, b in ok.opuc._monic_rows(nmax, alphas, w.moments(nmax), norms_sq)
+                if n in wanted}
+    for n in wanted:
+        assert np.array_equal(streamed[n], table[n, : n + 1])
+
+
+@pytest.mark.parametrize("family,params", STREAM_CASES)
+def test_steklov_norms_equal_weighted_lp_norm(grid12, family, params):
+    w = ok.make_weight(family, params, grid12)
+    n_grid, p_grid = [181, 64, 0, 256, 64], [1.0, 2.0, 3.5, 6.0, 8]
+    sys = ok.system_from_weight(w, max(n_grid))
+    got = ok.steklov_norms(sys, n_grid, p_grid)
+    assert "monic" not in vars(sys)  # streamed: the table was never built
+    assert got.shape == (len(p_grid), len(n_grid))
+    for i, p in enumerate(p_grid):
+        for j, n in enumerate(n_grid):
+            expected = ok.weighted_lp_norm(ok.poly_values(grid12, sys.monic_coeffs(n)), w, float(p))
+            assert got[i, j] == expected
+
+
+def test_steklov_norms_follow_the_verblunsky_coefficients(grid12):
+    # a system rebuilt from perturbed coefficients moves the norms, and they
+    # stay those of its own table
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    sys = ok.system_from_weight(w, 128)
+    moved = replace(sys, verblunsky=1.01 * sys.verblunsky)
+    got, clean = ok.steklov_norms(moved, [64, 128], [4.0]), ok.steklov_norms(sys, [64, 128], [4.0])
+    assert np.all(got != clean)
+    for j, n in enumerate((64, 128)):
+        assert got[0, j] == ok.weighted_lp_norm(ok.poly_values(grid12, moved.monic_coeffs(n)), w, 4.0)
+    with pytest.raises(ValueError, match="no weight"):
+        ok.steklov_norms(ok.second_kind(sys), [8], [4.0])
+
+
+def test_second_kind_matches_explicit_loop(grid12):
+    # oracle: the recursion with alpha_n -> -alpha_n, written out
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    sys = ok.system_from_weight(w, 64)
+    monic = np.zeros((65, 65), dtype=complex)
+    monic[0, 0] = 1.0
+    for n in range(64):
+        b = monic[n, : n + 1]
+        abar = -np.conj(sys.verblunsky[n])
+        monic[n + 1, 1: n + 2] = b
+        monic[n + 1, : n + 1] -= abar * np.conj(b[::-1])
+    psi = ok.second_kind(sys)
+    assert np.array_equal(psi.monic, monic)
+    assert np.array_equal(psi.verblunsky, -sys.verblunsky)
+    assert np.array_equal(psi.norms_sq, sys.norms_sq)
+
+
+def test_breakdown_reports_index_on_both_paths(grid12):
+    # c = (1, 0, 1): alpha_0 = 0, then |alpha_1| = 1
+    with pytest.raises(RecursionBreakdownError) as err:
+        ok.szego_recursion(ok.MomentSequence(np.array([1.0, 0.0, 1.0, 0.0])), 3)
+    assert err.value.index == 1
+    # nearly a two-point measure: Phi_2 has (almost) zero norm
+    vals = np.full(grid12.size, 1e-200)
+    vals[[0, grid12.size // 4]] = 1.0
+    w = ok.make_weight("user", {"values": vals}, grid12)
+    with pytest.raises(RecursionBreakdownError) as err:
+        ok.system_from_weight(w, 8)
+    assert err.value.index == 1
+
+
+@pytest.mark.parametrize("n_grid", [[], [-1, 8], [16, 65]])
+def test_steklov_norms_rejects_bad_n_grid(grid12, n_grid):
+    sys = ok.system_from_weight(ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12), 64)
+    with pytest.raises(ValueError, match="n_grid"):
+        ok.steklov_norms(sys, n_grid, [4.0])
+
+
+def test_steklov_norms_rejects_degrees_beyond_half_grid(grid12):
+    # a weight on N = 64 nodes: degree 32 is in the system but not below N/2
+    sys = ok.system_from_weight(ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12), 64)
+    coarse = ok.make_weight("fisher_hartwig", {"beta": 0.2}, ok.CircleGrid(6))
+    with pytest.raises(ValueError, match="N/2 = 32"):
+        ok.steklov_norms(sys, [8, 32], [4.0], weight=coarse)
+
+
+@pytest.mark.parametrize("p_grid", [[], [0.5, 4.0]])
+def test_steklov_norms_rejects_bad_p_grid(grid12, p_grid):
+    sys = ok.system_from_weight(ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12), 16)
+    with pytest.raises(ValueError, match="p_grid"):
+        ok.steklov_norms(sys, [8], p_grid)
+
+
+def test_steklov_norms_memory_stays_below_table(grid14):
+    import tracemalloc
+
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid14)
+    nmax = 2048
+    table_bytes = (nmax + 1) ** 2 * 16
+    tracemalloc.start()
+    try:
+        sys = ok.system_from_weight(w, nmax)
+        ok.steklov_norms(sys, [256, 1024, nmax], [3.0, 6.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # O(N + nmax): a few grid-sized arrays, against the 67 MB table
+    assert peak < table_bytes / 20
+    assert "monic" not in vars(sys)

@@ -112,6 +112,27 @@ def test_argmax_arc_is_reported(grid12):
     assert dist < 0.1 or (offset + length) % grid12.size < grid12.size // 64
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.7])
+def test_ap_matches_per_length_prefix_sums(grid12, p):
+    # oracle: a fresh circular prefix sum for every arc length
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.35}, grid12, normalize=False)
+    vals, dual, n = w.values, w.values ** (1.0 / (1.0 - p)), grid12.size
+
+    def window_sums(v, length):
+        cs = np.concatenate(([0.0], np.cumsum(np.concatenate([v, v[:length]]))))
+        return cs[length: length + n] - cs[:n]
+
+    best, best_arc = -np.inf, None
+    for length in ok.ArcFamily(grid12).lengths:
+        prod = window_sums(vals, length) * window_sums(dual, length) ** (p - 1.0)
+        prod /= float(length) ** p
+        j = int(np.argmax(prod))
+        if prod[j] > best:
+            best, best_arc = float(prod[j]), (j, int(length))
+    rep = ok.ap_characteristic(w, p)
+    assert rep.value == best and rep.argmax_arc == best_arc
+
+
 def test_fh_a2_exact_values():
     assert ok.fh_a2_exact(0.0) == 1.0
     assert_allclose(ok.fh_a2_exact(0.25), 4.0 / 3.0, rtol=1e-15)
@@ -139,6 +160,17 @@ def test_poisson_characteristics_jensen_and_comparability(grid12, beta):
     assert ainfp <= a2p * (1.0 + 1e-12)
     ap = ok.ap_characteristic(w, 2.0).value
     assert 1.0 / 20.0 <= a2p / ap <= 20.0
+
+
+def test_poisson_profiles_equal_single_vector_calls(grid12):
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    radii = [0.5, 0.9, 0.99]
+    absk = np.abs(grid12.freqs).astype(float)
+    profiles = list(ok.weights._poisson_profiles(w, radii))
+    for k, v in enumerate((w.values, 1.0 / w.values, np.log(w.values))):
+        spectrum = grid12.analyze(v)
+        for r, got in zip(radii, profiles):
+            assert np.array_equal(got[k], grid12.synthesize(spectrum * r ** absk).real)
 
 
 def test_poisson_characteristics_explicit_samples(grid12):
