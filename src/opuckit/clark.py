@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridFunction, conjugate_function, mean
+from .grid import GridFunction, conjugate_function, mean, poisson_probabilities
 from .weights import ArcFamily, Weight, ap_characteristic
 
 DENOM_FLOOR = 1e-280
@@ -106,14 +106,6 @@ def generalized_entropy(w: Weight, z_samples) -> np.ndarray:
     The Poisson values use exact probability weights at every z (normalized
     discrete kernel), so K >= 0 holds to roundoff by Jensen.
     """
-    z_samples = np.asarray(z_samples, dtype=complex).ravel()
-    if np.any(np.abs(z_samples) >= 1.0):
-        raise ValueError("all sample points must lie strictly inside the disk")
-    grid = w.grid
     logw = np.log(w.values)
-    out = np.empty(len(z_samples))
-    for i, z in enumerate(z_samples):
-        kern = (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(grid.points) * z) ** 2
-        lam = kern / kern.sum()
-        out[i] = np.log(float(lam @ w.values)) - float(lam @ logw)
-    return out
+    return np.array([np.log(float(lam @ w.values)) - float(lam @ logw)
+                     for lam in poisson_probabilities(w.grid, z_samples)])

@@ -111,10 +111,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         spec = spec_from_args(args)
         record = run(spec)
-    except _ArgumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (SpecError, ValueError, KeyError) as exc:
+    except (_ArgumentError, SpecError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     for line in record.summary_lines():

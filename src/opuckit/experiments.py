@@ -27,14 +27,8 @@ from .opuc import (gram_matrix, gram_schmidt_monic, projection_norm_probe,
 from .opuc import poly_values  # noqa: F401 - bench/test_bench.py traces this re-bound name
 from .operators import continuity_experiment
 from .szego import entropy, entropy_limit_target, strong_szego_error, szego_function
-from .weights import (ap_characteristic, fh_a2_exact, fh_subarc_product,
+from .weights import (ArcFamily, ap_characteristic, fh_a2_exact, fh_subarc_product,
                       make_weight, renormalized)
-
-EXPERIMENT_NAMES = (
-    "a2_scaling", "fh_growth", "entropy_limit", "strong_szego",
-    "continuity", "clark_duality", "projection_bound", "pcr_upper_trend",
-    "opuc_diagnostics",
-)
 
 
 def load_thresholds() -> dict:
@@ -71,6 +65,9 @@ class ExperimentSpec:
             raise SpecError(f"n-grid max must stay below N/4 = {n // 4}")
         if self.p_grid and min(self.p_grid) <= 1.0:
             raise SpecError("all p must exceed 1")
+        if self.name == "pcr_upper_trend" and self.n_grid and len(set(self.n_grid)) < 3:
+            raise SpecError(f"pcr_upper_trend fits c1 + c2 n^e and needs three distinct degrees "
+                            f"in n_grid, got {tuple(self.n_grid)} (from the CLI: --nmax >= 128)")
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -157,7 +154,11 @@ def _check(value, ok: bool, threshold) -> dict:
     return {"pass": bool(ok), "value": value, "threshold": threshold}
 
 
-def _fit_gate(fits: dict, flags: list, label: str, r2: float, gate: float):
+def _at_most(value, tol) -> dict:
+    return _check(value, value <= tol, tol)
+
+
+def _fit_gate(flags: list, label: str, r2: float, gate: float):
     if r2 < gate:
         flags.append(f"{label}: fit R^2 = {r2:.4f} below acceptance gate {gate}")
 
@@ -166,10 +167,8 @@ def _fit_gate(fits: dict, flags: list, label: str, r2: float, gate: float):
 # individual experiments
 # ---------------------------------------------------------------------------
 
-def _run_a2_scaling(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
+def _run_a2_scaling(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
     cfg = thr["a2_scaling"]
-    grid = CircleGrid(spec.grid_log2)
-    from .weights import ArcFamily
     arcs = ArcFamily(grid, spec.arcs)
     fits, checks, flags = {}, {}, []
 
@@ -181,13 +180,12 @@ def _run_a2_scaling(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         vals.append(rep.value)
         rows.append({"family": "fisher_hartwig", "beta": float(b), "p": 2.0,
                      "a2": rep.value, "argmax_offset": rep.argmax_arc[0],
-                     "argmax_len": rep.argmax_arc[1], "grid_log2": spec.grid_log2,
-                     "seed": spec.seed, "kind": "slope"})
+                     "argmax_len": rep.argmax_arc[1], "kind": "slope"})
     slope, icpt, r2 = fit_loglog(slope_betas, np.array(vals) - 1.0)
     fits["beta_squared_law"] = {"exponent": slope, "intercept": icpt, "r2": r2,
                                "predicted_exponent": cfg["slope_target"],
                                "pass": abs(slope - cfg["slope_target"]) <= cfg["slope_tol"]}
-    _fit_gate(fits, flags, "beta_squared_law", r2, thr["fit_acceptance_r2"])
+    _fit_gate(flags, "beta_squared_law", r2, thr["fit_acceptance_r2"])
     checks["small_beta_slope"] = _check(slope, abs(slope - cfg["slope_target"]) <= cfg["slope_tol"],
                                         f"{cfg['slope_target']} +/- {cfg['slope_tol']}")
 
@@ -197,8 +195,7 @@ def _run_a2_scaling(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         v = ap_characteristic(w, 2.0, arcs).value
         prods.append(v * (1.0 - 2.0 * b))
         rows.append({"family": "fisher_hartwig", "beta": float(b), "p": 2.0, "a2": v,
-                     "product": v * (1.0 - 2.0 * b), "grid_log2": spec.grid_log2,
-                     "seed": spec.seed, "kind": "blowup_band"})
+                     "product": v * (1.0 - 2.0 * b), "kind": "blowup_band"})
     in_band = cfg["band_lo"] <= min(prods) and max(prods) <= cfg["band_hi"]
     checks["blowup_band"] = _check([min(prods), max(prods)], in_band,
                                    [cfg["band_lo"], cfg["band_hi"]])
@@ -210,9 +207,8 @@ def _run_a2_scaling(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         rel = abs(q / ex - 1.0)
         worst = max(worst, rel)
         rows.append({"family": "fisher_hartwig", "beta": float(b), "p": 2.0,
-                     "subarc_product": q, "exact": ex, "rel_err": rel,
-                     "grid_log2": spec.grid_log2, "seed": spec.seed, "kind": "subarc"})
-    checks["subarc_identity"] = _check(worst, worst <= cfg["subarc_rel_tol"], cfg["subarc_rel_tol"])
+                     "subarc_product": q, "exact": ex, "rel_err": rel, "kind": "subarc"})
+    checks["subarc_identity"] = _at_most(worst, cfg["subarc_rel_tol"])
     return fits, checks, flags
 
 
@@ -229,9 +225,8 @@ def _steklov_norms(grid, pairs, n_grid) -> dict:
     return out
 
 
-def _run_fh_growth(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
+def _run_fh_growth(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
     cfg = thr["fh_growth"]
-    grid = CircleGrid(spec.grid_log2)
     n_grid = list(spec.n_grid) or cfg["n_grid"]
     pairs = spec.params.get("pairs", cfg["pairs"])
     if spec.params.get("beta") is not None and spec.p_grid:
@@ -245,8 +240,7 @@ def _run_fh_growth(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         norms = all_norms[float(beta), float(p)]
         for n, nv in zip(n_grid, norms):
             rows.append({"family": "fisher_hartwig", "beta": float(beta), "p": float(p),
-                         "n": int(n), "norm": nv, "grid_log2": spec.grid_log2,
-                         "seed": spec.seed})
+                         "n": int(n), "norm": nv})
         g = growth_exponent(n_grid, norms, float(p))
         predicted = max(0.0, float(p) * beta - 2.0 * beta - 1.0)
         dev = abs(g["exponent"] - predicted)
@@ -255,7 +249,7 @@ def _run_fh_growth(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         fits[key] = {"exponent": g["exponent"], "e_model": g["e_model"], "r2": g["r2"],
                      "loglog_slope": g["loglog_slope"], "predicted_exponent": predicted,
                      "pass": dev <= cfg["exponent_tol"]}
-        _fit_gate(fits, flags, key, g["r2"], thr["fit_acceptance_r2"])
+        _fit_gate(flags, key, g["r2"], thr["fit_acceptance_r2"])
         checks[f"exponent[{key}]"] = _check(g["exponent"], dev <= cfg["exponent_tol"],
                                             f"{predicted} +/- {cfg['exponent_tol']}")
 
@@ -267,18 +261,16 @@ def _run_fh_growth(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         ssr_pow = regression_ssr(n_grid, y, "power", float(eps))
         log_wins = log_wins and (ssr_log < ssr_pow)
         rows.append({"family": "fisher_hartwig", "beta": float(cb), "p": float(cp),
-                     "n": -1, "norm": float("nan"), "grid_log2": spec.grid_log2,
-                     "seed": spec.seed, "ssr_log": ssr_log, "ssr_power_eps": ssr_pow,
-                     "eps": float(eps)})
+                     "n": -1, "norm": float("nan"), "ssr_log": ssr_log,
+                     "ssr_power_eps": ssr_pow, "eps": float(eps)})
     label = classify_growth(n_grid, norms, float(cp))
     checks["critical_log_class"] = _check(label, log_wins and label == "log",
                                           "log beats n^eps regressions")
     return fits, checks, flags
 
 
-def _run_entropy_limit(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
+def _run_entropy_limit(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
     cfg = thr["entropy_limit"]
-    grid = CircleGrid(spec.grid_log2)
     n_grid = list(spec.n_grid) or cfg["n_grid"]
     n_final = max(n_grid)
     fits, checks, flags = {}, {}, []
@@ -286,8 +278,7 @@ def _run_entropy_limit(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
     w1 = make_weight("constant", {}, grid)
     s1 = system_from_weight(w1, n_final)
     worst_const = max(abs(entropy(s1, w1, n)) for n in n_grid)
-    checks["constant_zero"] = _check(worst_const, worst_const <= cfg["constant_tol"],
-                                     cfg["constant_tol"])
+    checks["constant_zero"] = _at_most(worst_const, cfg["constant_tol"])
 
     betas = spec.params.get("betas", cfg["betas"])
     if spec.params.get("beta") is not None:
@@ -301,24 +292,21 @@ def _run_entropy_limit(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
             e = entropy(sys, w, n)
             gaps.append(abs(e - target))
             rows.append({"family": "fisher_hartwig", "beta": float(beta), "n": int(n),
-                         "entropy": e, "target": target, "gap": gaps[-1],
-                         "grid_log2": spec.grid_log2, "seed": spec.seed})
-        checks[f"fh_gap[beta={beta}]"] = _check(gaps[-1], gaps[-1] <= cfg["fh_tol"], cfg["fh_tol"])
+                         "entropy": e, "target": target, "gap": gaps[-1]})
+        checks[f"fh_gap[beta={beta}]"] = _at_most(gaps[-1], cfg["fh_tol"])
 
     wb = make_weight("bernstein_szego", {"a": cfg["bs_a"]}, grid)
     sb = system_from_weight(wb, n_final)
     tb = entropy_limit_target(wb)
     bs_gap = max(abs(entropy(sb, wb, n) - tb) for n in n_grid if n >= 2)
     rows.append({"family": "bernstein_szego", "a": cfg["bs_a"], "n": n_final,
-                 "entropy": entropy(sb, wb, n_final), "target": tb, "gap": bs_gap,
-                 "grid_log2": spec.grid_log2, "seed": spec.seed})
-    checks["bs_gap"] = _check(bs_gap, bs_gap <= cfg["bs_tol"], cfg["bs_tol"])
+                 "entropy": entropy(sb, wb, n_final), "target": tb, "gap": bs_gap})
+    checks["bs_gap"] = _at_most(bs_gap, cfg["bs_tol"])
     return fits, checks, flags
 
 
-def _run_strong_szego(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
+def _run_strong_szego(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
     cfg = thr["strong_szego"]
-    grid = CircleGrid(spec.grid_log2)
     n_grid = list(spec.n_grid) or cfg["n_grid"]
     beta = float(spec.params.get("beta", cfg["beta"]))
     fits, checks, flags = {}, {}, []
@@ -328,18 +316,17 @@ def _run_strong_szego(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
     sz = szego_function(w)
     errs = [strong_szego_error(sys, sz, n) for n in n_grid]
     for n, e in zip(n_grid, errs):
-        rows.append({"family": "fisher_hartwig", "beta": beta, "n": int(n), "p": 2.0,
-                     "error": e, "grid_log2": spec.grid_log2, "seed": spec.seed})
+        rows.append({"family": "fisher_hartwig", "beta": beta, "n": int(n), "p": 2.0, "error": e})
     decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
     checks["fh_decreasing"] = _check(errs, decreasing, "monotone decreasing")
-    checks["fh_final"] = _check(errs[-1], errs[-1] <= cfg["final_tol"], cfg["final_tol"])
+    checks["fh_final"] = _at_most(errs[-1], cfg["final_tol"])
 
     p_info = cfg["informational_p"]
     try:
         errs_info = [strong_szego_error(sys, sz, n, p_info) for n in n_grid]
         for n, e in zip(n_grid, errs_info):
             rows.append({"family": "fisher_hartwig", "beta": beta, "n": int(n), "p": p_info,
-                         "error": e, "grid_log2": spec.grid_log2, "seed": spec.seed})
+                         "error": e})
     except ValueError as exc:
         flags.append(f"informational p={p_info} skipped: {exc}")
 
@@ -347,15 +334,13 @@ def _run_strong_szego(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
     sysb = system_from_weight(wb, max(2, min(8, max(n_grid))))
     szb = szego_function(wb)
     bs_err = max(strong_szego_error(sysb, szb, n) for n in (1, 2, min(8, max(n_grid))))
-    rows.append({"family": "bernstein_szego", "a": cfg["bs_a"], "n": 8, "p": 2.0,
-                 "error": bs_err, "grid_log2": spec.grid_log2, "seed": spec.seed})
-    checks["bs_exact"] = _check(bs_err, bs_err <= cfg["bs_tol"], cfg["bs_tol"])
+    rows.append({"family": "bernstein_szego", "a": cfg["bs_a"], "n": 8, "p": 2.0, "error": bs_err})
+    checks["bs_exact"] = _at_most(bs_err, cfg["bs_tol"])
     return fits, checks, flags
 
 
-def _run_continuity(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
+def _run_continuity(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
     cfg = thr["continuity"]
-    grid = CircleGrid(spec.grid_log2)
     deltas = spec.params.get("deltas", cfg["deltas"])
     band = int(spec.params.get("band", cfg["band"]))
     fits, checks, flags = {}, {}, []
@@ -370,12 +355,11 @@ def _run_continuity(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
                                     seed=spec.seed, band=band)
         for (delta, dist), est in zip(res["rows"], res["estimates"]):
             rows.append({"f": fname, "p": cfg["p"], "delta": delta, "distance": dist,
-                         "converged": est.converged, "iterations": est.iterations, "band": band,
-                         "grid_log2": spec.grid_log2, "seed": spec.seed})
+                         "converged": est.converged, "iterations": est.iterations, "band": band})
         ok = abs(res["slope"] - cfg["slope_target"]) <= tol
         fits[fname] = {"exponent": res["slope"], "r2": res["r2"],
                        "predicted_exponent": cfg["slope_target"], "pass": ok}
-        _fit_gate(fits, flags, fname, res["r2"], thr["fit_acceptance_r2"])
+        _fit_gate(flags, fname, res["r2"], thr["fit_acceptance_r2"])
         checks[f"slope[{fname}]"] = _check(res["slope"], ok,
                                            f"{cfg['slope_target']} +/- {tol}")
 
@@ -385,14 +369,12 @@ def _run_continuity(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
                                     band=band, trials=3)
         for (delta, dist), est in zip(res["rows"], res["estimates"]):
             rows.append({"f": "cos", "p": float(p), "delta": delta, "distance": dist,
-                         "converged": est.converged, "iterations": est.iterations, "band": band,
-                         "grid_log2": spec.grid_log2, "seed": spec.seed})
+                         "converged": est.converged, "iterations": est.iterations, "band": band})
     return fits, checks, flags
 
 
-def _run_clark_duality(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
+def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
     cfg = thr["clark_duality"]
-    grid = CircleGrid(spec.grid_log2)
     alphas = [complex(re, im) for re, im in cfg["alphas_re_im"]]
     fits, checks, flags = {}, {}, []
 
@@ -403,9 +385,9 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
     for a in alphas:
         cd = clark_weight(wb, a)
         worst_smooth = max(worst_smooth, abs(cd.mass - 1.0))
-        rows.append({"family": "bernstein_szego", "alpha": str(a), "mass_defect":
-                     abs(cd.mass - 1.0), "grid_log2": spec.grid_log2, "seed": spec.seed})
-    checks["mass_smooth"] = _check(worst_smooth, worst_smooth <= cfg["mass_tol"], cfg["mass_tol"])
+        rows.append({"family": "bernstein_szego", "alpha": str(a),
+                     "mass_defect": abs(cd.mass - 1.0)})
+    checks["mass_smooth"] = _at_most(worst_smooth, cfg["mass_tol"])
 
     wf = make_weight("fisher_hartwig", {"beta": cfg["fh_beta"]}, grid)
     worst_fh = 0.0
@@ -413,10 +395,10 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         cd = clark_weight(wf, a)
         defect = abs(cd.mass - 1.0)
         rows.append({"family": "fisher_hartwig", "beta": cfg["fh_beta"], "alpha": str(a),
-                     "mass_defect": defect, "grid_log2": spec.grid_log2, "seed": spec.seed})
+                     "mass_defect": defect})
         if abs(a + 1.0) > 1e-12:
             worst_fh = max(worst_fh, defect)
-    checks["mass_fh_noninverting"] = _check(worst_fh, worst_fh <= cfg["mass_tol"], cfg["mass_tol"])
+    checks["mass_fh_noninverting"] = _at_most(worst_fh, cfg["mass_tol"])
 
     # dual mass on Fisher-Hartwig: h^(1-2beta) peak quadrature, tested as a
     # refinement trend rather than at the smooth-family tolerance
@@ -426,7 +408,7 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         wm = make_weight("fisher_hartwig", {"beta": cfg["fh_beta"]}, gm)
         defects.append(abs(clark_weight(wm, -1.0).mass - 1.0))
         rows.append({"family": "fisher_hartwig", "beta": cfg["fh_beta"], "alpha": "(-1+0j)",
-                     "mass_defect": defects[-1], "grid_log2": m, "seed": spec.seed})
+                     "mass_defect": defects[-1], "grid_log2": m})
     trend_ok = all(defects[i + 1] < cfg["fh_dual_mass_refinement_ratio"] * defects[i]
                    for i in range(len(defects) - 1))
     checks["mass_fh_dual_refinement"] = _check(defects, trend_ok,
@@ -441,8 +423,7 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         ratios.append(a2d / a2w)
         duals.append(a2d)
         rows.append({"family": "fisher_hartwig", "beta": float(b), "a2": a2w,
-                     "a2_dual": a2d, "ratio": a2d / a2w, "grid_log2": spec.grid_log2,
-                     "seed": spec.seed})
+                     "a2_dual": a2d, "ratio": a2d / a2w})
     bounded = np.isfinite(duals).all() and max(ratios) <= cfg["dual_ratio_cap"]
     monotone = all(duals[i + 1] > duals[i] for i in range(len(duals) - 1))
     checks["dual_a2_bounded"] = _check(max(ratios), bool(bounded), cfg["dual_ratio_cap"])
@@ -451,15 +432,14 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
     # involution and second-kind orthonormality on the smooth family
     dd = clark_weight(clark_weight(wb, -1.0).w_alpha, -1.0)
     dd_err = float(np.max(np.abs(dd.w_alpha.values - wb.values)))
-    checks["dual_of_dual"] = _check(dd_err, dd_err <= cfg["dual_of_dual_tol"],
-                                    cfg["dual_of_dual_tol"])
+    checks["dual_of_dual"] = _at_most(dd_err, cfg["dual_of_dual_tol"])
 
     nmax = cfg["psi_gram_nmax"]
     sysb = system_from_weight(wb, 2 * nmax)
     psib = second_kind(sysb)
     wdual = renormalized(clark_weight(wb, -1.0).w_alpha)
     gdev = float(np.max(np.abs(gram_matrix(psib, nmax, weight=wdual) - np.eye(nmax + 1))))
-    checks["psi_gram_dual"] = _check(gdev, gdev <= cfg["psi_gram_tol"], cfg["psi_gram_tol"])
+    checks["psi_gram_dual"] = _at_most(gdev, cfg["psi_gram_tol"])
 
     # generalized-entropy invariance on radius k_invariance_radius
     wk = make_weight("fisher_hartwig", {"beta": cfg["k_invariance_beta"]}, grid)
@@ -476,24 +456,18 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         worst_all = max(worst_all, float(d.max()))
         rows.append({"family": "fisher_hartwig", "beta": cfg["k_invariance_beta"],
                      "alpha": str(a), "k_dev_masked": float(d[away].max()),
-                     "k_dev_all": float(d.max()), "grid_log2": spec.grid_log2,
-                     "seed": spec.seed})
-    checks["k_invariance_masked"] = _check(worst_masked,
-                                           worst_masked <= cfg["k_invariance_tol"],
-                                           cfg["k_invariance_tol"])
-    checks["k_invariance_all_angles"] = _check(worst_all,
-                                               worst_all <= cfg["k_invariance_all_angle_cap"],
-                                               cfg["k_invariance_all_angle_cap"])
+                     "k_dev_all": float(d.max())})
+    checks["k_invariance_masked"] = _at_most(worst_masked, cfg["k_invariance_tol"])
+    checks["k_invariance_all_angles"] = _at_most(worst_all, cfg["k_invariance_all_angle_cap"])
     kb = generalized_entropy(wb, zs)
     kbd = generalized_entropy(renormalized(clark_weight(wb, -1.0).w_alpha), zs)
     bs_dev = float(np.max(np.abs(kbd - kb)))
-    checks["k_invariance_smooth"] = _check(bs_dev, bs_dev <= 1e-10, 1e-10)
+    checks["k_invariance_smooth"] = _at_most(bs_dev, 1e-10)
     return fits, checks, flags
 
 
-def _run_projection_bound(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
+def _run_projection_bound(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
     cfg = thr["projection_bound"]
-    grid = CircleGrid(spec.grid_log2)
     n_grid = list(spec.n_grid) or cfg["n_grid"]
     beta = float(spec.params.get("beta", cfg["beta"]))
     p = float(spec.params.get("p", cfg["p"]))
@@ -507,16 +481,14 @@ def _run_projection_bound(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         v = projection_norm_probe(sys, n, p, trials=cfg["trials"], seed=seed_i)
         probes.append(v)
         rows.append({"family": "fisher_hartwig", "beta": beta, "p": p, "n": int(n),
-                     "probe": v, "trials": cfg["trials"], "grid_log2": spec.grid_log2,
-                     "seed": seed_i})
+                     "probe": v, "trials": cfg["trials"], "seed": seed_i})
     ratio = max(probes) / min(probes)
-    checks["max_over_min"] = _check(ratio, ratio <= cfg["max_over_min"], cfg["max_over_min"])
+    checks["max_over_min"] = _at_most(ratio, cfg["max_over_min"])
     return fits, checks, flags
 
 
-def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
+def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
     cfg = thr["pcr_upper_trend"]
-    grid = CircleGrid(spec.grid_log2)
     n_grid = list(spec.n_grid) or cfg["n_grid"]
     fits, checks, flags = {}, {}, []
 
@@ -528,7 +500,7 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         cal_vals.append(ap_characteristic(w, 2.0).value)
     cal_slope, cal_icpt, cal_r2 = fit_loglog(cal_betas, np.array(cal_vals) - 1.0)
     fits["calibration"] = {"exponent": cal_slope, "intercept": cal_icpt, "r2": cal_r2}
-    _fit_gate(fits, flags, "calibration", cal_r2, thr["fit_acceptance_r2"])
+    _fit_gate(flags, "calibration", cal_r2, thr["fit_acceptance_r2"])
     c_cal = float(np.exp(cal_icpt))
 
     def empirical_pstar(beta: float) -> tuple:
@@ -540,8 +512,7 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
             g = growth_exponent(n_grid, norms, float(p))
             es.append(g["e_model"])
             rows.append({"family": "fisher_hartwig", "beta": beta, "p": float(p),
-                         "n": max(n_grid), "norm": norms[-1], "exponent": g["e_model"],
-                         "grid_log2": spec.grid_log2, "seed": spec.seed})
+                         "n": max(n_grid), "norm": norms[-1], "exponent": g["e_model"]})
             if (abs(g["e_model"]) <= cfg["ambiguity_band"]
                     and abs(p - p_pred) > cfg["critical_window"] * p_pred):
                 flags.append(f"ambiguous growth class at beta={beta:.4f}, p={p:.3f} "
@@ -558,8 +529,7 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
         pstars.append(pstar)
         ts.append(t_meas)
         rows.append({"family": "fisher_hartwig", "beta": beta, "t_target": float(t),
-                     "t_measured": t_meas, "p_star": pstar, "p_predicted": p_pred,
-                     "grid_log2": spec.grid_log2, "seed": spec.seed})
+                     "t_measured": t_meas, "p_star": pstar, "p_predicted": p_pred})
 
     ts = np.array(ts)
     pstars = np.array(pstars)
@@ -569,7 +539,7 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
                            "predicted_exponent": cfg["slope_target"],
                            "raw_exponent": slope_raw, "raw_r2": r2_raw,
                            "pass": abs(slope_div - cfg["slope_target"]) <= cfg["slope_tol"]}
-    _fit_gate(fits, flags, "pstar_trend", r2_div, thr["fit_acceptance_r2"])
+    _fit_gate(flags, "pstar_trend", r2_div, thr["fit_acceptance_r2"])
     checks["pstar_exponent"] = _check(slope_div,
                                       abs(slope_div - cfg["slope_target"]) <= cfg["slope_tol"],
                                       f"{cfg['slope_target']} +/- {cfg['slope_tol']}")
@@ -582,8 +552,7 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
     return fits, checks, flags
 
 
-def _run_opuc_diagnostics(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
-    grid = CircleGrid(spec.grid_log2)
+def _run_opuc_diagnostics(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
     nmax = int(spec.params.get("nmax", 64))
     family = spec.family
     params = {k: v for k, v in spec.params.items() if k in ("beta", "a", "value")}
@@ -598,18 +567,15 @@ def _run_opuc_diagnostics(spec: ExperimentSpec, thr: dict, rows: list) -> tuple:
     for n in range(nmax + 1):
         rows.append({"family": family, **{k: float(v) for k, v in params.items()},
                      "n": n, "abs_alpha": float(abs(sys.verblunsky[n])) if n < nmax else float("nan"),
-                     "kappa": float(sys.kappa[n]), "grid_log2": spec.grid_log2,
-                     "seed": spec.seed})
+                     "kappa": float(sys.kappa[n])})
 
     gdev = float(np.max(np.abs(gram_matrix(sys, nmax) - np.eye(nmax + 1))))
-    checks["gram_identity"] = _check(gdev, gdev <= thr["orthonormality"]["max_gram_deviation"],
-                                     thr["orthonormality"]["max_gram_deviation"])
+    checks["gram_identity"] = _at_most(gdev, thr["orthonormality"]["max_gram_deviation"])
 
     n_oracle = min(nmax, thr["recursion_oracle"]["nmax"])
     oracle = gram_schmidt_monic(w.moments(n_oracle), n_oracle)
     dev = float(np.max(np.abs(oracle - sys.monic[: n_oracle + 1, : n_oracle + 1])))
-    checks["gram_schmidt_oracle"] = _check(dev, dev <= thr["recursion_oracle"]["tol"],
-                                           thr["recursion_oracle"]["tol"])
+    checks["gram_schmidt_oracle"] = _at_most(dev, thr["recursion_oracle"]["tol"])
 
     inv_kappa = 1.0 / sys.kappa
     lower = float(np.exp(0.5 * np.mean(np.log(w.values))))
@@ -632,11 +598,20 @@ _RUNNERS = {
     "pcr_upper_trend": _run_pcr_upper_trend,
     "opuc_diagnostics": _run_opuc_diagnostics,
 }
+EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
 def cell_seed(master: int, index: int) -> int:
     """Deterministic per-cell seed derived from (master seed, cell index)."""
     return int(np.random.SeedSequence(entropy=master, spawn_key=(index,)).generate_state(1)[0])
+
+
+def _with_shared_fields(spec: ExperimentSpec, rows: list) -> list:
+    """The rows, each given the spec's grid_log2 and seed unless its cell set its own."""
+    for row in rows:
+        row.setdefault("grid_log2", spec.grid_log2)
+        row.setdefault("seed", spec.seed)
+    return rows
 
 
 def run(spec: ExperimentSpec) -> ExperimentRecord:
@@ -649,11 +624,11 @@ def run(spec: ExperimentSpec) -> ExperimentRecord:
     t0 = time.perf_counter()
     rows: list = []
     try:
-        fits, checks, flags = _RUNNERS[spec.name](spec, thr, rows)
+        fits, checks, flags = _RUNNERS[spec.name](spec, thr, CircleGrid(spec.grid_log2), rows)
     except Exception as exc:
         wall = time.perf_counter() - t0
         partial = ExperimentRecord(
-            name=spec.name, spec=spec.echo(), rows=rows, fits={},
+            name=spec.name, spec=spec.echo(), rows=_with_shared_fields(spec, rows), fits={},
             checks={"completed": _check(repr(exc), False, "experiment ran to completion")},
             flags=[f"aborted after {len(rows)} rows: {exc!r}"],
             wall_time=wall, seed=spec.seed)
@@ -668,7 +643,8 @@ def run(spec: ExperimentSpec) -> ExperimentRecord:
     if spec.name == "fh_growth":
         budget = thr["fh_growth"]["max_seconds_total"]
         checks["runtime"] = _check(wall, wall < budget, budget)
-    record = ExperimentRecord(name=spec.name, spec=spec.echo(), rows=rows, fits=fits,
+    record = ExperimentRecord(name=spec.name, spec=spec.echo(),
+                              rows=_with_shared_fields(spec, rows), fits=fits,
                               checks=checks, flags=flags, wall_time=wall, seed=spec.seed)
     if spec.out:
         record.write(spec.out, spec.fmt)

@@ -13,9 +13,9 @@ Frequencies are kept in numpy FFT order throughout; `analyze` returns the
 coefficients c_k = (1/N) sum_j f(theta_j) e^{-ik theta_j}, which for
 band-limited f coincide with (1/2pi) int f e^{-ik theta} d theta.
 
-`CircleGrid.analyze`/`synthesize`, `fourier_multiplier` and `duality_map`
-act on (..., N) stacks along the last axis: k vectors go through one call
-as a (k, N) stack, and row r of the result is the call on row r alone.
+`CircleGrid.analyze`/`synthesize`, `fourier_multiplier`, `duality_map` and
+`lp_norms` act on (..., N) stacks along the last axis: k vectors go through
+one call as a (k, N) stack, and row r of the result is the call on row r alone.
 """
 
 from dataclasses import dataclass, field
@@ -158,6 +158,22 @@ def duality_map(values: np.ndarray, p: float) -> np.ndarray:
     return (ay / np.where(m > 0, m, 1.0)) ** (p - 1.0) * unit
 
 
+def lp_norms(values: np.ndarray, p_grid, weight: np.ndarray | None = None) -> np.ndarray:
+    """Discrete L^p norms ((1/N) sum_j |y_j|^p w_j)^{1/p} of each row of a (..., N)
+    stack for every p in p_grid, shape (len(p_grid), ...), w = 1 without a weight.
+    |y| and its row maxima are taken once; each row is rescaled by its max against
+    overflow at large p, and a zero row has norm 0."""
+    a = np.abs(values)
+    m = a.max(axis=-1, keepdims=True)
+    scaled = a / np.where(m > 0, m, 1.0)
+    out = np.empty((len(p_grid), *m.shape[:-1]))
+    for i, p in enumerate(p_grid):
+        means = np.mean(scaled ** p if weight is None else scaled ** p * weight, axis=-1)
+        # scalar libm roots: numpy's SIMD power loop differs in the last bit by CPU
+        out[i] = np.reshape([s ** (1.0 / p) for s in means.flat], means.shape)
+    return out * m[..., 0]
+
+
 def apply_multiplier(f: GridFunction, multiplier) -> GridFunction:
     """Apply a Fourier multiplier: an array m(k) in FFT order, or a band (lo, hi)."""
     return GridFunction(f.grid, fourier_multiplier(f.values, multiplier))
@@ -190,7 +206,7 @@ def band_project(f: GridFunction, lo: int, hi: int) -> GridFunction:
 
 def _check_in_disk(z: complex):
     if abs(z) >= 1.0:
-        raise ValueError(f"point must lie strictly inside the unit disk, got |z| = {abs(z)}")
+        raise ValueError(f"point must lie strictly inside the unit disk, got z = {z}")
 
 
 def poisson_extend(f: GridFunction, z: complex) -> complex:
@@ -199,6 +215,16 @@ def poisson_extend(f: GridFunction, z: complex) -> complex:
     kern = (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(f.grid.points) * z) ** 2
     out = np.sum(kern * f.values) / f.grid.size
     return float(out.real) if f.is_real else complex(out)
+
+
+def poisson_probabilities(grid: CircleGrid, z_samples):
+    """Check every disk point z, then yield for each the normalized Poisson kernel
+    (1-|z|^2)/|1 - conj(zeta_j) z|^2 at the nodes: exact probability weights."""
+    z_samples = np.asarray(z_samples, dtype=complex).ravel()
+    for z in z_samples:
+        _check_in_disk(z)
+    kernels = ((1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(grid.points) * z) ** 2 for z in z_samples)
+    return (kern / kern.sum() for kern in kernels)
 
 
 def cauchy_integral(f: GridFunction, z: complex) -> complex:

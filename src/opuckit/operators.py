@@ -15,9 +15,9 @@ import numpy as np
 from scipy.linalg.blas import zherk
 
 from .fits import fit_loglog
-from .grid import (CircleGrid, GridFunction, duality_map, fourier_multiplier,
+from .grid import (CircleGrid, GridFunction, duality_map, fourier_multiplier, lp_norms,
                    riesz_project)  # noqa: F401  (riesz_project: the GridFunction form of P+)
-from .weights import Weight
+from .weights import Weight, make_weight
 
 _BLOCK = 16  # inputs per probe call when materializing; 16 x 2^14 complex is 4 MB
 
@@ -166,14 +166,6 @@ def materialize_full(probe: OperatorProbe) -> np.ndarray:
     return _materialize(probe, (n, lambda lo, hi: np.eye(hi - lo, n, lo, dtype=complex)))
 
 
-def _lp_norm(values: np.ndarray, p: float) -> np.ndarray:
-    """Unweighted discrete L^p norm (mean pairing) of each row of a (..., N) stack."""
-    a = np.abs(values)
-    m = a.max(axis=-1)
-    scaled = a / np.where(m > 0, m, 1.0)[..., None]
-    return m * np.mean(scaled ** p, axis=-1) ** (1.0 / p)
-
-
 def power_method_lp(probe: OperatorProbe, p: float, x0: np.ndarray,
                     max_iters: int = 100, tol: float = 1e-11) -> tuple:
     """Boyd's dual-norm iteration from one start (N,) or a stack of starts (T, N).
@@ -187,18 +179,18 @@ def power_method_lp(probe: OperatorProbe, p: float, x0: np.ndarray,
     stack = np.ndim(x0) == 2  # a single start reaches the probe as a single vector
     call = (lambda f, x: _on_stack(probe, f, x) if stack else f(x[0])[None])
     x = np.atleast_2d(x0)
-    x = x / _lp_norm(x, p)[:, None]
+    x = x / lp_norms(x, (p,))[0][:, None]
     best = np.zeros(len(x))
     iters = np.full(len(x), max_iters)
     live = np.arange(len(x))  # start index of each row of x
     for it in range(max_iters):
         y = call(probe.apply, x)
-        r = _lp_norm(y, p)
+        r = lp_norms(y, (p,))[0]
         stop = r <= best[live] * (1.0 + tol)
         best[live] = np.where(stop, np.maximum(best[live], r), r)
         if not stop.all():
             x = duality_map(call(probe.adjoint, duality_map(y[~stop], p)), q)
-            nx = _lp_norm(x, p)
+            nx = lp_norms(x, (p,))[0]
             stop[~stop] = nx == 0.0
             x = x[nx > 0.0] / nx[nx > 0.0, None]
         iters[live[stop]] = it
@@ -246,7 +238,8 @@ def operator_norm(probe: OperatorProbe, method: str = "auto", trials: int = 8,
         coeffs[:, ks] = x0
         x0 = grid.synthesize(coeffs)
     if method == "random_probe":
-        best = float(np.max(_lp_norm(_on_stack(probe, probe.apply, x0), p) / _lp_norm(x0, p)))
+        best = float(np.max(lp_norms(_on_stack(probe, probe.apply, x0), (p,))[0]
+                             / lp_norms(x0, (p,))[0]))
         return NormEstimate(best, method, trials=trials, seed=seed)
     best, converged, iters = power_method_lp(probe, p, x0)
     return NormEstimate(best, method, trials=trials, seed=seed, converged=converged,
@@ -256,15 +249,6 @@ def operator_norm(probe: OperatorProbe, method: str = "auto", trials: int = 8,
 # ---------------------------------------------------------------------------
 # weight-continuity experiment
 # ---------------------------------------------------------------------------
-
-def perturbed_weight(w: Weight, f_values: np.ndarray, delta: float) -> Weight:
-    scaled = delta * np.asarray(f_values)
-    if np.max(scaled) > 300.0 or np.min(scaled) < -300.0:
-        raise ValueError("exp(delta f) overflows or underflows; shrink delta or f")
-    vals = w.values * np.exp(scaled)
-    return Weight(GridFunction(w.grid, vals), normalized=False, family="perturbed",
-                  params={"base": w.family, "delta": delta})
-
 
 def continuity_experiment(w: Weight, f: GridFunction, p: float, deltas,
                           seed: int = 0, band: int = 64, trials: int = 6) -> dict:
@@ -281,7 +265,8 @@ def continuity_experiment(w: Weight, f: GridFunction, p: float, deltas,
     base = weighted_riesz(w, p, band=band)
     estimates = []
     for delta in deltas:
-        wd = perturbed_weight(w, fv, delta)
+        wd = make_weight("perturbed", {"base": w, "f": fv, "delta": delta}, w.grid,
+                         normalize=False)
         diff = probe_difference(weighted_riesz(wd, p, band=band), base)
         estimates.append(operator_norm(diff, method="auto", trials=trials, seed=seed))
     rows = [(float(delta), est.value) for delta, est in zip(deltas, estimates)]

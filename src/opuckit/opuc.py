@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import CircleGrid, GridFunction, MomentSequence, duality_map
+from .grid import CircleGrid, GridFunction, MomentSequence, duality_map, lp_norms
 from .weights import Weight
 
 
@@ -305,16 +305,7 @@ def weighted_lp_norm(f: GridFunction | np.ndarray, w: Weight, p: float) -> float
     if p < 1.0:
         raise ValueError("p >= 1 required")
     vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
-    return _lp_norms(np.abs(vals), w, (p,))[0]
-
-
-def _lp_norms(absv: np.ndarray, w: Weight, p_grid) -> list:
-    # weighted L^p norms of |f| = absv for every p, from one rescaling by max |f|
-    m = float(np.max(absv))
-    if m == 0.0:
-        return [0.0] * len(p_grid)
-    scaled = absv / m
-    return [m * float(np.mean(scaled ** p * w.values)) ** (1.0 / p) for p in p_grid]
+    return float(lp_norms(vals, (p,), w.values)[0])
 
 
 def steklov_norms(system: OPUCSystem, n_grid, p_grid, weight: Weight | None = None) -> np.ndarray:
@@ -340,7 +331,7 @@ def steklov_norms(system: OPUCSystem, n_grid, p_grid, weight: Weight | None = No
     wanted, by_degree = set(n_grid), {}
     for n, b in _monic_rows(max(n_grid), system.verblunsky):
         if n in wanted:
-            by_degree[n] = _lp_norms(np.abs(poly_values(w.grid, b)), w, p_grid)
+            by_degree[n] = lp_norms(poly_values(w.grid, b), p_grid, w.values)
     return np.array([by_degree[n] for n in n_grid]).T
 
 

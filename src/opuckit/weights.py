@@ -17,9 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import CircleGrid, GridFunction, mean, trig_moments
+from .grid import CircleGrid, GridFunction, mean, poisson_probabilities, trig_moments
 
 FAMILIES = ("constant", "fisher_hartwig", "bernstein_szego", "perturbed", "user")
+_REQUIRED = {"fisher_hartwig": ("beta",), "bernstein_szego": ("a",),
+             "perturbed": ("base", "f", "delta"), "user": ("values",)}
+_BMO_CHUNK = 1 << 20  # elements per (offsets, L) temporary in bmo_norm: 8 MB of float64
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,9 @@ def make_weight(family: str, params: dict | None = None, grid: CircleGrid | None
     params = dict(params or {})
     grid = grid or CircleGrid()
     theta = grid.nodes
+    missing = [k for k in _REQUIRED.get(family, ()) if k not in params]
+    if missing:
+        raise ValueError(f"weight family {family!r} needs parameter {missing[0]!r}")
 
     if family == "constant":
         c = float(params.setdefault("value", 1.0))
@@ -121,8 +127,10 @@ def make_weight(family: str, params: dict | None = None, grid: CircleGrid | None
             raise ValueError("base weight lives on a different grid")
         f = params["f"]
         fvals = f(theta) if callable(f) else np.asarray(f)
-        delta = float(params["delta"])
-        vals = base.values * np.exp(delta * fvals)
+        scaled = float(params["delta"]) * fvals
+        if np.max(scaled) > 300.0 or np.min(scaled) < -300.0:
+            raise ValueError("exp(delta f) overflows or underflows; shrink delta or f")
+        vals = base.values * np.exp(scaled)
     elif family == "user":
         vals = np.asarray(params["values"], dtype=float)
         if np.any(vals <= 0):
@@ -308,22 +316,15 @@ def poisson_characteristics(w: Weight, z_samples=None) -> tuple:
     exceeds the first.
     """
     grid = w.grid
+    a2p = ainfp = -np.inf
     if z_samples is None:
-        a2p = ainfp = -np.inf
         for pw, pinv, plog in _poisson_profiles(w, 1.0 - 2.0 ** -np.arange(1, grid.log2_size - 1)):
             a2p = max(a2p, float(np.max(pw * pinv)))
             ainfp = max(ainfp, float(np.max(pw * np.exp(-plog))))
         return a2p, ainfp
 
-    z_samples = np.asarray(z_samples, dtype=complex).ravel()
-    if np.any(np.abs(z_samples) >= 1.0):
-        raise ValueError("all Poisson sample points must lie strictly inside the disk")
     logw = np.log(w.values)
-    a2p = -np.inf
-    ainfp = -np.inf
-    for z in z_samples:
-        kern = (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(grid.points) * z) ** 2
-        lam = kern / kern.sum()  # normalized: exact probability weights
+    for lam in poisson_probabilities(grid, z_samples):
         pw = float(lam @ w.values)
         a2p = max(a2p, pw * float(lam @ (1.0 / w.values)))
         ainfp = max(ainfp, pw * float(np.exp(-(lam @ logw))))
@@ -334,11 +335,12 @@ def poisson_characteristics(w: Weight, z_samples=None) -> tuple:
 # BMO norm and dyadic approximants
 # ---------------------------------------------------------------------------
 
-def bmo_norm(f: GridFunction, arcs: ArcFamily | None = None, chunk: int = 1024) -> float:
+def bmo_norm(f: GridFunction, arcs: ArcFamily | None = None) -> float:
     """sup over arcs of <|f - <f>_I|>_I, exactly per arc.
 
-    Sliding windows are materialized in offset chunks so the cost is
-    O(N * L) work per length class at bounded memory.
+    Sliding windows are materialized in chunks of offsets, _BMO_CHUNK
+    elements each, so the cost is O(N * L) work per length class at a
+    memory bound that does not grow with N.
     """
     vals = f.real_values()
     arcs = arcs or ArcFamily(f.grid)
@@ -352,6 +354,7 @@ def bmo_norm(f: GridFunction, arcs: ArcFamily | None = None, chunk: int = 1024) 
             continue  # single-node arcs have zero oscillation
         means = _window_sums(prefix, length) / length
         windows = np.lib.stride_tricks.sliding_window_view(doubled, length)[:n]
+        chunk = max(1, _BMO_CHUNK // length)
         for lo in range(0, n, chunk):
             hi = min(lo + chunk, n)
             dev = np.abs(windows[lo:hi] - means[lo:hi, None]).mean(axis=1)

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from opuckit.cli import main
-from opuckit.experiments import (EXPERIMENT_NAMES, ExperimentSpec, SpecError,
+from opuckit import experiments
+from opuckit.experiments import (EXPERIMENT_NAMES, ExperimentSpec, SpecError, cell_seed,
                                  load_thresholds, run)
 
 
@@ -25,7 +26,11 @@ def test_spec_validation():
         ExperimentSpec(name="fh_growth", grid_log2=10, n_grid=(512,))
     with pytest.raises(SpecError):
         ExperimentSpec(name="fh_growth", p_grid=(0.5,))
-    assert "opuc_diagnostics" in EXPERIMENT_NAMES
+    assert EXPERIMENT_NAMES == ("a2_scaling", "fh_growth", "entropy_limit", "strong_szego",
+                                "continuity", "clark_duality", "projection_bound",
+                                "pcr_upper_trend", "opuc_diagnostics")
+    with pytest.raises(SpecError, match=r"n_grid.*--nmax >= 128"):
+        ExperimentSpec(name="pcr_upper_trend", n_grid=(64, 91, 91))
 
 
 def test_opuc_diagnostics_record(tmp_path):
@@ -80,6 +85,37 @@ def test_projection_bound_deterministic():
     assert r1.checks == r2.checks
 
 
+def test_runner_adds_grid_log2_and_seed_to_every_row():
+    diag = run(ExperimentSpec(name="opuc_diagnostics", grid_log2=11, params={"nmax": 8}, seed=5))
+    assert all(r["grid_log2"] == 11 and r["seed"] == 5 for r in diag.rows)
+    # cells keep their own seeds
+    proj = run(ExperimentSpec(name="projection_bound", grid_log2=10, n_grid=(16, 32), seed=5))
+    assert [r["seed"] for r in proj.rows] == [cell_seed(5, 0), cell_seed(5, 1)]
+    assert all(r["grid_log2"] == 10 for r in proj.rows)
+    # the dual-mass refinement rows keep their own grid
+    clark = run(ExperimentSpec(name="clark_duality", grid_log2=10, seed=5))
+    assert all(r["seed"] == 5 for r in clark.rows)
+    assert [r["grid_log2"] for r in clark.rows if r["grid_log2"] != 10] == [6, 8]
+
+
+def test_aborted_record_rows_carry_shared_fields(tmp_path, monkeypatch):
+    calls = []
+
+    def fail_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise ValueError("second cell fails")
+        return 1.0
+
+    monkeypatch.setattr(experiments, "projection_norm_probe", fail_second)
+    out = tmp_path / "partial.json"
+    with pytest.raises(ValueError, match="second cell"):
+        run(ExperimentSpec(name="projection_bound", grid_log2=10, n_grid=(16, 32), seed=3,
+                           out=str(out)))
+    rows = json.loads(out.read_text())["rows"]
+    assert [(r["grid_log2"], r["seed"]) for r in rows] == [(10, cell_seed(3, 0))]
+
+
 def test_entropy_runner_small():
     rec = run(ExperimentSpec(name="entropy_limit", grid_log2=11,
                              params={"beta": 0.2}, n_grid=(32, 64, 128)))
@@ -132,6 +168,19 @@ def test_cli_writes_record(tmp_path):
 
 def test_cli_unknown_family_is_input_error():
     assert main(["opuc", "--family", "jacobi"]) == 4
+
+
+def test_cli_names_the_missing_weight_parameter(capsys):
+    assert main(["opuc", "--family", "user"]) == 4
+    err = capsys.readouterr().err
+    assert "'user'" in err and "'values'" in err
+
+
+def test_cli_rejects_short_pcr_grid_before_work(capsys):
+    for nmax in ("64", "91"):
+        assert main(["pcr", "--nmax", nmax]) == 4
+        err = capsys.readouterr().err
+        assert "n_grid" in err and "--nmax >= 128" in err
 
 
 def test_csv_round_trip(tmp_path):

@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
 import opuckit as ok
-from opuckit.grid import GridSizeError, MomentError, duality_map, fourier_multiplier
+from opuckit.grid import (GridSizeError, MomentError, duality_map, fourier_multiplier, lp_norms,
+                         poisson_probabilities)
 
 from conftest import random_bandlimited
 
@@ -257,3 +258,45 @@ def test_duality_map_rows_and_zero_row():
     # |y|^{p-1} sign(y) up to the row scale max|y|^{p-1}
     expect = np.abs(stack[0]) ** 2 * stack[0] / np.abs(stack[0]) / np.max(np.abs(stack[0])) ** 2
     assert_allclose(out[0], expect, rtol=1e-13)
+
+
+def test_lp_norms_rows_equal_weighted_lp_norm_and_zero_row(grid12):
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((3, grid12.size)) + 1j * rng.standard_normal((3, grid12.size))
+    stack[1] = 0.0
+    p_grid = [1.0, 2.0, 3.5, 30.0]
+    got = lp_norms(stack, p_grid, w.values)
+    assert got.shape == (len(p_grid), len(stack))
+    for i, p in enumerate(p_grid):
+        for r in range(len(stack)):
+            assert got[i, r] == ok.weighted_lp_norm(stack[r], w, p)
+    assert np.all(got[:, 1] == 0.0)
+    # no weight is the weight 1, bitwise, in any stack shape
+    plain = lp_norms(stack.reshape(3, 1, -1), p_grid)
+    assert plain.shape == (len(p_grid), 3, 1)
+    assert np.array_equal(plain[..., 0], lp_norms(stack, p_grid, np.ones(grid12.size)))
+    expect = np.mean(np.abs(stack[0]) ** 3.5) ** (1.0 / 3.5)
+    assert_allclose(plain[2, 0, 0], expect, rtol=1e-13)
+
+
+def test_poisson_probabilities_shared_by_both_callers(grid12):
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    zs = 0.8 * np.exp(1j * np.linspace(0.1, 6.0, 5))
+    lams = list(poisson_probabilities(grid12, zs))
+    for z, lam in zip(zs, lams):
+        kern = (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(grid12.points) * z) ** 2
+        assert np.array_equal(lam, kern / kern.sum())
+    logw = np.log(w.values)
+    pw = [float(lam @ w.values) for lam in lams]
+    assert ok.poisson_characteristics(w, zs) == (
+        max(a * float(lam @ (1.0 / w.values)) for a, lam in zip(pw, lams)),
+        max(a * float(np.exp(-(lam @ logw))) for a, lam in zip(pw, lams)))
+    assert np.array_equal(ok.generalized_entropy(w, zs),
+                          [np.log(a) - float(lam @ logw) for a, lam in zip(pw, lams)])
+    # every point is checked before any probability is made, and the message names it
+    with pytest.raises(ValueError, match=r"z = \(0\.3\+1\.1j\)"):
+        poisson_probabilities(grid12, [0.5, 0.3 + 1.1j])
+    for caller in (ok.poisson_characteristics, ok.generalized_entropy):
+        with pytest.raises(ValueError, match=r"z = \(1\+0j\)"):
+            caller(w, [0.2j, 1.0])

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import opuckit as ok
-from opuckit.operators import OperatorProbe, materialize_full, perturbed_weight, power_method_lp
+from opuckit.operators import OperatorProbe, materialize_full, power_method_lp
 
 
 def _inner(grid, f, g):
@@ -193,8 +193,8 @@ def test_continuity_power_method_path():
 def test_perturbed_weight_overflow_guard(grid12):
     w = ok.make_weight("constant", {}, grid12)
     f = np.full(grid12.size, 4000.0)
-    with pytest.raises(ValueError):
-        perturbed_weight(w, f, 0.1)
+    with pytest.raises(ValueError, match="overflows"):
+        ok.make_weight("perturbed", {"base": w, "f": f, "delta": 0.1}, grid12, normalize=False)
 
 
 def test_norm_estimate_metadata(grid12):

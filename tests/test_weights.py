@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +41,14 @@ def test_user_weight_rejects_nonpositive(grid12):
 def test_unknown_family(grid12):
     with pytest.raises(ValueError):
         ok.make_weight("jacobi", {}, grid12)
+
+
+@pytest.mark.parametrize("family,params,missing", [
+    ("user", {}, "values"), ("fisher_hartwig", {}, "beta"), ("bernstein_szego", {}, "a"),
+    ("perturbed", {"f": np.zeros(4), "delta": 0.1}, "base")])
+def test_missing_parameter_is_named(grid12, family, params, missing):
+    with pytest.raises(ValueError, match=f"'{family}' needs parameter '{missing}'"):
+        ok.make_weight(family, params, grid12)
 
 
 def test_fisher_hartwig_beyond_half_is_moments_only(grid12):
@@ -202,6 +212,20 @@ def test_bmo_linear_in_beta(grid12):
         w = ok.make_weight("fisher_hartwig", {"beta": beta}, grid12, normalize=False)
         v = ok.bmo_norm(ok.GridFunction(grid12, np.log(w.values)))
         assert abs(v / (2.0 * beta * base) - 1.0) < 0.05
+
+
+def test_bmo_peak_memory_is_bounded():
+    # at N = 2^14 a chunk of 1024 offsets of the longest arcs makes two 134 MB
+    # temporaries; chunks of 2^20 elements keep each at 8 MB
+    g = ok.CircleGrid(14)
+    f = ok.GridFunction(g, np.log(ok.make_weight("fisher_hartwig", {"beta": 0.3}, g).values))
+    tracemalloc.start()
+    try:
+        ok.bmo_norm(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_bmo_against_bruteforce_oracle():
