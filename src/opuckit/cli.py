@@ -21,16 +21,18 @@ import sys
 
 from .experiments import ExperimentSpec, SpecError, run
 
+# subcommand -> (experiment, the options it reads besides --grid-log2,
+# --seed, --out and --format); any other option exits 4
 _SUBCOMMANDS = {
-    "a2": "a2_scaling",
-    "opuc": "opuc_diagnostics",
-    "entropy": "entropy_limit",
-    "szego": "strong_szego",
-    "steklov": "fh_growth",
-    "continuity": "continuity",
-    "clark": "clark_duality",
-    "projection": "projection_bound",
-    "pcr": "pcr_upper_trend",
+    "a2": ("a2_scaling", ("--arcs",)),
+    "opuc": ("opuc_diagnostics", ("--family", "--beta", "--a", "--nmax")),
+    "entropy": ("entropy_limit", ("--beta", "--nmax")),
+    "szego": ("strong_szego", ("--beta", "--nmax")),
+    "steklov": ("fh_growth", ("--beta", "--p", "--nmax")),
+    "continuity": ("continuity", ()),
+    "clark": ("clark_duality", ()),
+    "projection": ("projection_bound", ("--beta", "--p", "--nmax")),
+    "pcr": ("pcr_upper_trend", ("--p", "--nmax")),
 }
 
 
@@ -50,58 +52,54 @@ def _parse_p_list(text: str) -> tuple:
         raise _ArgumentError(f"cannot parse p list {text!r}") from None
 
 
+_OPTIONS = {
+    "--grid-log2": dict(type=int, default=14, metavar="INT",
+                        help="log2 of the grid size (default 14)"),
+    "--beta": dict(type=float, metavar="FLOAT", help="Fisher-Hartwig exponent override"),
+    "--a": dict(type=float, metavar="FLOAT", help="Bernstein-Szego parameter"),
+    "--family": dict(metavar="NAME", help="weight family (default fisher_hartwig)"),
+    "--nmax": dict(type=int, metavar="INT", help="maximal polynomial degree override"),
+    "--p": dict(type=_parse_p_list, metavar="FLOAT[,FLOAT...]",
+                help="exponent or comma list of exponents"),
+    "--seed": dict(type=int, default=0, metavar="U64"),
+    "--out": dict(metavar="PATH", help="write the machine-readable record here"),
+    "--format": dict(choices=("csv", "json"), default="json"),
+    "--arcs": dict(choices=("dyadic", "full"), default="dyadic"),
+}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="opuckit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, name in _SUBCOMMANDS.items():
-        p = sub.add_parser(cmd, help=f"run the {name} experiment")
-        p.add_argument("--grid-log2", type=int, default=14, metavar="INT",
-                       help="log2 of the grid size (default 14)")
-        p.add_argument("--beta", type=float, default=None, metavar="FLOAT",
-                       help="Fisher-Hartwig exponent override")
-        p.add_argument("--a", type=float, default=None, metavar="FLOAT",
-                       help="Bernstein-Szego parameter (opuc diagnostics)")
-        p.add_argument("--family", default=None, metavar="NAME",
-                       help="weight family (opuc diagnostics; default fisher_hartwig)")
-        p.add_argument("--nmax", type=int, default=None, metavar="INT",
-                       help="maximal polynomial degree override")
-        p.add_argument("--p", type=_parse_p_list, default=None, metavar="FLOAT[,FLOAT...]",
-                       help="exponent or comma list of exponents")
-        p.add_argument("--seed", type=int, default=0, metavar="U64")
-        p.add_argument("--out", default=None, metavar="PATH",
-                       help="write the machine-readable record here")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--arcs", choices=("dyadic", "full"), default="dyadic")
+    for cmd, (name, options) in _SUBCOMMANDS.items():
+        # no abbreviations: --a must not stand for a2's --arcs
+        p = sub.add_parser(cmd, help=f"run the {name} experiment", allow_abbrev=False)
+        for opt in ("--grid-log2", *options, "--seed", "--out", "--format"):
+            p.add_argument(opt, **_OPTIONS[opt])
     return parser
 
 
 def spec_from_args(args) -> ExperimentSpec:
-    name = _SUBCOMMANDS[args.command]
-    params = {}
-    if args.beta is not None:
-        params["beta"] = args.beta
-    if args.a is not None:
-        params["a"] = args.a
-    if args.nmax is not None:
-        params["nmax"] = args.nmax
+    name = _SUBCOMMANDS[args.command][0]
+    opts = vars(args)
+    params = {k: opts[k] for k in ("beta", "a", "nmax") if opts.get(k) is not None}
     n_grid = ()
-    if args.nmax is not None and name in ("fh_growth", "entropy_limit", "strong_szego",
-                                          "projection_bound", "pcr_upper_trend"):
+    if "nmax" in params and name != "opuc_diagnostics":
         base = [64, 91, 128, 181, 256, 362, 512]
-        n_grid = tuple(n for n in base if n <= args.nmax) or (args.nmax,)
-    family = args.family or ("bernstein_szego" if args.a is not None else "fisher_hartwig")
+        n_grid = tuple(n for n in base if n <= params["nmax"]) or (params["nmax"],)
+    family = opts.get("family") or ("bernstein_szego" if "a" in params else "fisher_hartwig")
     return ExperimentSpec(
         name=name,
         family=family,
         params=params,
         grid_log2=args.grid_log2,
         n_grid=n_grid,
-        p_grid=tuple(args.p) if args.p else (),
+        p_grid=tuple(opts.get("p") or ()),
         seed=args.seed,
         out=args.out,
         fmt=args.format,
-        arcs=args.arcs,
+        arcs=opts.get("arcs", "dyadic"),
     )
 
 

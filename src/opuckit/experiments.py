@@ -68,6 +68,12 @@ class ExperimentSpec:
         if self.name == "pcr_upper_trend" and self.n_grid and len(set(self.n_grid)) < 3:
             raise SpecError(f"pcr_upper_trend fits c1 + c2 n^e and needs three distinct degrees "
                             f"in n_grid, got {tuple(self.n_grid)} (from the CLI: --nmax >= 128)")
+        if self.name == "fh_growth" and (self.params.get("beta") is None) != (not self.p_grid):
+            raise SpecError("fh_growth reads --beta and --p only together (params['beta'] "
+                            "and p_grid): give both, or neither for the default pairs")
+        if self.name == "projection_bound" and len(self.p_grid) > 1:
+            raise SpecError(f"projection_bound probes one exponent: --p takes a single "
+                            f"value, got {tuple(self.p_grid)}")
 
     def echo(self) -> dict:
         d = asdict(self)
@@ -150,55 +156,78 @@ def _strict_json(obj):
     return obj
 
 
-def _check(value, ok: bool, threshold) -> dict:
-    return {"pass": bool(ok), "value": value, "threshold": threshold}
+class _Recorder:
+    """What a runner produces: rows, fits, checks and flags.
 
+    A stored fit is flagged when its R^2 is below the frozen gate; a fit
+    given a tolerance also gets its verdict, exponent within
+    predicted_exponent +/- tol, as its `pass` and as a check.  The rows
+    survive an aborted run, for the partial record.
+    """
 
-def _at_most(value, tol) -> dict:
-    return _check(value, value <= tol, tol)
+    def __init__(self, gate: float):
+        self.gate = gate
+        self.rows, self.fits, self.checks, self.flags = [], {}, {}, []
 
+    def check(self, name: str, value, ok: bool, threshold):
+        self.checks[name] = {"pass": bool(ok), "value": value, "threshold": threshold}
 
-def _fit_gate(flags: list, label: str, r2: float, gate: float):
-    if r2 < gate:
-        flags.append(f"{label}: fit R^2 = {r2:.4f} below acceptance gate {gate}")
+    def at_most(self, name: str, value, tol):
+        self.check(name, value, value <= tol, tol)
+
+    def fit(self, label: str, fit: dict, tol=None, check: str | None = None):
+        if fit["r2"] < self.gate:
+            self.flags.append(f"{label}: fit R^2 = {fit['r2']:.4f} below acceptance gate {self.gate}")
+        if tol is not None:
+            target = fit["predicted_exponent"]
+            fit["pass"] = abs(fit["exponent"] - target) <= tol
+            self.check(check, fit["exponent"], fit["pass"], f"{target} +/- {tol}")
+        self.fits[label] = fit
+
+    def record(self, spec: ExperimentSpec, wall: float) -> ExperimentRecord:
+        """The record, each row given the spec's grid_log2 and seed unless its
+        cell set its own; written to spec.out when that is set."""
+        for row in self.rows:
+            row.setdefault("grid_log2", spec.grid_log2)
+            row.setdefault("seed", spec.seed)
+        record = ExperimentRecord(name=spec.name, spec=spec.echo(), rows=self.rows,
+                                  fits=self.fits, checks=self.checks, flags=self.flags,
+                                  wall_time=wall, seed=spec.seed)
+        if spec.out:
+            record.write(spec.out, spec.fmt)
+        return record
 
 
 # ---------------------------------------------------------------------------
 # individual experiments
 # ---------------------------------------------------------------------------
 
-def _run_a2_scaling(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
+def _run_a2_scaling(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
     cfg = thr["a2_scaling"]
     arcs = ArcFamily(grid, spec.arcs)
-    fits, checks, flags = {}, {}, []
 
-    slope_betas = spec.params.get("slope_betas", cfg["slope_betas"])
     vals = []
-    for b in slope_betas:
+    for b in cfg["slope_betas"]:
         w = make_weight("fisher_hartwig", {"beta": float(b)}, grid, normalize=False)
         rep = ap_characteristic(w, 2.0, arcs)
         vals.append(rep.value)
-        rows.append({"family": "fisher_hartwig", "beta": float(b), "p": 2.0,
-                     "a2": rep.value, "argmax_offset": rep.argmax_arc[0],
-                     "argmax_len": rep.argmax_arc[1], "kind": "slope"})
-    slope, icpt, r2 = fit_loglog(slope_betas, np.array(vals) - 1.0)
-    fits["beta_squared_law"] = {"exponent": slope, "intercept": icpt, "r2": r2,
-                               "predicted_exponent": cfg["slope_target"],
-                               "pass": abs(slope - cfg["slope_target"]) <= cfg["slope_tol"]}
-    _fit_gate(flags, "beta_squared_law", r2, thr["fit_acceptance_r2"])
-    checks["small_beta_slope"] = _check(slope, abs(slope - cfg["slope_target"]) <= cfg["slope_tol"],
-                                        f"{cfg['slope_target']} +/- {cfg['slope_tol']}")
+        rec.rows.append({"family": "fisher_hartwig", "beta": float(b), "p": 2.0,
+                         "a2": rep.value, "argmax_offset": rep.argmax_arc[0],
+                         "argmax_len": rep.argmax_arc[1], "kind": "slope"})
+    slope, icpt, r2 = fit_loglog(cfg["slope_betas"], np.array(vals) - 1.0)
+    rec.fit("beta_squared_law", {"exponent": slope, "intercept": icpt, "r2": r2,
+                                 "predicted_exponent": cfg["slope_target"]},
+            cfg["slope_tol"], "small_beta_slope")
 
     prods = []
     for b in cfg["band_betas"]:
         w = make_weight("fisher_hartwig", {"beta": float(b)}, grid, normalize=False)
         v = ap_characteristic(w, 2.0, arcs).value
         prods.append(v * (1.0 - 2.0 * b))
-        rows.append({"family": "fisher_hartwig", "beta": float(b), "p": 2.0, "a2": v,
-                     "product": v * (1.0 - 2.0 * b), "kind": "blowup_band"})
+        rec.rows.append({"family": "fisher_hartwig", "beta": float(b), "p": 2.0, "a2": v,
+                         "product": v * (1.0 - 2.0 * b), "kind": "blowup_band"})
     in_band = cfg["band_lo"] <= min(prods) and max(prods) <= cfg["band_hi"]
-    checks["blowup_band"] = _check([min(prods), max(prods)], in_band,
-                                   [cfg["band_lo"], cfg["band_hi"]])
+    rec.check("blowup_band", [min(prods), max(prods)], in_band, [cfg["band_lo"], cfg["band_hi"]])
 
     worst = 0.0
     for b in cfg["subarc_betas"]:
@@ -206,10 +235,9 @@ def _run_a2_scaling(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: lis
         ex = fh_a2_exact(float(b))
         rel = abs(q / ex - 1.0)
         worst = max(worst, rel)
-        rows.append({"family": "fisher_hartwig", "beta": float(b), "p": 2.0,
-                     "subarc_product": q, "exact": ex, "rel_err": rel, "kind": "subarc"})
-    checks["subarc_identity"] = _at_most(worst, cfg["subarc_rel_tol"])
-    return fits, checks, flags
+        rec.rows.append({"family": "fisher_hartwig", "beta": float(b), "p": 2.0,
+                         "subarc_product": q, "exact": ex, "rel_err": rel, "kind": "subarc"})
+    rec.at_most("subarc_identity", worst, cfg["subarc_rel_tol"])
 
 
 def _steklov_norms(grid, pairs, n_grid) -> dict:
@@ -225,33 +253,29 @@ def _steklov_norms(grid, pairs, n_grid) -> dict:
     return out
 
 
-def _run_fh_growth(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
+def _run_fh_growth(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
     cfg = thr["fh_growth"]
     n_grid = list(spec.n_grid) or cfg["n_grid"]
-    pairs = spec.params.get("pairs", cfg["pairs"])
+    pairs = cfg["pairs"]
     if spec.params.get("beta") is not None and spec.p_grid:
         pairs = [(float(spec.params["beta"]), float(p)) for p in spec.p_grid]
-    fits, checks, flags = {}, {}, []
 
     cb, cp = cfg["critical_pair"]
     all_norms = _steklov_norms(grid, [*pairs, (cb, cp)], n_grid)
-    worst_dev = 0.0
     for beta, p in pairs:
         norms = all_norms[float(beta), float(p)]
         for n, nv in zip(n_grid, norms):
-            rows.append({"family": "fisher_hartwig", "beta": float(beta), "p": float(p),
-                         "n": int(n), "norm": nv})
+            rec.rows.append({"family": "fisher_hartwig", "beta": float(beta), "p": float(p),
+                             "n": int(n), "norm": nv})
         g = growth_exponent(n_grid, norms, float(p))
-        predicted = max(0.0, float(p) * beta - 2.0 * beta - 1.0)
-        dev = abs(g["exponent"] - predicted)
-        worst_dev = max(worst_dev, dev)
         key = f"beta={beta},p={p}"
-        fits[key] = {"exponent": g["exponent"], "e_model": g["e_model"], "r2": g["r2"],
-                     "loglog_slope": g["loglog_slope"], "predicted_exponent": predicted,
-                     "pass": dev <= cfg["exponent_tol"]}
-        _fit_gate(flags, key, g["r2"], thr["fit_acceptance_r2"])
-        checks[f"exponent[{key}]"] = _check(g["exponent"], dev <= cfg["exponent_tol"],
-                                            f"{predicted} +/- {cfg['exponent_tol']}")
+        if len(set(n_grid)) < 3:
+            rec.flags.append(f"{key}: the c1 + c2 n^e fit needs three distinct degrees, "
+                             f"got {tuple(sorted(set(n_grid)))}; its exponent is undetermined")
+        rec.fit(key, {"exponent": g["exponent"], "e_model": g["e_model"], "r2": g["r2"],
+                      "loglog_slope": g["loglog_slope"],
+                      "predicted_exponent": max(0.0, float(p) * beta - 2.0 * beta - 1.0)},
+                cfg["exponent_tol"], f"exponent[{key}]")
 
     norms = all_norms[float(cb), float(cp)]
     y = np.array(norms) ** float(cp)
@@ -260,29 +284,25 @@ def _run_fh_growth(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list
     for eps in cfg["critical_eps"]:
         ssr_pow = regression_ssr(n_grid, y, "power", float(eps))
         log_wins = log_wins and (ssr_log < ssr_pow)
-        rows.append({"family": "fisher_hartwig", "beta": float(cb), "p": float(cp),
-                     "n": -1, "norm": float("nan"), "ssr_log": ssr_log,
-                     "ssr_power_eps": ssr_pow, "eps": float(eps)})
+        rec.rows.append({"family": "fisher_hartwig", "beta": float(cb), "p": float(cp),
+                         "n": -1, "norm": float("nan"), "ssr_log": ssr_log,
+                         "ssr_power_eps": ssr_pow, "eps": float(eps)})
     label = classify_growth(n_grid, norms, float(cp))
-    checks["critical_log_class"] = _check(label, log_wins and label == "log",
-                                          "log beats n^eps regressions")
-    return fits, checks, flags
+    rec.check("critical_log_class", label, log_wins and label == "log",
+              "log beats n^eps regressions")
 
 
-def _run_entropy_limit(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
+def _run_entropy_limit(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
     cfg = thr["entropy_limit"]
     n_grid = list(spec.n_grid) or cfg["n_grid"]
     n_final = max(n_grid)
-    fits, checks, flags = {}, {}, []
 
     w1 = make_weight("constant", {}, grid)
     s1 = system_from_weight(w1, n_final)
-    worst_const = max(abs(entropy(s1, w1, n)) for n in n_grid)
-    checks["constant_zero"] = _at_most(worst_const, cfg["constant_tol"])
+    rec.at_most("constant_zero", max(abs(entropy(s1, w1, n)) for n in n_grid),
+                cfg["constant_tol"])
 
-    betas = spec.params.get("betas", cfg["betas"])
-    if spec.params.get("beta") is not None:
-        betas = [float(spec.params["beta"])]
+    betas = cfg["betas"] if spec.params.get("beta") is None else [float(spec.params["beta"])]
     for beta in betas:
         w = make_weight("fisher_hartwig", {"beta": float(beta)}, grid)
         sys = system_from_weight(w, n_final)
@@ -291,59 +311,56 @@ def _run_entropy_limit(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: 
         for n in n_grid:
             e = entropy(sys, w, n)
             gaps.append(abs(e - target))
-            rows.append({"family": "fisher_hartwig", "beta": float(beta), "n": int(n),
-                         "entropy": e, "target": target, "gap": gaps[-1]})
-        checks[f"fh_gap[beta={beta}]"] = _at_most(gaps[-1], cfg["fh_tol"])
+            rec.rows.append({"family": "fisher_hartwig", "beta": float(beta), "n": int(n),
+                             "entropy": e, "target": target, "gap": gaps[-1]})
+        rec.at_most(f"fh_gap[beta={beta}]", gaps[-1], cfg["fh_tol"])
 
     wb = make_weight("bernstein_szego", {"a": cfg["bs_a"]}, grid)
     sb = system_from_weight(wb, n_final)
     tb = entropy_limit_target(wb)
     bs_gap = max(abs(entropy(sb, wb, n) - tb) for n in n_grid if n >= 2)
-    rows.append({"family": "bernstein_szego", "a": cfg["bs_a"], "n": n_final,
-                 "entropy": entropy(sb, wb, n_final), "target": tb, "gap": bs_gap})
-    checks["bs_gap"] = _at_most(bs_gap, cfg["bs_tol"])
-    return fits, checks, flags
+    rec.rows.append({"family": "bernstein_szego", "a": cfg["bs_a"], "n": n_final,
+                     "entropy": entropy(sb, wb, n_final), "target": tb, "gap": bs_gap})
+    rec.at_most("bs_gap", bs_gap, cfg["bs_tol"])
 
 
-def _run_strong_szego(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
+def _run_strong_szego(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
     cfg = thr["strong_szego"]
     n_grid = list(spec.n_grid) or cfg["n_grid"]
     beta = float(spec.params.get("beta", cfg["beta"]))
-    fits, checks, flags = {}, {}, []
 
     w = make_weight("fisher_hartwig", {"beta": beta}, grid)
     sys = system_from_weight(w, max(n_grid))
     sz = szego_function(w)
     errs = [strong_szego_error(sys, sz, n) for n in n_grid]
     for n, e in zip(n_grid, errs):
-        rows.append({"family": "fisher_hartwig", "beta": beta, "n": int(n), "p": 2.0, "error": e})
+        rec.rows.append({"family": "fisher_hartwig", "beta": beta, "n": int(n), "p": 2.0,
+                         "error": e})
     decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
-    checks["fh_decreasing"] = _check(errs, decreasing, "monotone decreasing")
-    checks["fh_final"] = _at_most(errs[-1], cfg["final_tol"])
+    rec.check("fh_decreasing", errs, decreasing, "monotone decreasing")
+    rec.at_most("fh_final", errs[-1], cfg["final_tol"])
 
     p_info = cfg["informational_p"]
     try:
         errs_info = [strong_szego_error(sys, sz, n, p_info) for n in n_grid]
         for n, e in zip(n_grid, errs_info):
-            rows.append({"family": "fisher_hartwig", "beta": beta, "n": int(n), "p": p_info,
-                         "error": e})
+            rec.rows.append({"family": "fisher_hartwig", "beta": beta, "n": int(n), "p": p_info,
+                             "error": e})
     except ValueError as exc:
-        flags.append(f"informational p={p_info} skipped: {exc}")
+        rec.flags.append(f"informational p={p_info} skipped: {exc}")
 
     wb = make_weight("bernstein_szego", {"a": cfg["bs_a"]}, grid)
     sysb = system_from_weight(wb, max(2, min(8, max(n_grid))))
     szb = szego_function(wb)
     bs_err = max(strong_szego_error(sysb, szb, n) for n in (1, 2, min(8, max(n_grid))))
-    rows.append({"family": "bernstein_szego", "a": cfg["bs_a"], "n": 8, "p": 2.0, "error": bs_err})
-    checks["bs_exact"] = _at_most(bs_err, cfg["bs_tol"])
-    return fits, checks, flags
+    rec.rows.append({"family": "bernstein_szego", "a": cfg["bs_a"], "n": 8, "p": 2.0,
+                     "error": bs_err})
+    rec.at_most("bs_exact", bs_err, cfg["bs_tol"])
 
 
-def _run_continuity(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
+def _run_continuity(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
     cfg = thr["continuity"]
-    deltas = spec.params.get("deltas", cfg["deltas"])
-    band = int(spec.params.get("band", cfg["band"]))
-    fits, checks, flags = {}, {}, []
+    deltas, band = cfg["deltas"], int(cfg["band"])
 
     w = make_weight("constant", {}, grid)
     directions = {
@@ -354,29 +371,25 @@ def _run_continuity(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: lis
         res = continuity_experiment(w, GridFunction(grid, fvals), cfg["p"], deltas,
                                     seed=spec.seed, band=band)
         for (delta, dist), est in zip(res["rows"], res["estimates"]):
-            rows.append({"f": fname, "p": cfg["p"], "delta": delta, "distance": dist,
-                         "converged": est.converged, "iterations": est.iterations, "band": band})
-        ok = abs(res["slope"] - cfg["slope_target"]) <= tol
-        fits[fname] = {"exponent": res["slope"], "r2": res["r2"],
-                       "predicted_exponent": cfg["slope_target"], "pass": ok}
-        _fit_gate(flags, fname, res["r2"], thr["fit_acceptance_r2"])
-        checks[f"slope[{fname}]"] = _check(res["slope"], ok,
-                                           f"{cfg['slope_target']} +/- {tol}")
+            rec.rows.append({"f": fname, "p": cfg["p"], "delta": delta, "distance": dist,
+                             "converged": est.converged, "iterations": est.iterations,
+                             "band": band})
+        rec.fit(fname, {"exponent": res["slope"], "r2": res["r2"],
+                        "predicted_exponent": cfg["slope_target"]}, tol, f"slope[{fname}]")
 
     for i, p in enumerate(cfg["informational_p"]):
         res = continuity_experiment(w, GridFunction(grid, directions["cos"][0]), float(p),
                                     [deltas[0], deltas[-1]], seed=cell_seed(spec.seed, i),
                                     band=band, trials=3)
         for (delta, dist), est in zip(res["rows"], res["estimates"]):
-            rows.append({"f": "cos", "p": float(p), "delta": delta, "distance": dist,
-                         "converged": est.converged, "iterations": est.iterations, "band": band})
-    return fits, checks, flags
+            rec.rows.append({"f": "cos", "p": float(p), "delta": delta, "distance": dist,
+                             "converged": est.converged, "iterations": est.iterations,
+                             "band": band})
 
 
-def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
+def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
     cfg = thr["clark_duality"]
     alphas = [complex(re, im) for re, im in cfg["alphas_re_im"]]
-    fits, checks, flags = {}, {}, []
 
     # probability mass at machine precision: smooth family for every alpha,
     # Fisher-Hartwig for the non-inverting alphas
@@ -385,20 +398,20 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: 
     for a in alphas:
         cd = clark_weight(wb, a)
         worst_smooth = max(worst_smooth, abs(cd.mass - 1.0))
-        rows.append({"family": "bernstein_szego", "alpha": str(a),
-                     "mass_defect": abs(cd.mass - 1.0)})
-    checks["mass_smooth"] = _at_most(worst_smooth, cfg["mass_tol"])
+        rec.rows.append({"family": "bernstein_szego", "alpha": str(a),
+                         "mass_defect": abs(cd.mass - 1.0)})
+    rec.at_most("mass_smooth", worst_smooth, cfg["mass_tol"])
 
     wf = make_weight("fisher_hartwig", {"beta": cfg["fh_beta"]}, grid)
     worst_fh = 0.0
     for a in alphas:
         cd = clark_weight(wf, a)
         defect = abs(cd.mass - 1.0)
-        rows.append({"family": "fisher_hartwig", "beta": cfg["fh_beta"], "alpha": str(a),
-                     "mass_defect": defect})
+        rec.rows.append({"family": "fisher_hartwig", "beta": cfg["fh_beta"], "alpha": str(a),
+                         "mass_defect": defect})
         if abs(a + 1.0) > 1e-12:
             worst_fh = max(worst_fh, defect)
-    checks["mass_fh_noninverting"] = _at_most(worst_fh, cfg["mass_tol"])
+    rec.at_most("mass_fh_noninverting", worst_fh, cfg["mass_tol"])
 
     # dual mass on Fisher-Hartwig: h^(1-2beta) peak quadrature, tested as a
     # refinement trend rather than at the smooth-family tolerance
@@ -407,12 +420,11 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: 
         gm = CircleGrid(m)
         wm = make_weight("fisher_hartwig", {"beta": cfg["fh_beta"]}, gm)
         defects.append(abs(clark_weight(wm, -1.0).mass - 1.0))
-        rows.append({"family": "fisher_hartwig", "beta": cfg["fh_beta"], "alpha": "(-1+0j)",
-                     "mass_defect": defects[-1], "grid_log2": m})
-    trend_ok = all(defects[i + 1] < cfg["fh_dual_mass_refinement_ratio"] * defects[i]
-                   for i in range(len(defects) - 1))
-    checks["mass_fh_dual_refinement"] = _check(defects, trend_ok,
-                                               f"ratio < {cfg['fh_dual_mass_refinement_ratio']} per refinement")
+        rec.rows.append({"family": "fisher_hartwig", "beta": cfg["fh_beta"], "alpha": "(-1+0j)",
+                         "mass_defect": defects[-1], "grid_log2": m})
+    ratio = cfg["fh_dual_mass_refinement_ratio"]
+    trend_ok = all(defects[i + 1] < ratio * defects[i] for i in range(len(defects) - 1))
+    rec.check("mass_fh_dual_refinement", defects, trend_ok, f"ratio < {ratio} per refinement")
 
     # A_2 stability of the dual across the beta sweep
     ratios, duals = [], []
@@ -422,24 +434,24 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: 
         a2d = ap_characteristic(clark_weight(wfb, -1.0).w_alpha, 2.0).value
         ratios.append(a2d / a2w)
         duals.append(a2d)
-        rows.append({"family": "fisher_hartwig", "beta": float(b), "a2": a2w,
-                     "a2_dual": a2d, "ratio": a2d / a2w})
+        rec.rows.append({"family": "fisher_hartwig", "beta": float(b), "a2": a2w,
+                         "a2_dual": a2d, "ratio": a2d / a2w})
     bounded = np.isfinite(duals).all() and max(ratios) <= cfg["dual_ratio_cap"]
     monotone = all(duals[i + 1] > duals[i] for i in range(len(duals) - 1))
-    checks["dual_a2_bounded"] = _check(max(ratios), bool(bounded), cfg["dual_ratio_cap"])
-    checks["dual_a2_monotone"] = _check(duals, monotone, "increasing in beta")
+    rec.check("dual_a2_bounded", max(ratios), bounded, cfg["dual_ratio_cap"])
+    rec.check("dual_a2_monotone", duals, monotone, "increasing in beta")
 
     # involution and second-kind orthonormality on the smooth family
     dd = clark_weight(clark_weight(wb, -1.0).w_alpha, -1.0)
-    dd_err = float(np.max(np.abs(dd.w_alpha.values - wb.values)))
-    checks["dual_of_dual"] = _at_most(dd_err, cfg["dual_of_dual_tol"])
+    rec.at_most("dual_of_dual", float(np.max(np.abs(dd.w_alpha.values - wb.values))),
+                cfg["dual_of_dual_tol"])
 
     nmax = cfg["psi_gram_nmax"]
     sysb = system_from_weight(wb, 2 * nmax)
     psib = second_kind(sysb)
     wdual = renormalized(clark_weight(wb, -1.0).w_alpha)
     gdev = float(np.max(np.abs(gram_matrix(psib, nmax, weight=wdual) - np.eye(nmax + 1))))
-    checks["psi_gram_dual"] = _at_most(gdev, cfg["psi_gram_tol"])
+    rec.at_most("psi_gram_dual", gdev, cfg["psi_gram_tol"])
 
     # generalized-entropy invariance on radius k_invariance_radius
     wk = make_weight("fisher_hartwig", {"beta": cfg["k_invariance_beta"]}, grid)
@@ -454,24 +466,21 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: 
         d = np.abs(ka - k_base)
         worst_masked = max(worst_masked, float(d[away].max()))
         worst_all = max(worst_all, float(d.max()))
-        rows.append({"family": "fisher_hartwig", "beta": cfg["k_invariance_beta"],
-                     "alpha": str(a), "k_dev_masked": float(d[away].max()),
-                     "k_dev_all": float(d.max())})
-    checks["k_invariance_masked"] = _at_most(worst_masked, cfg["k_invariance_tol"])
-    checks["k_invariance_all_angles"] = _at_most(worst_all, cfg["k_invariance_all_angle_cap"])
+        rec.rows.append({"family": "fisher_hartwig", "beta": cfg["k_invariance_beta"],
+                         "alpha": str(a), "k_dev_masked": float(d[away].max()),
+                         "k_dev_all": float(d.max())})
+    rec.at_most("k_invariance_masked", worst_masked, cfg["k_invariance_tol"])
+    rec.at_most("k_invariance_all_angles", worst_all, cfg["k_invariance_all_angle_cap"])
     kb = generalized_entropy(wb, zs)
     kbd = generalized_entropy(renormalized(clark_weight(wb, -1.0).w_alpha), zs)
-    bs_dev = float(np.max(np.abs(kbd - kb)))
-    checks["k_invariance_smooth"] = _at_most(bs_dev, 1e-10)
-    return fits, checks, flags
+    rec.at_most("k_invariance_smooth", float(np.max(np.abs(kbd - kb))), 1e-10)
 
 
-def _run_projection_bound(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
+def _run_projection_bound(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
     cfg = thr["projection_bound"]
     n_grid = list(spec.n_grid) or cfg["n_grid"]
     beta = float(spec.params.get("beta", cfg["beta"]))
-    p = float(spec.params.get("p", cfg["p"]))
-    fits, checks, flags = {}, {}, []
+    p = float((spec.p_grid or [cfg["p"]])[0])
 
     w = make_weight("fisher_hartwig", {"beta": beta}, grid)
     sys = system_from_weight(w, max(n_grid))
@@ -480,17 +489,14 @@ def _run_projection_bound(spec: ExperimentSpec, thr: dict, grid: CircleGrid, row
         seed_i = cell_seed(spec.seed, i)
         v = projection_norm_probe(sys, n, p, trials=cfg["trials"], seed=seed_i)
         probes.append(v)
-        rows.append({"family": "fisher_hartwig", "beta": beta, "p": p, "n": int(n),
-                     "probe": v, "trials": cfg["trials"], "seed": seed_i})
-    ratio = max(probes) / min(probes)
-    checks["max_over_min"] = _at_most(ratio, cfg["max_over_min"])
-    return fits, checks, flags
+        rec.rows.append({"family": "fisher_hartwig", "beta": beta, "p": p, "n": int(n),
+                         "probe": v, "trials": cfg["trials"], "seed": seed_i})
+    rec.at_most("max_over_min", max(probes) / min(probes), cfg["max_over_min"])
 
 
-def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
+def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
     cfg = thr["pcr_upper_trend"]
     n_grid = list(spec.n_grid) or cfg["n_grid"]
-    fits, checks, flags = {}, {}, []
 
     # measured beta^2 law: calibrates the beta that realizes a target t
     cal_betas = cfg["calibration_betas"]
@@ -499,8 +505,7 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows
         w = make_weight("fisher_hartwig", {"beta": float(b)}, grid, normalize=False)
         cal_vals.append(ap_characteristic(w, 2.0).value)
     cal_slope, cal_icpt, cal_r2 = fit_loglog(cal_betas, np.array(cal_vals) - 1.0)
-    fits["calibration"] = {"exponent": cal_slope, "intercept": cal_icpt, "r2": cal_r2}
-    _fit_gate(flags, "calibration", cal_r2, thr["fit_acceptance_r2"])
+    rec.fit("calibration", {"exponent": cal_slope, "intercept": cal_icpt, "r2": cal_r2})
     c_cal = float(np.exp(cal_icpt))
 
     def empirical_pstar(beta: float) -> tuple:
@@ -511,48 +516,41 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows
         for p, norms in zip(p_grid, steklov_norms(sys, n_grid, p_grid).tolist()):
             g = growth_exponent(n_grid, norms, float(p))
             es.append(g["e_model"])
-            rows.append({"family": "fisher_hartwig", "beta": beta, "p": float(p),
-                         "n": max(n_grid), "norm": norms[-1], "exponent": g["e_model"]})
+            rec.rows.append({"family": "fisher_hartwig", "beta": beta, "p": float(p),
+                             "n": max(n_grid), "norm": norms[-1], "exponent": g["e_model"]})
             if (abs(g["e_model"]) <= cfg["ambiguity_band"]
                     and abs(p - p_pred) > cfg["critical_window"] * p_pred):
-                flags.append(f"ambiguous growth class at beta={beta:.4f}, p={p:.3f} "
-                             f"(exponent {g['e_model']:+.4f} near zero away from the critical p)")
+                rec.flags.append(f"ambiguous growth class at beta={beta:.4f}, p={p:.3f} "
+                                 f"(exponent {g['e_model']:+.4f} near zero away from the critical p)")
         return threshold_intercept(p_grid, es, floor=cfg["growth_floor"]), p_pred
 
-    t_grid = spec.params.get("t_grid", cfg["t_grid"])
     pstars, ts = [], []
-    for t in t_grid:
+    for t in cfg["t_grid"]:
         beta = float(((t - 1.0) / c_cal) ** (1.0 / cal_slope))
         w = make_weight("fisher_hartwig", {"beta": beta}, grid, normalize=False)
         t_meas = ap_characteristic(w, 2.0).value
         pstar, p_pred = empirical_pstar(beta)
         pstars.append(pstar)
         ts.append(t_meas)
-        rows.append({"family": "fisher_hartwig", "beta": beta, "t_target": float(t),
-                     "t_measured": t_meas, "p_star": pstar, "p_predicted": p_pred})
+        rec.rows.append({"family": "fisher_hartwig", "beta": beta, "t_target": float(t),
+                         "t_measured": t_meas, "p_star": pstar, "p_predicted": p_pred})
 
     ts = np.array(ts)
     pstars = np.array(pstars)
     slope_div, _, r2_div = fit_loglog(ts - 1.0, pstars - 2.0)
     slope_raw, _, r2_raw = fit_loglog(ts - 1.0, pstars)
-    fits["pstar_trend"] = {"exponent": slope_div, "r2": r2_div,
-                           "predicted_exponent": cfg["slope_target"],
-                           "raw_exponent": slope_raw, "raw_r2": r2_raw,
-                           "pass": abs(slope_div - cfg["slope_target"]) <= cfg["slope_tol"]}
-    _fit_gate(flags, "pstar_trend", r2_div, thr["fit_acceptance_r2"])
-    checks["pstar_exponent"] = _check(slope_div,
-                                      abs(slope_div - cfg["slope_target"]) <= cfg["slope_tol"],
-                                      f"{cfg['slope_target']} +/- {cfg['slope_tol']}")
+    rec.fit("pstar_trend", {"exponent": slope_div, "r2": r2_div,
+                            "predicted_exponent": cfg["slope_target"],
+                            "raw_exponent": slope_raw, "raw_r2": r2_raw},
+            cfg["slope_tol"], "pstar_exponent")
 
     for spot in cfg["spot_checks"]:
         pstar, _ = empirical_pstar(float(spot["beta"]))
-        checks[f"spot[beta={spot['beta']}]"] = _check(pstar,
-                                                      spot["lo"] < pstar < spot["hi"],
-                                                      [spot["lo"], spot["hi"]])
-    return fits, checks, flags
+        rec.check(f"spot[beta={spot['beta']}]", pstar, spot["lo"] < pstar < spot["hi"],
+                  [spot["lo"], spot["hi"]])
 
 
-def _run_opuc_diagnostics(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rows: list) -> tuple:
+def _run_opuc_diagnostics(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
     nmax = int(spec.params.get("nmax", 64))
     family = spec.family
     params = {k: v for k, v in spec.params.items() if k in ("beta", "a", "value")}
@@ -560,31 +558,29 @@ def _run_opuc_diagnostics(spec: ExperimentSpec, thr: dict, grid: CircleGrid, row
         params["beta"] = 0.3
     if family == "bernstein_szego" and "a" not in params:
         params["a"] = 0.5
-    fits, checks, flags = {}, {}, []
 
     w = make_weight(family, params, grid)
     sys = system_from_weight(w, nmax)
     for n in range(nmax + 1):
-        rows.append({"family": family, **{k: float(v) for k, v in params.items()},
-                     "n": n, "abs_alpha": float(abs(sys.verblunsky[n])) if n < nmax else float("nan"),
-                     "kappa": float(sys.kappa[n])})
+        rec.rows.append({"family": family, **{k: float(v) for k, v in params.items()},
+                         "n": n, "abs_alpha": float(abs(sys.verblunsky[n])) if n < nmax else float("nan"),
+                         "kappa": float(sys.kappa[n])})
 
     gdev = float(np.max(np.abs(gram_matrix(sys, nmax) - np.eye(nmax + 1))))
-    checks["gram_identity"] = _at_most(gdev, thr["orthonormality"]["max_gram_deviation"])
+    rec.at_most("gram_identity", gdev, thr["orthonormality"]["max_gram_deviation"])
 
     n_oracle = min(nmax, thr["recursion_oracle"]["nmax"])
     oracle = gram_schmidt_monic(w.moments(n_oracle), n_oracle)
     dev = float(np.max(np.abs(oracle - sys.monic[: n_oracle + 1, : n_oracle + 1])))
-    checks["gram_schmidt_oracle"] = _at_most(dev, thr["recursion_oracle"]["tol"])
+    rec.at_most("gram_schmidt_oracle", dev, thr["recursion_oracle"]["tol"])
 
     inv_kappa = 1.0 / sys.kappa
     lower = float(np.exp(0.5 * np.mean(np.log(w.values))))
     snd = thr["normalization_sandwich"]
     ok = (np.all(inv_kappa <= 1.0 + snd["upper_slack"])
           and np.all(inv_kappa >= lower - snd["lower_slack"]))
-    checks["normalization_sandwich"] = _check([float(inv_kappa.min()), float(inv_kappa.max())],
-                                              bool(ok), [lower, 1.0])
-    return fits, checks, flags
+    rec.check("normalization_sandwich", [float(inv_kappa.min()), float(inv_kappa.max())],
+              ok, [lower, 1.0])
 
 
 _RUNNERS = {
@@ -606,14 +602,6 @@ def cell_seed(master: int, index: int) -> int:
     return int(np.random.SeedSequence(entropy=master, spawn_key=(index,)).generate_state(1)[0])
 
 
-def _with_shared_fields(spec: ExperimentSpec, rows: list) -> list:
-    """The rows, each given the spec's grid_log2 and seed unless its cell set its own."""
-    for row in rows:
-        row.setdefault("grid_log2", spec.grid_log2)
-        row.setdefault("seed", spec.seed)
-    return rows
-
-
 def run(spec: ExperimentSpec) -> ExperimentRecord:
     """Execute the named experiment; deterministic given the spec seed.
 
@@ -621,31 +609,22 @@ def run(spec: ExperimentSpec) -> ExperimentRecord:
     are still serialized (when an output path is set) with a failure marker.
     """
     thr = load_thresholds()
+    rec = _Recorder(thr["fit_acceptance_r2"])
     t0 = time.perf_counter()
-    rows: list = []
     try:
-        fits, checks, flags = _RUNNERS[spec.name](spec, thr, CircleGrid(spec.grid_log2), rows)
+        _RUNNERS[spec.name](spec, thr, CircleGrid(spec.grid_log2), rec)
     except Exception as exc:
-        wall = time.perf_counter() - t0
-        partial = ExperimentRecord(
-            name=spec.name, spec=spec.echo(), rows=_with_shared_fields(spec, rows), fits={},
-            checks={"completed": _check(repr(exc), False, "experiment ran to completion")},
-            flags=[f"aborted after {len(rows)} rows: {exc!r}"],
-            wall_time=wall, seed=spec.seed)
-        if spec.out:
-            partial.write(spec.out, spec.fmt)
+        rec.fits, rec.checks = {}, {}
+        rec.flags = [f"aborted after {len(rec.rows)} rows: {exc!r}"]
+        rec.check("completed", repr(exc), False, "experiment ran to completion")
+        rec.record(spec, time.perf_counter() - t0)
         raise
     wall = time.perf_counter() - t0
     calibrated = thr["orthonormality"]["grid_log2"]
     if spec.grid_log2 != calibrated:
-        flags.append(f"thresholds were frozen at grid_log2={calibrated}; "
-                     f"this run used grid_log2={spec.grid_log2}")
+        rec.flags.append(f"thresholds were frozen at grid_log2={calibrated}; "
+                         f"this run used grid_log2={spec.grid_log2}")
     if spec.name == "fh_growth":
         budget = thr["fh_growth"]["max_seconds_total"]
-        checks["runtime"] = _check(wall, wall < budget, budget)
-    record = ExperimentRecord(name=spec.name, spec=spec.echo(),
-                              rows=_with_shared_fields(spec, rows), fits=fits,
-                              checks=checks, flags=flags, wall_time=wall, seed=spec.seed)
-    if spec.out:
-        record.write(spec.out, spec.fmt)
-    return record
+        rec.check("runtime", wall, wall < budget, budget)
+    return rec.record(spec, wall)

@@ -56,7 +56,6 @@ class OPUCSystem:
     nmax: int
     verblunsky: np.ndarray
     norms_sq: np.ndarray = field(repr=False)  # E_n = ||Phi_n||^2, n = 0..nmax
-    moments: MomentSequence = field(repr=False)
     weight: Weight | None = field(default=None, repr=False)
 
     @cached_property
@@ -136,8 +135,7 @@ def szego_recursion(moments: MomentSequence, nmax: int, weight: Weight | None = 
     norms_sq = np.zeros(nmax + 1)
     for _ in _monic_rows(nmax, alphas, moments, norms_sq):
         pass
-    return OPUCSystem(nmax=nmax, verblunsky=alphas, norms_sq=norms_sq,
-                      moments=moments, weight=weight)
+    return OPUCSystem(nmax=nmax, verblunsky=alphas, norms_sq=norms_sq, weight=weight)
 
 
 def system_from_weight(w: Weight, nmax: int) -> OPUCSystem:
@@ -180,8 +178,7 @@ def second_kind(system: OPUCSystem) -> OPUCSystem:
     measure; leading coefficients coincide with the original system's.
     """
     alphas = -system.verblunsky
-    return OPUCSystem(nmax=system.nmax, verblunsky=alphas, norms_sq=system.norms_sq.copy(),
-                      moments=system.moments, weight=None)
+    return OPUCSystem(nmax=system.nmax, verblunsky=alphas, norms_sq=system.norms_sq.copy())
 
 
 def psi_integral_form(system: OPUCSystem, w: Weight, n: int, z: complex) -> complex:
@@ -244,11 +241,16 @@ def orthonormal_values_table(system: OPUCSystem, grid: CircleGrid, n: int) -> np
     return out
 
 
-def gram_matrix(system: OPUCSystem, n: int, weight: Weight | None = None) -> np.ndarray:
-    """Gram matrix of phi_0..phi_n under (w/2pi) dtheta by quadrature."""
+def _weight_of(system: OPUCSystem, weight: Weight | None) -> Weight:
     w = weight or system.weight
     if w is None:
         raise ValueError("no weight attached to the system; pass one explicitly")
+    return w
+
+
+def gram_matrix(system: OPUCSystem, n: int, weight: Weight | None = None) -> np.ndarray:
+    """Gram matrix of phi_0..phi_n under (w/2pi) dtheta by quadrature."""
+    w = _weight_of(system, weight)
     vals = orthonormal_values_table(system, w.grid, n)
     return (vals * w.values) @ np.conj(vals.T) / w.grid.size
 
@@ -285,9 +287,7 @@ def project(system: OPUCSystem, f: GridFunction, n: int, weight: Weight | None =
 
     Works in coefficient space: two FFTs plus two triangular products.
     """
-    w = weight or system.weight
-    if w is None:
-        raise ValueError("no weight attached to the system; pass one explicitly")
+    w = _weight_of(system, weight)
     return GridFunction(w.grid, _project_values(system.orthonormal_table(n), w, f.values))
 
 
@@ -317,9 +317,7 @@ def steklov_norms(system: OPUCSystem, n_grid, p_grid, weight: Weight | None = No
     Every entry equals
     weighted_lp_norm(poly_values(w.grid, system.monic_coeffs(n)), w, p) bitwise.
     """
-    w = weight or system.weight
-    if w is None:
-        raise ValueError("no weight attached to the system; pass one explicitly")
+    w = _weight_of(system, weight)
     n_grid = [int(n) for n in n_grid]
     top = min(system.nmax, w.grid.size // 2 - 1)
     if not n_grid or min(n_grid) < 0 or max(n_grid) > top:
@@ -346,9 +344,7 @@ def projection_norm_probe(system: OPUCSystem, n: int, p: float, trials: int = 8,
     """
     if not 1.0 < p < np.inf:
         raise ValueError("p must lie in (1, inf)")
-    w = weight or system.weight
-    if w is None:
-        raise ValueError("no weight attached to the system; pass one explicitly")
+    w = _weight_of(system, weight)
     grid = w.grid
     rng = np.random.default_rng(seed)
     q = p / (p - 1.0)
@@ -358,8 +354,10 @@ def projection_norm_probe(system: OPUCSystem, n: int, p: float, trials: int = 8,
         return _project_values(table, w, x)
 
     def ratio(x):
+        # ||Px||/||x|| and Px, which the next power step reuses
+        px = apply_p(x)
         nx = weighted_lp_norm(x, w, p)
-        return weighted_lp_norm(apply_p(x), w, p) / nx if nx > 0 else 0.0
+        return (weighted_lp_norm(px, w, p) / nx if nx > 0 else 0.0), px
 
     best = 0.0
     for _ in range(max(trials, 1)):
@@ -369,18 +367,16 @@ def projection_norm_probe(system: OPUCSystem, n: int, p: float, trials: int = 8,
         coeffs = np.zeros(grid.size, dtype=complex)
         idx = np.arange(lo, hi + 1)
         coeffs[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
-        x = grid.synthesize(coeffs)
-        best = max(best, ratio(x))
+        r, px = ratio(grid.synthesize(coeffs))
+        best = max(best, r)
 
         for _ in range(power_iters):
-            u = duality_map(apply_p(x), p)
-            z = apply_p(u)  # self-adjoint in <.,.>_w
+            z = apply_p(duality_map(px, p))  # self-adjoint in <.,.>_w
             x_new = duality_map(z, q)
             nx = weighted_lp_norm(x_new, w, p)
             if nx == 0.0:
                 break
-            x = x_new / nx
-            r = ratio(x)
+            r, px = ratio(x_new / nx)
             if r <= best * (1.0 + 1e-12):
                 best = max(best, r)
                 break

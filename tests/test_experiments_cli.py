@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from opuckit.cli import main
-from opuckit import experiments
+from opuckit import cli, experiments
+from opuckit.cli import build_parser, main
 from opuckit.experiments import (EXPERIMENT_NAMES, ExperimentSpec, SpecError, cell_seed,
                                  load_thresholds, run)
 
@@ -148,7 +148,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_partial_record_on_cell_failure(tmp_path):
     out = tmp_path / "partial.json"
     spec = ExperimentSpec(name="projection_bound", grid_log2=10, n_grid=(16, 32),
-                          params={"p": 0.5}, out=str(out), fmt="json")
+                          params={"beta": -0.5}, out=str(out), fmt="json")
     with pytest.raises(ValueError):
         run(spec)
     payload = json.loads(out.read_text())
@@ -190,3 +190,73 @@ def test_csv_round_trip(tmp_path):
     assert code in (0, 2)
     rows = out.read_text().splitlines()
     assert len(rows) > 2 and rows[0].startswith("family")
+
+
+# the options each subcommand reads besides --grid-log2, --seed, --out and --format
+SUBCOMMAND_OPTIONS = {
+    "a2": {"--arcs"},
+    "opuc": {"--family", "--beta", "--a", "--nmax"},
+    "entropy": {"--beta", "--nmax"},
+    "szego": {"--beta", "--nmax"},
+    "steklov": {"--beta", "--p", "--nmax"},
+    "continuity": set(),
+    "clark": set(),
+    "projection": {"--beta", "--p", "--nmax"},
+    "pcr": {"--p", "--nmax"},
+}
+OPTION_VALUES = {"--arcs": "full", "--family": "constant", "--beta": "0.3", "--a": "0.5",
+                 "--nmax": "64", "--p": "3"}
+
+
+def test_cli_registers_only_the_options_each_subcommand_reads():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    pairs = 0
+    for cmd, sp in subparsers.items():
+        options = {s for a in sp._actions for s in a.option_strings if s.startswith("--")}
+        assert options - {"--help"} == SUBCOMMAND_OPTIONS[cmd] | {"--grid-log2", "--seed",
+                                                                   "--out", "--format"}
+        pairs += len(options - {"--help"})
+    assert pairs == 53
+
+
+def test_cli_option_outside_the_table_exits_4(monkeypatch, capsys):
+    def no_run(spec):
+        raise AssertionError("an ignored option must stop the CLI before any experiment")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    for cmd, reads in SUBCOMMAND_OPTIONS.items():
+        for opt, value in OPTION_VALUES.items():
+            if opt in reads:
+                continue
+            assert main([cmd, opt, value]) == 4, (cmd, opt)
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {opt} {value}" in err, (cmd, opt, err)
+
+
+def test_cli_projection_honours_p(tmp_path):
+    out = tmp_path / "proj.json"
+    main(["projection", "--grid-log2", "10", "--nmax", "32", "--p", "3", "--out", str(out)])
+    payload = json.loads(out.read_text())
+    assert payload["spec"]["p_grid"] == [3.0]
+    assert payload["rows"] and all(r["p"] == 3.0 for r in payload["rows"])
+    with pytest.raises(SpecError, match="--p"):
+        ExperimentSpec(name="projection_bound", p_grid=(2.1, 3.0))
+
+
+@pytest.mark.parametrize("argv", [["steklov", "--beta", "0.3"], ["steklov", "--p", "6"]])
+def test_cli_steklov_needs_beta_and_p_together(argv, capsys):
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "--beta" in err and "--p" in err
+
+
+def test_fh_growth_flags_fits_on_fewer_than_three_degrees():
+    rec = run(ExperimentSpec(name="fh_growth", grid_log2=10, n_grid=(64, 91)))
+    pairs = load_thresholds()["fh_growth"]["pairs"]
+    undetermined = [f for f in rec.flags if "three distinct degrees" in f]
+    assert len(undetermined) == len(pairs)
+    for (beta, p), flag in zip(pairs, undetermined):
+        assert flag.startswith(f"beta={beta},p={p}:") and "(64, 91)" in flag
+    full = run(ExperimentSpec(name="fh_growth", grid_log2=10, n_grid=(64, 91, 128)))
+    assert not any("three distinct degrees" in f for f in full.flags)

@@ -6,6 +6,9 @@ from numpy.testing import assert_allclose
 from scipy.special import binom
 
 import opuckit as ok
+from opuckit import opuc
+from opuckit.experiments import cell_seed
+from opuckit.grid import duality_map
 from opuckit.opuc import RecursionBreakdownError
 
 
@@ -69,7 +72,7 @@ def test_recursion_needs_enough_moments(grid12):
 def test_kappa_product_identity(fh02_system):
     # k_n = c_0^{-1/2} prod_{j<n} (1 - |alpha_j|^2)^{-1/2}, non-decreasing
     w, sys = fh02_system
-    c0 = sys.moments.c[0].real
+    c0 = w.moments(0).c[0].real
     gaps = np.concatenate(([1.0], 1.0 - np.abs(sys.verblunsky) ** 2))
     expected = np.cumprod(gaps) ** -0.5 / np.sqrt(c0)
     assert_allclose(sys.kappa, expected, rtol=1e-12)
@@ -185,6 +188,64 @@ def test_projection_norm_probe_lebesgue(grid14):
     assert abs(ok.projection_norm_probe(sys, 32, 2.0, trials=4, seed=3) - 1.0) < 1e-10
     # bounded by the Riesz-projection L^4 norm
     assert ok.projection_norm_probe(sys, 32, 4.0, trials=6, seed=3) <= 3.0
+
+
+def projection_norm_probe_loop(system, n, p, trials=8, seed=0, power_iters=40):
+    """Oracle: the power iteration that projects each iterate twice, once
+    for its ratio and again at the top of the next step."""
+    w, grid = system.weight, system.weight.grid
+    rng = np.random.default_rng(seed)
+    q = p / (p - 1.0)
+    table = system.orthonormal_table(n)
+
+    def apply_p(x):
+        return opuc._project_values(table, w, x)
+
+    def ratio(x):
+        nx = ok.weighted_lp_norm(x, w, p)
+        return ok.weighted_lp_norm(apply_p(x), w, p) / nx if nx > 0 else 0.0
+
+    best = 0.0
+    for _ in range(max(trials, 1)):
+        lo, hi = -n, min(2 * n, grid.size // 2 - 1)
+        coeffs = np.zeros(grid.size, dtype=complex)
+        idx = np.arange(lo, hi + 1)
+        coeffs[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+        x = grid.synthesize(coeffs)
+        best = max(best, ratio(x))
+        for _ in range(power_iters):
+            u = duality_map(apply_p(x), p)
+            x_new = duality_map(apply_p(u), q)
+            nx = ok.weighted_lp_norm(x_new, w, p)
+            if nx == 0.0:
+                break
+            x = x_new / nx
+            r = ratio(x)
+            if r <= best * (1.0 + 1e-12):
+                best = max(best, r)
+                break
+            best = r
+    return best
+
+
+@pytest.mark.parametrize("p", [2.1, 3.0])
+def test_projection_norm_probe_matches_loop(grid14, monkeypatch, p):
+    # the default projection_bound cell: beta 0.3, n = 64, 6 trials, seed cell_seed(1, 0)
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid14)
+    sys = ok.system_from_weight(w, 64)
+    seed = cell_seed(1, 0)
+    calls = []
+    project = opuc._project_values
+    monkeypatch.setattr(opuc, "_project_values", lambda *a: calls.append(1) or project(*a))
+    want = projection_norm_probe_loop(sys, 64, p, trials=6, seed=seed)
+    n_loop = len(calls)
+    got = ok.projection_norm_probe(sys, 64, p, trials=6, seed=seed)
+    assert got == want
+    # a trial of k power steps projects 1 + 3k times in the loop, 1 + 2k here
+    iters = (n_loop - 6) // 3
+    assert n_loop == 6 + 3 * iters and len(calls) - n_loop == 6 + 2 * iters
+    if p == 2.1:
+        assert (n_loop, len(calls) - n_loop) == (258, 174)
 
 
 def test_weighted_lp_norms(fh02_system, grid14):
