@@ -367,24 +367,24 @@ def _run_continuity(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Rec
         "cos": (np.cos(grid.nodes), cfg["tol_cos"]),
         "log_singular": (np.log(np.abs(1.0 - np.exp(1j * grid.nodes))), cfg["tol_log_singular"]),
     }
-    for fname, (fvals, tol) in directions.items():
-        res = continuity_experiment(w, GridFunction(grid, fvals), cfg["p"], deltas,
-                                    seed=spec.seed, band=band)
+    # the gate cells, then informational p != 2 cells with the p = 2 warm start as only start
+    cells = [(fname, cfg["p"], deltas, spec.seed) for fname in directions]
+    cells += [("cos", float(p), [deltas[0], deltas[-1]], cell_seed(spec.seed, i))
+              for i, p in enumerate(cfg["informational_p"])]
+    for fname, p, cell_deltas, seed in cells:
+        res = continuity_experiment(w, GridFunction(grid, directions[fname][0]), p, cell_deltas,
+                                    seed=seed, band=band, trials=0)
         for (delta, dist), est in zip(res["rows"], res["estimates"]):
-            rec.rows.append({"f": fname, "p": cfg["p"], "delta": delta, "distance": dist,
+            rec.rows.append({"f": fname, "p": p, "delta": delta, "distance": dist,
                              "converged": est.converged, "iterations": est.iterations,
                              "band": band})
-        rec.fit(fname, {"exponent": res["slope"], "r2": res["r2"],
-                        "predicted_exponent": cfg["slope_target"]}, tol, f"slope[{fname}]")
-
-    for i, p in enumerate(cfg["informational_p"]):
-        res = continuity_experiment(w, GridFunction(grid, directions["cos"][0]), float(p),
-                                    [deltas[0], deltas[-1]], seed=cell_seed(spec.seed, i),
-                                    band=band, trials=3)
-        for (delta, dist), est in zip(res["rows"], res["estimates"]):
-            rec.rows.append({"f": "cos", "p": float(p), "delta": delta, "distance": dist,
-                             "converged": est.converged, "iterations": est.iterations,
-                             "band": band})
+            if not est.converged:
+                rec.flags.append(f"power method not converged after {est.iterations} "
+                                 f"iterations: f={fname}, p={p}, delta={delta}")
+        if p == cfg["p"]:
+            rec.fit(fname, {"exponent": res["slope"], "r2": res["r2"],
+                            "predicted_exponent": cfg["slope_target"]}, directions[fname][1],
+                    f"slope[{fname}]")
 
 
 def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):

@@ -7,9 +7,12 @@ import numpy as np
 
 
 def fit_loglog(x, y) -> tuple:
-    """Least-squares (slope, intercept, R^2) of log y against log x."""
-    lx = np.log(np.asarray(x, dtype=float))
-    ly = np.log(np.asarray(y, dtype=float))
+    """Least-squares (slope, intercept, R^2) of log y against log x; all three are
+    NaN when no line is determined: fewer than two distinct x, or some y <= 0."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if np.unique(x).size < 2 or not np.all(y > 0):
+        return float("nan"), float("nan"), float("nan")
+    lx, ly = np.log(x), np.log(y)
     a, b = np.polyfit(lx, ly, 1)
     resid = ly - (a * lx + b)
     total = ly - ly.mean()

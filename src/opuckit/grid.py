@@ -154,8 +154,10 @@ def duality_map(values: np.ndarray, p: float) -> np.ndarray:
     by the row's max |y|^{1-p} against overflow; a zero row maps to zeros."""
     ay = np.abs(values)
     m = ay.max(axis=-1, keepdims=True)
-    unit = np.where(ay > 0, values, 0.0) / np.where(ay > 0, ay, 1.0)
-    return (ay / np.where(m > 0, m, 1.0)) ** (p - 1.0) * unit
+    num, den = np.where(ay > 0, values, 0.0), np.where(ay > 0, ay, 1.0)
+    sub = den < np.finfo(float).tiny  # complex / real multiplies by 1/den, which overflows here
+    num[sub], den[sub] = num[sub] * 2.0 ** 54, den[sub] * 2.0 ** 54
+    return (ay / np.where(m > 0, m, 1.0)) ** (p - 1.0) * (num / den)
 
 
 def lp_norms(values: np.ndarray, p_grid, weight: np.ndarray | None = None) -> np.ndarray:

@@ -5,8 +5,8 @@ All operators act on grid functions in the *unweighted* L^p(T); the weight
 enters through conjugation, e.g. T_w f = w^{1/p} P^+ (w^{-1/p} f).  For
 p = 2 norms are exact largest singular values of materialized matrices
 (band-restricted inputs, or the full node basis on small grids); for
-p != 2 the dual-norm power iteration reports certified lower bounds with
-trial metadata.
+p != 2 the dual-norm power iteration, warm-started from the top p = 2
+right singular vector, reports lower bounds with trial metadata.
 """
 
 from dataclasses import dataclass
@@ -25,7 +25,9 @@ _BLOCK = 16  # inputs per probe call when materializing; 16 x 2^14 complex is 4 
 @dataclass
 class OperatorProbe:
     """A linear operator on grid values and its adjoint, both mapping a (..., N)
-    stack to a stack of the same shape, row by row along the last axis."""
+    stack to a stack of the same shape, row by row along the last axis.  A probe with
+    `terms` ((left, (lo, hi), right), ...) is x -> sum of left * F^-1 1_[lo, hi] F(right * x),
+    F the DFT and 1_[lo, hi] the mask of signed frequencies lo..hi."""
 
     grid: CircleGrid
     apply: callable                 # values (..., N) -> values (..., N)
@@ -33,6 +35,7 @@ class OperatorProbe:
     band: int | None
     p: float
     description: str
+    terms: tuple = ()
 
     def check_linearity(self, seed: int = 0, tol: float = 1e-10) -> bool:
         rng = np.random.default_rng(seed)
@@ -60,34 +63,32 @@ class NormEstimate:
             raise ValueError("singular values are nonnegative")
 
 
+def _term_probe(grid: CircleGrid, terms: tuple, band, p: float, description: str):
+    def apply(x):
+        return sum(left * fourier_multiplier(right * x, bd) for left, bd, right in terms)
+
+    def adjoint(x):  # the band mask is self-adjoint
+        return sum(np.conj(right) * fourier_multiplier(np.conj(left) * x, bd)
+                   for left, bd, right in terms)
+
+    return OperatorProbe(grid, apply, adjoint, band, p, description, tuple(terms))
+
+
 def weighted_riesz(w: Weight, p: float, band: int | None = None) -> OperatorProbe:
     """f -> w^{1/p} P^+ (w^{-1/p} f) on grid functions."""
     if p <= 1.0:
         raise ValueError("p > 1 required")
     u = w.values ** (1.0 / p)
-    keep = (0, w.grid.size // 2 - 1)
-
-    def apply(x):
-        return u * fourier_multiplier(x / u, keep)
-
-    def adjoint(x):
-        return (1.0 / u) * fourier_multiplier(u * x, keep)
-
-    return OperatorProbe(w.grid, apply, adjoint, band, p,
-                         f"w^(1/p) P+ w^(-1/p), p={p}, family={w.family}")
+    return _term_probe(w.grid, ((u, (0, w.grid.size // 2 - 1), 1.0 / u),), band, p,
+                       f"w^(1/p) P+ w^(-1/p), p={p}, family={w.family}")
 
 
 def probe_difference(a: OperatorProbe, b: OperatorProbe) -> OperatorProbe:
-    if a.grid.log2_size != b.grid.log2_size:
-        raise ValueError("probes live on different grids")
-    return OperatorProbe(
-        a.grid,
-        lambda x: a.apply(x) - b.apply(x),
-        lambda x: a.adjoint(x) - b.adjoint(x),
-        a.band if a.band is not None else b.band,
-        a.p,
-        f"({a.description}) - ({b.description})",
-    )
+    if a.grid.log2_size != b.grid.log2_size or not (a.terms and b.terms):
+        raise ValueError("probe_difference takes two probes built from terms on one grid")
+    return _term_probe(a.grid, a.terms + tuple((-left, bd, right) for left, bd, right in b.terms),
+                       a.band if a.band is not None else b.band, a.p,
+                       f"({a.description}) - ({b.description})")
 
 
 def build_Q(w: Weight, p: float, n: int) -> OperatorProbe:
@@ -104,15 +105,8 @@ def build_Q(w: Weight, p: float, n: int) -> OperatorProbe:
     u = w.values ** (1.0 / p)        # w^{1/p}
     v = w.values ** (1.0 / q)        # w^{1/p'}
     band = (0, n - 1)
-
-    def apply(x):
-        return -fourier_multiplier(v * x, band) / v + u * fourier_multiplier(x / u, band)
-
-    def adjoint(x):
-        return -v * fourier_multiplier(x / v, band) + fourier_multiplier(u * x, band) / u
-
-    return OperatorProbe(w.grid, apply, adjoint, 2 * n, p,
-                         f"Q_(w,p) with band {n}, p={p}, family={w.family}")
+    return _term_probe(w.grid, ((-1.0 / v, band, v), (u, band, 1.0 / u)), 2 * n, p,
+                       f"Q_(w,p) with band {n}, p={p}, family={w.family}")
 
 
 def _on_stack(probe: OperatorProbe, fn, x: np.ndarray) -> np.ndarray:
@@ -136,11 +130,43 @@ def _materialize(probe: OperatorProbe, inputs) -> np.ndarray:
     return out.T
 
 
+def _materialize_terms(probe: OperatorProbe, band: int, rows) -> np.ndarray:
+    """materialize_band of a probe with terms, on inputs x_k = e^{ik theta}/sqrt(N).
+
+    On the half-step grid fft(right x_k)[j] = e^{i pi k/N} fft(right)[j - k] / sqrt(N):
+    a block of a term's columns is a shifted view of one spectrum, masked, and one
+    in-place inverse FFT.  A term with constant left and right maps x_k, which
+    rows(lo, hi, out) writes, to left right x_k in its band and to 0 outside."""
+    n, freqs = probe.grid.size, probe.grid.freqs
+    ks = np.arange(-band, band + 1)
+    phase = np.exp(1j * np.pi * ks / n)[:, None] / np.sqrt(n)
+    out = np.zeros((len(ks), n), dtype=complex)
+    buf = np.empty((_BLOCK, n), dtype=complex)
+    for left, (blo, bhi), right in probe.terms:
+        const = np.all(left == left[0]) and np.all(right == right[0])
+        # row n - k of `shifted` is fft(right) rolled by k
+        shifted = None if const else np.lib.stride_tricks.sliding_window_view(
+            np.tile(np.fft.fft(right), 3), n)
+        for lo in range(0, len(ks), _BLOCK):
+            hi = min(lo + _BLOCK, len(ks))
+            blk = buf[: hi - lo]
+            if const:
+                rows(lo, hi, blk)
+                blk *= left[0] * right[0] * ((ks[lo:hi, None] >= blo) & (ks[lo:hi, None] <= bhi))
+            else:
+                np.multiply(shifted[n - ks[lo]: n - ks[hi - 1] - 1: -1], phase[lo:hi], out=blk)
+                blk *= (freqs >= blo) & (freqs <= bhi)
+                np.fft.ifft(blk, axis=-1, out=blk)
+                blk *= left
+            out[lo:hi] += blk
+    return out.T
+
+
 def materialize_band(probe: OperatorProbe, band: int) -> np.ndarray:
     """Matrix of the probe restricted to inputs e^{ik theta}, |k| <= band.
 
     Columns are scaled by 1/sqrt(N) so singular values equal operator norms
-    between the discrete L^2 spaces.
+    between the discrete L^2 spaces.  A probe with terms takes `_materialize_terms`.
     """
     grid = probe.grid
     if band >= grid.size // 2:
@@ -148,8 +174,13 @@ def materialize_band(probe: OperatorProbe, band: int) -> np.ndarray:
     # a block of consecutive k is a fixed table of e^{ij theta}, j < _BLOCK,
     # times one row e^{i k_lo theta}: one complex exponential row per block
     steps = np.exp(1j * np.arange(_BLOCK)[:, None] * grid.nodes) / np.sqrt(grid.size)
-    return _materialize(probe, (2 * band + 1, lambda lo, hi: (
-        steps[: hi - lo] * np.exp(1j * (lo - band) * grid.nodes))))
+
+    def rows(lo, hi, out=None):
+        return np.multiply(steps[: hi - lo], np.exp(1j * (lo - band) * grid.nodes), out=out)
+
+    if probe.terms:
+        return _materialize_terms(probe, band, rows)
+    return _materialize(probe, (2 * band + 1, rows))
 
 
 def compress_band(probe: OperatorProbe, band: int) -> np.ndarray:
@@ -191,8 +222,9 @@ def power_method_lp(probe: OperatorProbe, p: float, x0: np.ndarray,
         if not stop.all():
             x = duality_map(call(probe.adjoint, duality_map(y[~stop], p)), q)
             nx = lp_norms(x, (p,))[0]
-            stop[~stop] = nx == 0.0
-            x = x[nx > 0.0] / nx[nx > 0.0, None]
+            keep = nx > 0.0  # a start whose iterate has norm 0 (or NaN) stops here
+            stop[~stop] = ~keep
+            x = x[keep] / nx[keep, None]
         iters[live[stop]] = it
         live = live[~stop]
         if live.size == 0:
@@ -200,15 +232,30 @@ def power_method_lp(probe: OperatorProbe, p: float, x0: np.ndarray,
     return float(best.max()), bool(np.all(iters < max_iters)), int(iters.max())
 
 
+def _top_eigenpair(probe: OperatorProbe) -> tuple:
+    """Top eigenpair (lambda, v) of M^H M, M the probe's band restriction, or its full
+    node-basis matrix for N <= 2^10 without a band: sqrt(lambda) is the exact p = 2
+    norm and v the top right singular vector of M, in M's column basis."""
+    if probe.band is not None:
+        mat = materialize_band(probe, probe.band)
+    elif probe.grid.size <= 1024:
+        mat = materialize_full(probe)
+    else:
+        raise ValueError("probe needs a band for exact p=2 norms on large grids")
+    vals, vecs = np.linalg.eigh(zherk(1.0, mat, trans=2), UPLO="U")  # zherk: upper triangle
+    return max(vals[-1], 0.0), vecs[:, -1]
+
+
 def operator_norm(probe: OperatorProbe, method: str = "auto", trials: int = 8,
                   seed: int = 0) -> NormEstimate:
     """Induced L^p -> L^p norm estimate.
 
-    p = 2: exact largest singular value, as the root of the top eigenvalue
-    of M^H M (M the full node-basis matrix for N <= 2^10, else the band
-    restriction from probe.band).  p != 2: dual-norm power method over
-    `trials` random starts, iterated as one stack and reported as a lower
-    bound; non-convergence returns best-so-far flagged.
+    p = 2: exact largest singular value, from `_top_eigenpair`.  p != 2:
+    dual-norm power method, reported as a lower bound; non-convergence
+    returns best-so-far flagged.  Its starts, iterated as one stack, are the
+    top p = 2 right singular vector of the probe whenever it has a p = 2
+    matrix (a band, or N <= 2^10), then `trials` random starts (at least one
+    when there is no such matrix).
     """
     grid = probe.grid
     p = probe.p
@@ -218,21 +265,17 @@ def operator_norm(probe: OperatorProbe, method: str = "auto", trials: int = 8,
     if method == "exact_svd_p2":
         if p != 2.0:
             raise ValueError("exact SVD applies at p = 2 only")
-        if grid.size <= 1024 and probe.band is None:
-            mat = materialize_full(probe)
-        elif probe.band is None:
-            raise ValueError("probe needs a band for exact p=2 norms on large grids")
-        else:
-            mat = materialize_band(probe, probe.band)
-        # sqrt of the top eigenvalue of M^H M (zherk fills its upper triangle)
-        top = np.linalg.eigvalsh(zherk(1.0, mat, trans=2), UPLO="U")[-1]
-        return NormEstimate(float(np.sqrt(max(top, 0.0))), "exact_svd_p2", trials=0, seed=seed)
+        top, _ = _top_eigenpair(probe)
+        return NormEstimate(float(np.sqrt(top)), "exact_svd_p2", trials=0, seed=seed)
 
+    warm = method == "power_method_p" and (probe.band is not None or grid.size <= 1024)
     # per trial, in trial order: the real parts, then the imaginary parts of
     # the band coefficients (or of the node values when there is no band)
     ks = np.arange(grid.size) if probe.band is None else np.arange(-probe.band, probe.band + 1)
-    draws = np.random.default_rng(seed).standard_normal((max(trials, 1), 2, len(ks)))
+    draws = np.random.default_rng(seed).standard_normal((max(trials, int(not warm)), 2, len(ks)))
     x0 = draws[:, 0] + 1j * draws[:, 1]
+    if warm:
+        x0 = np.vstack([_top_eigenpair(probe)[1], x0])
     if probe.band is not None:
         coeffs = np.zeros((len(x0), grid.size), dtype=complex)
         coeffs[:, ks] = x0
@@ -270,10 +313,6 @@ def continuity_experiment(w: Weight, f: GridFunction, p: float, deltas,
         diff = probe_difference(weighted_riesz(wd, p, band=band), base)
         estimates.append(operator_norm(diff, method="auto", trials=trials, seed=seed))
     rows = [(float(delta), est.value) for delta, est in zip(deltas, estimates)]
-    d = np.array([r[1] for r in rows])
-    if np.all(d > 0):
-        slope, intercept, r2 = fit_loglog(deltas, d)
-    else:
-        slope, intercept, r2 = float("nan"), float("nan"), float("nan")
+    slope, intercept, r2 = fit_loglog(deltas, [r[1] for r in rows])
     return {"rows": rows, "estimates": estimates, "slope": slope, "intercept": intercept,
             "r2": r2, "p": p, "band": band, "seed": seed}

@@ -39,10 +39,6 @@ class FisherHartwigParams:
         if self.beta < 0:
             raise ValueError("beta must be nonnegative")
 
-    @property
-    def in_a2(self) -> bool:
-        return self.beta < 0.5
-
 
 @dataclass
 class Weight:

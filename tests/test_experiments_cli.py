@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from opuckit import cli, experiments
+from opuckit import cli, experiments, operators
 from opuckit.cli import build_parser, main
 from opuckit.experiments import (EXPERIMENT_NAMES, ExperimentSpec, SpecError, cell_seed,
                                  load_thresholds, run)
@@ -260,3 +260,17 @@ def test_fh_growth_flags_fits_on_fewer_than_three_degrees():
         assert flag.startswith(f"beta={beta},p={p}:") and "(64, 91)" in flag
     full = run(ExperimentSpec(name="fh_growth", grid_log2=10, n_grid=(64, 91, 128)))
     assert not any("three distinct degrees" in f for f in full.flags)
+
+
+def test_unconverged_continuity_cell_is_flagged(monkeypatch):
+    # negative control: with one iteration no p != 2 cell converges
+    capped = operators.power_method_lp
+    monkeypatch.setattr(operators, "power_method_lp",
+                        lambda probe, p, x0: capped(probe, p, x0, max_iters=1))
+    rec = run(ExperimentSpec(name="continuity", grid_log2=10))
+    unconverged = [r for r in rec.rows if not r["converged"]]
+    assert {(r["p"], r["delta"]) for r in unconverged} == {(2.5, 0.1), (2.5, 0.001),
+                                                          (3.0, 0.1), (3.0, 0.001)}
+    flags = [f for f in rec.flags if "not converged" in f]
+    assert flags == [f"power method not converged after 1 iterations: f=cos, "
+                     f"p={r['p']}, delta={r['delta']}" for r in unconverged]

@@ -117,3 +117,8 @@ def test_fit_const_plus_power_one_distinct_n_is_the_mean_fit(n, y):
     assert e == -1.5
     assert_allclose(ssr, yc @ yc, atol=1e-12)
     assert_allclose(coef[0] + coef[1] * 64.0 ** e, np.mean(y), rtol=1e-12)
+
+
+def test_fit_loglog_undetermined_on_one_distinct_x():
+    for x in ([48.0], [48.0, 48.0]):
+        assert all(np.isnan(v) for v in fit_loglog(x, [2.0] * len(x)))

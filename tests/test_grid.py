@@ -300,3 +300,20 @@ def test_poisson_probabilities_shared_by_both_callers(grid12):
     for caller in (ok.poisson_characteristics, ok.generalized_entropy):
         with pytest.raises(ValueError, match=r"z = \(1\+0j\)"):
             caller(w, [0.2j, 1.0])
+
+
+def test_duality_map_subnormal_moduli():
+    y = np.array([3e-310 + 3e-310j, 1.0 - 2.0j, 0.0, -5e-320])
+    for p in (1.5, 3.0):
+        out = duality_map(y, p)
+        assert np.all(np.isfinite(out))
+        nonzero = out != 0
+        units = np.array([(1.0 + 1.0j) / np.sqrt(2.0), (1.0 - 2.0j) / np.sqrt(5.0), 0.0, -1.0])
+        assert_allclose(out[nonzero] / np.abs(out[nonzero]), units[nonzero], rtol=1e-12)
+    assert abs(duality_map(y, 1.5)[0]) > 0
+    # normal moduli keep every bit of the unguarded formula
+    rng = np.random.default_rng(2)
+    z = rng.standard_normal((3, 64)) + 1j * rng.standard_normal((3, 64))
+    az = np.abs(z)
+    ref = (az / az.max(axis=-1, keepdims=True)) ** 2.0 * (z / az)
+    assert np.array_equal(duality_map(z, 3.0), ref)

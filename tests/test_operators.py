@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import opuckit as ok
+from opuckit.grid import fourier_multiplier
 from opuckit.operators import OperatorProbe, materialize_full, power_method_lp
 
 
@@ -213,7 +214,8 @@ def test_blocked_materializers_match_column_loop(grid12):
     band = 20  # 41 columns: two full blocks and a partial one
     ks = np.arange(-band, band + 1)
     cols = np.column_stack([probe.apply(np.exp(1j * k * grid12.nodes)) for k in ks])
-    assert_allclose(ok.materialize_band(probe, band), cols / np.sqrt(grid12.size), atol=1e-13)
+    assert_allclose(ok.materialize_band(probe, band), cols / np.sqrt(grid12.size),
+                    rtol=0, atol=1e-14)
     comp = np.column_stack([grid12.analyze(cols[:, i])[ks] for i in range(len(ks))])
     assert_allclose(ok.compress_band(probe, band), comp, atol=1e-13)
 
@@ -275,3 +277,64 @@ def test_continuity_carries_convergence_state():
     power = ok.continuity_experiment(w, f, 2.5, [1e-2, 1e-1], band=16, trials=3)
     assert [e.value for e in power["estimates"]] == [dist for _, dist in power["rows"]]
     assert all(1 <= e.iterations <= 100 for e in power["estimates"])
+
+
+@pytest.mark.parametrize("direction", ["cos", "log_singular"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_spectral_columns_match_apply_path(grid12, direction, p):
+    # the continuity probe: the constant-weight base P+ is the term that needs no FFT
+    w = ok.make_weight("constant", {}, grid12)
+    f = np.cos(grid12.nodes) if direction == "cos" else np.log(np.abs(1.0 - grid12.points))
+    band = 20
+    ks = np.arange(-band, band + 1)
+    for delta in (1e-3, 0.1):
+        wd = ok.make_weight("perturbed", {"base": w, "f": f, "delta": delta}, grid12,
+                            normalize=False)
+        probe = ok.probe_difference(ok.weighted_riesz(wd, p, band=band),
+                                    ok.weighted_riesz(w, p, band=band))
+        cols = np.column_stack([probe.apply(np.exp(1j * k * grid12.nodes)) for k in ks])
+        assert_allclose(ok.materialize_band(probe, band), cols / np.sqrt(grid12.size),
+                        rtol=0, atol=1e-14)
+
+
+def test_probe_difference_needs_terms(grid12):
+    ident = OperatorProbe(grid12, lambda x: x, lambda x: x, 8, 2.0, "identity")
+    with pytest.raises(ValueError, match="terms"):
+        ok.probe_difference(ident, ident)
+
+
+@pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
+def test_exact_lp_norms(p):
+    # operators whose l^p(Z_N) norm is known for every p
+    g = ok.CircleGrid(10)
+    h = np.zeros(g.size)
+    h[[0, 1, 5]] = [0.5, 0.3, 0.2]  # a nonnegative kernel: the norm is its sum, at constants
+    spec = np.fft.fft(h)
+    conv = OperatorProbe(g, lambda x: fourier_multiplier(x, spec),
+                         lambda x: fourier_multiplier(x, spec.conj()), 8, p, "convolution")
+    shift = OperatorProbe(g, lambda x: np.roll(x, 3, axis=-1),
+                          lambda x: np.roll(x, -3, axis=-1), 8, p, "translation")
+    for probe, exact in ((conv, h.sum()), (shift, 1.0)):  # band path, warm start only
+        est = ok.operator_norm(probe, trials=0)
+        assert est.converged and est.iterations <= 2
+        assert_allclose(est.value, exact, rtol=1e-13)
+    # full path; the random starts drive entries of the iterate to subnormal
+    # moduli, where u = 1 + cos nearly vanishes
+    u = 1.0 + np.cos(g.nodes)
+    mult = OperatorProbe(g, lambda x: u * x, lambda x: u * x, None, p, "multiplication")
+    assert_allclose(ok.operator_norm(mult, trials=2, seed=1).value, np.max(u), rtol=1e-13)
+
+
+def test_warm_start_converges_where_random_starts_do_not(grid12):
+    w = ok.make_weight("constant", {}, grid12)
+    wd = ok.make_weight("perturbed", {"base": w, "f": np.cos(grid12.nodes), "delta": 1e-3},
+                        grid12, normalize=False)
+    probe = ok.probe_difference(ok.weighted_riesz(wd, 2.5, band=64),
+                                ok.weighted_riesz(w, 2.5, band=64))
+    warm = ok.operator_norm(probe, trials=0)
+    assert warm.converged and warm.iterations <= 5
+    rng = np.random.default_rng(3)
+    coeffs = np.zeros((3, grid12.size), dtype=complex)
+    coeffs[:, np.arange(-64, 65)] = rng.standard_normal((3, 129)) + 1j * rng.standard_normal((3, 129))
+    best, converged, _ = power_method_lp(probe, 2.5, grid12.synthesize(coeffs))
+    assert not converged and best <= warm.value
