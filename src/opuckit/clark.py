@@ -58,7 +58,7 @@ def _moebius_clark(F_vals: np.ndarray, alpha: complex) -> np.ndarray:
     return (zeta + F_vals) / (1.0 + zeta * F_vals)
 
 
-def clark_weight(w: Weight, alpha: complex, check_a2: bool = True) -> ClarkData:
+def clark_weight(w: Weight, alpha: complex) -> ClarkData:
     """Aleksandrov-Clark weight w_alpha = Re F_alpha on the boundary.
 
     For alpha = -1 the direct dual formula w/(w^2 + H(w)^2) is used (the
@@ -68,10 +68,8 @@ def clark_weight(w: Weight, alpha: complex, check_a2: bool = True) -> ClarkData:
     """
     if abs(abs(alpha) - 1.0) > 1e-12:
         raise ValueError(f"alpha must be unimodular, got |alpha| = {abs(alpha)}")
-    if check_a2:
-        rep = ap_characteristic(w, 2.0, ArcFamily(w.grid))
-        if not np.isfinite(rep.value):
-            raise ValueError("weight is not A_2 at working precision")
+    if not np.isfinite(ap_characteristic(w, 2.0, ArcFamily(w.grid)).value):
+        raise ValueError("weight is not A_2 at working precision")
 
     F = caratheodory_boundary(w)
     f = schur_from_caratheodory(F)

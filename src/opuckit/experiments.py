@@ -367,13 +367,12 @@ def _run_continuity(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Rec
         "cos": (np.cos(grid.nodes), cfg["tol_cos"]),
         "log_singular": (np.log(np.abs(1.0 - np.exp(1j * grid.nodes))), cfg["tol_log_singular"]),
     }
-    # the gate cells, then informational p != 2 cells with the p = 2 warm start as only start
-    cells = [(fname, cfg["p"], deltas, spec.seed) for fname in directions]
-    cells += [("cos", float(p), [deltas[0], deltas[-1]], cell_seed(spec.seed, i))
-              for i, p in enumerate(cfg["informational_p"])]
-    for fname, p, cell_deltas, seed in cells:
+    # the gate cells, then informational p != 2 cells; no cell draws random numbers
+    cells = [(fname, cfg["p"], deltas) for fname in directions]
+    cells += [("cos", float(p), [deltas[0], deltas[-1]]) for p in cfg["informational_p"]]
+    for fname, p, cell_deltas in cells:
         res = continuity_experiment(w, GridFunction(grid, directions[fname][0]), p, cell_deltas,
-                                    seed=seed, band=band, trials=0)
+                                    band=band)
         for (delta, dist), est in zip(res["rows"], res["estimates"]):
             rec.rows.append({"f": fname, "p": p, "delta": delta, "distance": dist,
                              "converged": est.converged, "iterations": est.iterations,

@@ -43,9 +43,9 @@ def regression_ssr(n, y, regressor: str, eps: float = 0.0) -> float:
     return _linear_ssr(design, y)[0]
 
 
-def fit_const_plus_power(n, y, e_lo: float = -1.5, e_hi: float = 1.5,
-                         coarse: int = 301, refine: int = 2) -> tuple:
-    """Fit y ~ c1 + c2 n^e by grid search on e with linear least squares inside.
+def fit_const_plus_power(n, y) -> tuple:
+    """Fit y ~ c1 + c2 n^e by grid search on e with linear least squares inside:
+    301 exponents on [-1.5, 1.5], then twice 41 around the best one.
 
     This is the finite-n shape of the Steklov quantities (a power term plus a
     constant transient), so the extracted e is the growth exponent without
@@ -56,9 +56,9 @@ def fit_const_plus_power(n, y, e_lo: float = -1.5, e_hi: float = 1.5,
     y = np.asarray(y, dtype=float)
     if not np.all(np.isfinite(y)):
         raise ValueError("fit_const_plus_power needs finite y")
-    lo, hi, steps = e_lo, e_hi, coarse
+    lo, hi, steps = -1.5, 1.5, 301
     best_ssr, best_e = np.inf, 0.0
-    for _ in range(refine + 1):
+    for _ in range(3):
         grid = np.linspace(lo, hi, steps)
         ssr = _power_ssr(n, y, grid)
         j = int(np.argmin(ssr))  # first minimum, as a scan with strict < keeps
@@ -106,23 +106,22 @@ def growth_exponent(n, norms, p: float) -> dict:
             "loglog_slope": raw_slope, "loglog_r2": raw_r2}
 
 
-def classify_growth(n, norms, p: float, power_floor: float = 0.04,
-                    log_rel_floor: float = 0.1) -> str:
+def classify_growth(n, norms, p: float) -> str:
     """'bounded' | 'log' | 'power' for ||.||^p along n, by residual comparison.
 
-    Power growth requires a clearly positive model exponent that also beats
-    the logarithmic regression; logarithmic growth requires the log model to
-    beat the constant one with a non-trivial fitted log amplitude.
+    Power growth requires a model exponent above 0.04 that also beats the
+    logarithmic regression; logarithmic growth requires the log model to beat
+    the constant one with a fitted log amplitude above 10% of the mean.
     """
     n = np.asarray(n, dtype=float)
     y = np.asarray(norms, dtype=float) ** p
     e, _, ssr_power, _ = fit_const_plus_power(n, y)
     ssr_log, coef_log = _linear_ssr(np.column_stack([np.ones_like(n), np.log(n)]), y)
     ssr_const, _ = _linear_ssr(np.ones_like(n)[:, None], y)
-    if e > power_floor and ssr_power < ssr_log:
+    if e > 0.04 and ssr_power < ssr_log:
         return "power"
     rel_span = abs(coef_log[1]) * (np.log(n.max()) - np.log(n.min())) / max(abs(y.mean()), 1e-300)
-    if ssr_log < 0.5 * ssr_const and rel_span > log_rel_floor:
+    if ssr_log < 0.5 * ssr_const and rel_span > 0.1:
         return "log"
     return "bounded"
 

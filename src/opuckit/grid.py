@@ -99,12 +99,12 @@ class GridFunction:
     def is_real(self) -> bool:
         return not np.iscomplexobj(self.values)
 
-    def real_values(self, tol: float = 1e-10) -> np.ndarray:
-        """Values as a real array; rejects genuinely complex data."""
+    def real_values(self) -> np.ndarray:
+        """Values as a real array; rejects imaginary parts above 1e-10 relative."""
         if self.is_real:
             return self.values
         scale = max(np.max(np.abs(self.values)), 1.0)
-        if np.max(np.abs(self.values.imag)) > tol * scale:
+        if np.max(np.abs(self.values.imag)) > 1e-10 * scale:
             raise ValueError("expected a real-valued grid function")
         return self.values.real
 

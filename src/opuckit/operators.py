@@ -5,8 +5,9 @@ All operators act on grid functions in the *unweighted* L^p(T); the weight
 enters through conjugation, e.g. T_w f = w^{1/p} P^+ (w^{-1/p} f).  For
 p = 2 norms are exact largest singular values of materialized matrices
 (band-restricted inputs, or the full node basis on small grids); for
-p != 2 the dual-norm power iteration, warm-started from the top p = 2
-right singular vector, reports lower bounds with trial metadata.
+p != 2 the dual-norm power iteration, started from the top p = 2 right
+singular vector, reports a lower bound with its convergence state.  Both
+need a p = 2 matrix: a band, or N <= 2^10.
 """
 
 from dataclasses import dataclass
@@ -37,26 +38,24 @@ class OperatorProbe:
     description: str
     terms: tuple = ()
 
-    def check_linearity(self, seed: int = 0, tol: float = 1e-10) -> bool:
-        rng = np.random.default_rng(seed)
-        n = self.grid.size
-        f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        g = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    def check_linearity(self) -> bool:
+        """apply(a f + b g) = a apply(f) + b apply(g) to 1e-10 relative, on two chirps
+        that fill the whole spectrum."""
+        t = self.grid.nodes
+        f, g = np.exp(1j * t * t), (1.0 + t) * np.exp(-3j * t * t)
         a, b = 0.7 - 0.3j, -1.2 + 0.4j
         lhs = self.apply(a * f + b * g)
         rhs = a * self.apply(f) + b * self.apply(g)
         scale = max(np.max(np.abs(lhs)), 1.0)
-        return bool(np.max(np.abs(lhs - rhs)) < tol * scale)
+        return bool(np.max(np.abs(lhs - rhs)) < 1e-10 * scale)
 
 
 @dataclass(frozen=True)
 class NormEstimate:
     value: float
-    method: str                     # exact_svd_p2 | power_method_p | random_probe
-    trials: int
-    seed: int
+    method: str                     # exact_svd_p2 | power_method_p
     converged: bool = True
-    iterations: int = 0             # most power-method iterations any trial used
+    iterations: int = 0             # power-method iterations
 
     def __post_init__(self):
         if self.method == "exact_svd_p2" and self.value < 0:
@@ -198,12 +197,13 @@ def materialize_full(probe: OperatorProbe) -> np.ndarray:
 
 
 def power_method_lp(probe: OperatorProbe, p: float, x0: np.ndarray,
-                    max_iters: int = 100, tol: float = 1e-11) -> tuple:
+                    max_iters: int = 100) -> tuple:
     """Boyd's dual-norm iteration from one start (N,) or a stack of starts (T, N).
 
     Each start stops on its own test and then leaves the stack.  For every
     start the ratio ||Tx||_p / ||x||_p is monotone non-decreasing, so the
-    result is a certified lower bound.  Returns (best ratio over starts,
+    result is a certified lower bound; a start stops once the ratio gains less
+    than a factor 1 + 1e-11.  Returns (best ratio over starts,
     all starts converged, most iterations any start used).
     """
     q = p / (p - 1.0)
@@ -217,7 +217,7 @@ def power_method_lp(probe: OperatorProbe, p: float, x0: np.ndarray,
     for it in range(max_iters):
         y = call(probe.apply, x)
         r = lp_norms(y, (p,))[0]
-        stop = r <= best[live] * (1.0 + tol)
+        stop = r <= best[live] * (1.0 + 1e-11)
         best[live] = np.where(stop, np.maximum(best[live], r), r)
         if not stop.all():
             x = duality_map(call(probe.adjoint, duality_map(y[~stop], p)), q)
@@ -241,52 +241,31 @@ def _top_eigenpair(probe: OperatorProbe) -> tuple:
     elif probe.grid.size <= 1024:
         mat = materialize_full(probe)
     else:
-        raise ValueError("probe needs a band for exact p=2 norms on large grids")
+        raise ValueError(f"probe '{probe.description}' has no band and N = {probe.grid.size} "
+                         f"> 2^10: the p = 2 norm and the p != 2 start both need a band "
+                         f"or N <= 2^10")
     vals, vecs = np.linalg.eigh(zherk(1.0, mat, trans=2), UPLO="U")  # zherk: upper triangle
     return max(vals[-1], 0.0), vecs[:, -1]
 
 
-def operator_norm(probe: OperatorProbe, method: str = "auto", trials: int = 8,
-                  seed: int = 0) -> NormEstimate:
-    """Induced L^p -> L^p norm estimate.
+def operator_norm(probe: OperatorProbe) -> NormEstimate:
+    """Induced L^p -> L^p norm of the probe, p = probe.p.
 
-    p = 2: exact largest singular value, from `_top_eigenpair`.  p != 2:
-    dual-norm power method, reported as a lower bound; non-convergence
-    returns best-so-far flagged.  Its starts, iterated as one stack, are the
-    top p = 2 right singular vector of the probe whenever it has a p = 2
-    matrix (a band, or N <= 2^10), then `trials` random starts (at least one
-    when there is no such matrix).
+    p = 2: the exact largest singular value, from `_top_eigenpair`.  p != 2:
+    the dual-norm power method started from that pair's right singular
+    vector, a lower bound; non-convergence returns the best ratio so far,
+    flagged.
     """
-    grid = probe.grid
-    p = probe.p
-    if method == "auto":
-        method = "exact_svd_p2" if p == 2.0 else "power_method_p"
-
-    if method == "exact_svd_p2":
-        if p != 2.0:
-            raise ValueError("exact SVD applies at p = 2 only")
-        top, _ = _top_eigenpair(probe)
-        return NormEstimate(float(np.sqrt(top)), "exact_svd_p2", trials=0, seed=seed)
-
-    warm = method == "power_method_p" and (probe.band is not None or grid.size <= 1024)
-    # per trial, in trial order: the real parts, then the imaginary parts of
-    # the band coefficients (or of the node values when there is no band)
-    ks = np.arange(grid.size) if probe.band is None else np.arange(-probe.band, probe.band + 1)
-    draws = np.random.default_rng(seed).standard_normal((max(trials, int(not warm)), 2, len(ks)))
-    x0 = draws[:, 0] + 1j * draws[:, 1]
-    if warm:
-        x0 = np.vstack([_top_eigenpair(probe)[1], x0])
+    top, v = _top_eigenpair(probe)
+    if probe.p == 2.0:
+        return NormEstimate(float(np.sqrt(top)), "exact_svd_p2")
+    x0 = np.array([v])  # a stack of one start: band coefficients, or node values
     if probe.band is not None:
-        coeffs = np.zeros((len(x0), grid.size), dtype=complex)
-        coeffs[:, ks] = x0
-        x0 = grid.synthesize(coeffs)
-    if method == "random_probe":
-        best = float(np.max(lp_norms(_on_stack(probe, probe.apply, x0), (p,))[0]
-                             / lp_norms(x0, (p,))[0]))
-        return NormEstimate(best, method, trials=trials, seed=seed)
-    best, converged, iters = power_method_lp(probe, p, x0)
-    return NormEstimate(best, method, trials=trials, seed=seed, converged=converged,
-                        iterations=iters)
+        coeffs = np.zeros((1, probe.grid.size), dtype=complex)
+        coeffs[:, np.arange(-probe.band, probe.band + 1)] = x0
+        x0 = probe.grid.synthesize(coeffs)
+    best, converged, iters = power_method_lp(probe, probe.p, x0)
+    return NormEstimate(best, "power_method_p", converged=converged, iterations=iters)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +273,7 @@ def operator_norm(probe: OperatorProbe, method: str = "auto", trials: int = 8,
 # ---------------------------------------------------------------------------
 
 def continuity_experiment(w: Weight, f: GridFunction, p: float, deltas,
-                          seed: int = 0, band: int = 64, trials: int = 6) -> dict:
+                          band: int = 64) -> dict:
     """Distances d(delta) = ||T(w e^{delta f}) - T(w)||_{p,p} and the log-log slope.
 
     Exact band-restricted norms at p = 2, power-method lower bounds otherwise.
@@ -311,8 +290,8 @@ def continuity_experiment(w: Weight, f: GridFunction, p: float, deltas,
         wd = make_weight("perturbed", {"base": w, "f": fv, "delta": delta}, w.grid,
                          normalize=False)
         diff = probe_difference(weighted_riesz(wd, p, band=band), base)
-        estimates.append(operator_norm(diff, method="auto", trials=trials, seed=seed))
+        estimates.append(operator_norm(diff))
     rows = [(float(delta), est.value) for delta, est in zip(deltas, estimates)]
     slope, intercept, r2 = fit_loglog(deltas, [r[1] for r in rows])
     return {"rows": rows, "estimates": estimates, "slope": slope, "intercept": intercept,
-            "r2": r2, "p": p, "band": band, "seed": seed}
+            "r2": r2, "p": p, "band": band}

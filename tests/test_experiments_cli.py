@@ -274,3 +274,12 @@ def test_unconverged_continuity_cell_is_flagged(monkeypatch):
     flags = [f for f in rec.flags if "not converged" in f]
     assert flags == [f"power method not converged after 1 iterations: f=cos, "
                      f"p={r['p']}, delta={r['delta']}" for r in unconverged]
+
+
+def test_continuity_rows_do_not_depend_on_the_seed():
+    # every cell, p != 2 included, is deterministic: the seed is only echoed
+    rows = [run(ExperimentSpec(name="continuity", grid_log2=10, seed=s)).rows for s in (1, 7)]
+    assert [r["seed"] for r in rows[0]] == [1] * len(rows[0])
+    assert [r["seed"] for r in rows[1]] == [7] * len(rows[1])
+    strip = [[{k: v for k, v in r.items() if k != "seed"} for r in rs] for rs in rows]
+    assert strip[0] == strip[1]

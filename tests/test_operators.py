@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 import opuckit as ok
 from opuckit.grid import fourier_multiplier
-from opuckit.operators import OperatorProbe, materialize_full, power_method_lp
+from opuckit.operators import OperatorProbe, _top_eigenpair, materialize_full, power_method_lp
 
 
 def _inner(grid, f, g):
@@ -41,7 +41,7 @@ def test_weighted_riesz_norm_fh(grid12):
 def test_operator_norm_identity_all_p(grid12):
     ident = OperatorProbe(grid12, lambda x: x, lambda x: x, band=16, p=3.0,
                           description="identity")
-    est = ok.operator_norm(ident, trials=3, seed=1)
+    est = ok.operator_norm(ident)
     assert abs(est.value - 1.0) < 1e-9
 
 
@@ -152,8 +152,8 @@ def test_duality_of_norm_estimates(grid14):
     T = ok.weighted_riesz(w, p, band=48)
     T_adj = OperatorProbe(T.grid, T.adjoint, T.apply, T.band, p / (p - 1.0),
                           description="adjoint probe")
-    n1 = ok.operator_norm(T, trials=6, seed=5).value
-    n2 = ok.operator_norm(T_adj, trials=6, seed=5).value
+    n1 = ok.operator_norm(T).value
+    n2 = ok.operator_norm(T_adj).value
     assert abs(n1 - n2) / max(n1, n2) < 0.05
 
 
@@ -186,7 +186,7 @@ def test_continuity_power_method_path():
     g = ok.CircleGrid(10)
     w = ok.make_weight("constant", {}, g)
     f = ok.GridFunction(g, np.cos(g.nodes))
-    res = ok.continuity_experiment(w, f, 2.5, [1e-2, 1e-1], band=16, trials=3)
+    res = ok.continuity_experiment(w, f, 2.5, [1e-2, 1e-1], band=16)
     d = [dist for _, dist in res["rows"]]
     assert d[0] > d[1] > 0  # rows sorted by decreasing delta
 
@@ -201,11 +201,8 @@ def test_perturbed_weight_overflow_guard(grid12):
 def test_norm_estimate_metadata(grid12):
     w = ok.make_weight("fisher_hartwig", {"beta": 0.1}, grid12)
     probe = ok.weighted_riesz(w, 2.5, band=16)
-    est = ok.operator_norm(probe, trials=4, seed=9)
+    est = ok.operator_norm(probe)
     assert est.method == "power_method_p"
-    assert est.trials == 4 and est.seed == 9
-    est_r = ok.operator_norm(probe, method="random_probe", trials=4, seed=9)
-    assert est_r.value <= est.value + 1e-9
 
 
 def test_blocked_materializers_match_column_loop(grid12):
@@ -274,7 +271,7 @@ def test_continuity_carries_convergence_state():
     f = ok.GridFunction(g, np.cos(g.nodes))
     exact = ok.continuity_experiment(w, f, 2.0, [1e-2, 1e-1], band=16)
     assert [(e.converged, e.iterations) for e in exact["estimates"]] == [(True, 0)] * 2
-    power = ok.continuity_experiment(w, f, 2.5, [1e-2, 1e-1], band=16, trials=3)
+    power = ok.continuity_experiment(w, f, 2.5, [1e-2, 1e-1], band=16)
     assert [e.value for e in power["estimates"]] == [dist for _, dist in power["rows"]]
     assert all(1 <= e.iterations <= 100 for e in power["estimates"])
 
@@ -315,14 +312,17 @@ def test_exact_lp_norms(p):
     shift = OperatorProbe(g, lambda x: np.roll(x, 3, axis=-1),
                           lambda x: np.roll(x, -3, axis=-1), 8, p, "translation")
     for probe, exact in ((conv, h.sum()), (shift, 1.0)):  # band path, warm start only
-        est = ok.operator_norm(probe, trials=0)
+        est = ok.operator_norm(probe)
         assert est.converged and est.iterations <= 2
         assert_allclose(est.value, exact, rtol=1e-13)
-    # full path; the random starts drive entries of the iterate to subnormal
-    # moduli, where u = 1 + cos nearly vanishes
+    # full path, from the warm start and two random starts; the random starts drive
+    # entries of the iterate to subnormal moduli, where u = 1 + cos nearly vanishes
     u = 1.0 + np.cos(g.nodes)
     mult = OperatorProbe(g, lambda x: u * x, lambda x: u * x, None, p, "multiplication")
-    assert_allclose(ok.operator_norm(mult, trials=2, seed=1).value, np.max(u), rtol=1e-13)
+    assert_allclose(ok.operator_norm(mult).value, np.max(u), rtol=1e-13)
+    draws = np.random.default_rng(1).standard_normal((2, 2, g.size))
+    starts = np.vstack([_top_eigenpair(mult)[1], draws[:, 0] + 1j * draws[:, 1]])
+    assert_allclose(power_method_lp(mult, p, starts)[0], np.max(u), rtol=1e-13)
 
 
 def test_warm_start_converges_where_random_starts_do_not(grid12):
@@ -331,10 +331,18 @@ def test_warm_start_converges_where_random_starts_do_not(grid12):
                         grid12, normalize=False)
     probe = ok.probe_difference(ok.weighted_riesz(wd, 2.5, band=64),
                                 ok.weighted_riesz(w, 2.5, band=64))
-    warm = ok.operator_norm(probe, trials=0)
+    warm = ok.operator_norm(probe)
     assert warm.converged and warm.iterations <= 5
     rng = np.random.default_rng(3)
     coeffs = np.zeros((3, grid12.size), dtype=complex)
     coeffs[:, np.arange(-64, 65)] = rng.standard_normal((3, 129)) + 1j * rng.standard_normal((3, 129))
     best, converged, _ = power_method_lp(probe, 2.5, grid12.synthesize(coeffs))
     assert not converged and best <= warm.value
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_norm_needs_band_or_small_grid(grid12, p):
+    # no band and N > 2^10: no p = 2 matrix, so neither the value nor the start
+    ident = OperatorProbe(grid12, lambda x: x, lambda x: x, None, p, "unbanded identity")
+    with pytest.raises(ValueError, match="'unbanded identity' has no band.*band or N <= 2\\^10"):
+        ok.operator_norm(ident)
