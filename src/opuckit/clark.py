@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import GridFunction, conjugate_function, mean, poisson_probabilities
-from .weights import ArcFamily, Weight, ap_characteristic
+from .weights import Weight, _warn_outside_a2
 
 DENOM_FLOOR = 1e-280
 DEGENERACY_FRACTION = 1e-4  # guarded divisions allowed on at most this node fraction
@@ -68,8 +68,14 @@ def clark_weight(w: Weight, alpha: complex) -> ClarkData:
     """
     if abs(abs(alpha) - 1.0) > 1e-12:
         raise ValueError(f"alpha must be unimodular, got |alpha| = {abs(alpha)}")
-    if not np.isfinite(ap_characteristic(w, 2.0, ArcFamily(w.grid)).value):
-        raise ValueError("weight is not A_2 at working precision")
+    _warn_outside_a2(w, "clark_weight")
+    # for a normalized w, [w]_{A_2} is finite at working precision exactly
+    # when the mean of 1/w is
+    with np.errstate(over="ignore", divide="ignore"):
+        inv_mean = float(np.mean(1.0 / w.values))
+    if not np.isfinite(inv_mean):
+        raise ValueError(f"{w.family} weight (min w = {np.min(w.values):.3g}) is not A_2"
+                         " at working precision: the mean of 1/w overflows")
 
     F = caratheodory_boundary(w)
     f = schur_from_caratheodory(F)

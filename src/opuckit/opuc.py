@@ -42,6 +42,7 @@ class RecursionBreakdownError(RuntimeError):
 
 
 POSITIVITY_FLOOR = 1e-13
+_TABLE_BLOCK = 16  # rows per stacked synthesize in orthonormal_values_table
 
 
 @dataclass
@@ -233,11 +234,16 @@ def phi_values(system: OPUCSystem, grid: CircleGrid, n: int, reverse: bool = Fal
 
 
 def orthonormal_values_table(system: OPUCSystem, grid: CircleGrid, n: int) -> np.ndarray:
-    """(n+1) x N matrix of phi_k(theta_j) values."""
+    """(n+1) x N matrix of phi_k(theta_j) values, from one stacked synthesize
+    per _TABLE_BLOCK rows (row k equals poly_values of phi_k bitwise)."""
     table = system.orthonormal_table(n)
+    if n + 1 > grid.size // 2:
+        raise ValueError("polynomial degree must stay below N/2")
     out = np.empty((n + 1, grid.size), dtype=complex)
-    for k in range(n + 1):
-        out[k] = poly_values(grid, table[k, : k + 1])
+    for lo in range(0, n + 1, _TABLE_BLOCK):
+        block = np.zeros((min(_TABLE_BLOCK, n + 1 - lo), grid.size), dtype=complex)
+        block[:, : n + 1] = table[lo: lo + len(block)]
+        out[lo: lo + len(block)] = grid.synthesize(block)
     return out
 
 

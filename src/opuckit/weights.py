@@ -8,7 +8,10 @@ A Weight is a strictly positive grid function with a normalization flag
 over the dyadic arc family {[theta_j, theta_j + 2^k 2pi/N)} by circular
 prefix sums.  The supremum over a finite arc family is a lower bound for
 the true characteristic; enlarging the family (grid refinement) drives it
-upward.
+upward.  The BMO norm sup_I <|f - <f>_I|>_I over the same families averages
+only the windows whose Cauchy-Schwarz bound sqrt(Var_I), inflated by every
+rounding error, still reaches the running maximum; the pruning is exact,
+returning the float of the full scan.
 """
 
 import warnings
@@ -138,7 +141,8 @@ def make_weight(family: str, params: dict | None = None, grid: CircleGrid | None
         vals = vals / vals.mean()
         normalized = True
     else:
-        normalized = bool(abs(vals.mean() - 1.0) <= 1e-12)
+        with np.errstate(over="ignore"):  # a mean that overflows is not 1
+            normalized = bool(abs(vals.mean() - 1.0) <= 1e-12)
     return Weight(GridFunction(grid, vals), normalized, family, params)
 
 
@@ -209,11 +213,38 @@ def _window_sums(prefix: np.ndarray, length: int) -> np.ndarray:
     return prefix[length: length + n] - prefix[:n]
 
 
+def _ap_inputs(vals: np.ndarray, p: float) -> tuple:
+    """(w, w^{1/(1-p)}, s) for the prefix-sum sweep: the arc products come out
+    multiplied by 2^s.
+
+    s = 0 and the inputs are untouched unless a two-lap sum, the dual power
+    or a window product would leave the float range.  Then w is rescaled by a
+    power of two (the characteristic is scale invariant, so that needs no
+    undoing) and so is its dual, whose factor 2^e becomes s = e (p - 1).
+    """
+    with np.errstate(all="ignore"):
+        dual = vals ** (1.0 / (1.0 - p))
+        tw, td = 2.0 * vals.sum(), 2.0 * dual.sum()
+        if np.isfinite(tw * td ** (p - 1.0)) and dual.min() >= np.finfo(float).tiny:
+            return vals, dual, 0.0
+    vals = np.ldexp(vals, -np.frexp(vals.max())[1])
+    with np.errstate(over="raise"):
+        try:
+            dual = vals ** (1.0 / (1.0 - p))
+        except FloatingPointError:
+            raise ValueError(
+                f"w^(1/(1-p)) overflows for p = {p}; weight dynamic range too large"
+            ) from None
+    e = -int(np.frexp(dual.max())[1])
+    return vals, np.ldexp(dual, e), e * (p - 1.0)
+
+
 def ap_characteristic(w: Weight, p: float, arcs: ArcFamily | None = None) -> ApReport:
     """Muckenhoupt characteristic over the arc family (a monotone lower bound).
 
-    Scale invariant in w; >= 1 by the discrete Jensen inequality.  Cost is
-    O(N) per arc length via one circular prefix sum per input.
+    Scale invariant in w, also where sums of w or of its dual would overflow;
+    >= 1 by the discrete Jensen inequality.  Cost is O(N) per arc length via
+    one circular prefix sum per input.
     """
     if p <= 1.0:
         raise ValueError(f"A_p requires p > 1, got p = {p}")
@@ -222,15 +253,7 @@ def ap_characteristic(w: Weight, p: float, arcs: ArcFamily | None = None) -> ApR
         raise ValueError("arc family grid does not match weight grid")
     _warn_outside_a2(w, "ap_characteristic")
 
-    vals = w.values
-    with np.errstate(over="raise"):
-        try:
-            dual = vals ** (1.0 / (1.0 - p))
-        except FloatingPointError:
-            raise ValueError(
-                f"w^(1/(1-p)) overflows for p = {p}; weight dynamic range too large"
-            ) from None
-
+    vals, dual, shift = _ap_inputs(w.values, p)
     cw, cd = _circular_prefix(vals), _circular_prefix(dual)
     best = -np.inf
     best_arc = (0, 1)
@@ -242,7 +265,7 @@ def ap_characteristic(w: Weight, p: float, arcs: ArcFamily | None = None) -> ApR
         if prod[j] > best:
             best = float(prod[j])
             best_arc = (j, int(length))
-    return ApReport(p=p, value=best, argmax_arc=best_arc)
+    return ApReport(p=p, value=best * 2.0 ** -shift, argmax_arc=best_arc)
 
 
 def ap_refinement_curve(family: str, params: dict, p: float, log2_sizes) -> list:
@@ -331,32 +354,90 @@ def poisson_characteristics(w: Weight, z_samples=None) -> tuple:
 # BMO norm and dyadic approximants
 # ---------------------------------------------------------------------------
 
+_U = np.finfo(float).eps / 2.0  # unit roundoff
+
+
+def _gamma(k: int) -> float:
+    """Relative error bound of k roundings, k u / (1 - k u) (Higham's gamma_k)."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _bmo_bound(vals: np.ndarray, total: float):
+    """length -> (means, bound): the window means the scan subtracts, and for
+    every offset an upper bound on that window's computed <|f - <f>_I|>_I.
+
+    Cauchy-Schwarz gives <|f - mu_I|>_I <= sqrt(Var_I), and Var_I is O(1) per
+    window from circular prefix sums of c = f - mean(f) and c^2.  The bound
+    adds the rounding of those prefix sums (gamma_{3N} times the two-lap
+    totals), of the centering, of the means taken from the uncentered prefix
+    sums, and of the row mean itself (gamma_{L+16}).  `total` is the two-lap
+    sum of |f|.
+    """
+    prefix = _circular_prefix(vals)
+    c = vals - vals.mean()
+    cp, qp = _circular_prefix(c), _circular_prefix(c * c)
+    g = 2.0 * _gamma(3 * len(vals))
+    e0, e1, e2 = g * total, g * 2.0 * np.abs(c).sum(), g * 2.0 * (c * c).sum()
+
+    def bound(length: int):
+        means = _window_sums(prefix, length) / length
+        # m1 <= |<c>_I| and m2 >= <c^2>_I; 32 u m2 covers the rounding of
+        # m1^2 and m2, which can be far above Var_I <= m2 - m1^2
+        m1 = np.maximum(np.abs(_window_sums(cp, length)) * (1.0 - 2.0 * _U) - e1, 0.0) / length
+        m2 = (_window_sums(qp, length) * (1.0 + 2.0 * _U) + e2) * (1.0 + 2.0 * _U) / length
+        sd = np.sqrt(np.maximum(m2 * (1.0 + 32.0 * _U) - m1 * m1, 0.0))
+        slack = 2.0 * _U * np.sqrt(m2) + e0 / length + 4.0 * _U * np.abs(means)
+        return means, (sd + slack) * (1.0 + _gamma(length + 16))
+
+    return bound
+
+
+def _window_deviations(doubled: np.ndarray, length: int, means: np.ndarray,
+                       offsets) -> np.ndarray:
+    """<|f - means[j]|>_I over the windows I of `length` nodes at `offsets` j
+    of two laps of f, as the full scan's np.abs(windows - means).mean(axis=1)."""
+    rows = np.lib.stride_tricks.sliding_window_view(doubled, length)[offsets]
+    rows -= means[offsets, None]
+    np.abs(rows, out=rows)
+    return rows.mean(axis=1)
+
+
 def bmo_norm(f: GridFunction, arcs: ArcFamily | None = None) -> float:
     """sup over arcs of <|f - <f>_I|>_I, exactly per arc.
 
-    Sliding windows are materialized in chunks of offsets, _BMO_CHUNK
-    elements each, so the cost is O(N * L) work per length class at a
-    memory bound that does not grow with N.
+    Only windows that can still win are averaged.  Each window has an O(1)
+    upper bound on its computed average (see _bmo_bound) that holds with
+    every rounding error counted, so a window whose bound is below a value
+    already attained is skipped, and the result is the float the full scan
+    over all N offsets x every length returns.  The running maximum starts
+    from the highest-bound window of each length.  Averaged windows are
+    gathered in chunks of _BMO_CHUNK elements, and bounds are recomputed per
+    length, so memory does not grow with N or with the number of lengths.
+    A constant, whose averages are all roundoff, is scanned in full.
     """
     vals = f.real_values()
     arcs = arcs or ArcFamily(f.grid)
     n = f.grid.size
+    with np.errstate(over="ignore"):
+        total = 2.0 * float(np.abs(vals).sum())
+    if not np.isfinite(total):
+        raise ValueError(f"bmo_norm: the two-lap prefix sum of |f| overflows at N = {n}"
+                         f" (max |f| = {np.max(np.abs(vals)):.3g})")
     doubled = np.concatenate([vals, vals])
-    prefix = _circular_prefix(vals)
+    bound = _bmo_bound(vals, total)
+    lengths = [int(length) for length in arcs.lengths if length > 1]  # one node: zero
     best = 0.0
-    for length in arcs.lengths:
-        length = int(length)
-        if length == 1:
-            continue  # single-node arcs have zero oscillation
-        means = _window_sums(prefix, length) / length
-        windows = np.lib.stride_tricks.sliding_window_view(doubled, length)[:n]
+    for length in lengths:
+        means, b = bound(length)
+        seed = _window_deviations(doubled, length, means, [int(np.argmax(b))])
+        best = max(best, float(seed[0]))
+    for length in lengths:
+        means, b = bound(length)
+        live = np.flatnonzero(~(b < best))  # a NaN bound is live too
         chunk = max(1, _BMO_CHUNK // length)
-        for lo in range(0, n, chunk):
-            hi = min(lo + chunk, n)
-            dev = np.abs(windows[lo:hi] - means[lo:hi, None]).mean(axis=1)
-            m = float(dev.max())
-            if m > best:
-                best = m
+        for lo in range(0, len(live), chunk):
+            dev = _window_deviations(doubled, length, means, live[lo: lo + chunk])
+            best = max(best, float(dev.max()))
     return best
 
 

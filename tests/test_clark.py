@@ -71,6 +71,23 @@ def test_clark_weight_rejects_bad_alpha(grid12):
         ok.clark_weight(w, 0.5)
 
 
+@pytest.mark.parametrize("tiny,count", [(1e-310, 1), (1e-306, 2048)])
+def test_clark_weight_rejects_weight_outside_a2_at_working_precision(grid12, tiny, count):
+    # 1/w overflows at one node, or its mean overflows although 1/w does not
+    vals = np.ones(grid12.size)
+    vals[:count] = tiny
+    w = ok.make_weight("user", {"values": vals}, grid12)
+    message = r"user weight \(min w = .*e-3\d\d\) is not A_2 at working precision"
+    with pytest.raises(ValueError, match=message):
+        ok.clark_weight(w, 1j)
+
+
+def test_clark_weight_warns_outside_a2(grid12):
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.6}, grid12)
+    with pytest.warns(UserWarning, match="clark_weight: Fisher-Hartwig beta = 0.6"):
+        ok.clark_weight(w, 1j)
+
+
 def test_clark_mass_smooth_families(grid14):
     w = ok.make_weight("bernstein_szego", {"a": 0.5}, grid14)
     for alpha in ALPHAS:

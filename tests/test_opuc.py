@@ -164,6 +164,15 @@ def test_cd_kernel_reproduces_monomials(fh02_system, grid14):
             assert abs(got - z ** deg) < 1e-8
 
 
+@pytest.mark.parametrize("n", [0, 15, 16, 40])
+def test_values_table_rows_equal_per_row_synthesis(fh02_system, grid14, n):
+    _, sys = fh02_system
+    table = sys.orthonormal_table(n)
+    vals = ok.opuc.orthonormal_values_table(sys, grid14, n)
+    for k in range(n + 1):
+        assert np.array_equal(vals[k], ok.poly_values(grid14, table[k, : k + 1]))
+
+
 def test_projection_on_basis(fh02_system, grid14):
     w, sys = fh02_system
     phi3 = ok.GridFunction(grid14, ok.phi_values(sys, grid14, 3))

@@ -83,6 +83,14 @@ def test_ap_scale_invariance(scale, seed):
     assert v1 >= 1.0 - 1e-12  # discrete Jensen
 
 
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("value", [1e305, 1e-305, 1.0])
+def test_ap_scale_invariance_at_the_float_range_ends(grid12, value, p):
+    # two-lap sums of w or of w^{1/(1-p)}, or their window products, overflow
+    w = ok.make_weight("constant", {"value": value}, grid12, normalize=False)
+    assert abs(ok.ap_characteristic(w, p).value - 1.0) <= 1e-12
+
+
 def test_ap_fisher_hartwig_quarter(grid14):
     w = ok.make_weight("fisher_hartwig", {"beta": 0.25}, grid14, normalize=False)
     v = ok.ap_characteristic(w, 2.0).value
@@ -226,6 +234,93 @@ def test_bmo_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 40e6
+
+
+def test_bmo_full_family_peak_memory_is_bounded():
+    # bounds are recomputed per length: a table of them for all 1023 lengths
+    # of the full family at N = 2^10 would alone take 8.4 MB
+    g = ok.CircleGrid(10)
+    f = ok.GridFunction(g, np.log(ok.make_weight("fisher_hartwig", {"beta": 0.3}, g).values))
+    tracemalloc.start()
+    try:
+        ok.bmo_norm(f, ok.ArcFamily(g, "full"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def _bmo_full_scan(f, arcs=None):
+    """Reference: <|f - <f>_I|>_I averaged over every window of every length."""
+    vals = f.real_values()
+    arcs = arcs or ok.ArcFamily(f.grid)
+    n = f.grid.size
+    doubled = np.concatenate([vals, vals])
+    prefix = np.concatenate(([0.0], np.cumsum(doubled)))
+    best = 0.0
+    for length in arcs.lengths:
+        length = int(length)
+        if length == 1:
+            continue
+        means = (prefix[length: length + n] - prefix[:n]) / length
+        windows = np.lib.stride_tricks.sliding_window_view(doubled, length)[:n]
+        chunk = max(1, ok.weights._BMO_CHUNK // length)
+        for lo in range(0, n, chunk):
+            hi = min(lo + chunk, n)
+            dev = np.abs(windows[lo:hi] - means[lo:hi, None]).mean(axis=1)
+            best = max(best, float(dev.max()))
+    return best
+
+
+def _bmo_inputs(g):
+    rng = np.random.default_rng(5)
+    out = {f"log fisher_hartwig {b}": np.log(ok.make_weight("fisher_hartwig", {"beta": b}, g).values)
+           for b in (0.1, 0.2734, 0.4)}
+    out["N(0,1)"] = rng.standard_normal(g.size)
+    out["1e8 + N(0,1)"] = 1e8 + rng.standard_normal(g.size)
+    out["constant"] = np.full(g.size, 3.3)
+    out["step"] = np.where(g.nodes < np.pi, 1.0, -2.0)
+    out["spike"] = np.where(np.arange(g.size) == g.size // 3, 5.0, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("m", [8, 9, 10, 11, 12])
+def test_pruned_bmo_equals_full_scan(m):
+    g = ok.CircleGrid(m)
+    for name, vals in _bmo_inputs(g).items():
+        f = ok.GridFunction(g, vals)
+        assert ok.bmo_norm(f) == _bmo_full_scan(f), name
+
+
+@pytest.mark.parametrize("m", [6, 7, 8])
+def test_pruned_bmo_equals_full_scan_on_full_family(m):
+    g = ok.CircleGrid(m)
+    arcs = ok.ArcFamily(g, "full")
+    for name, vals in _bmo_inputs(g).items():
+        f = ok.GridFunction(g, vals)
+        assert ok.bmo_norm(f, arcs) == _bmo_full_scan(f, arcs), name
+
+
+def test_pruned_bmo_averages_a_sixth_of_the_windows(grid12, monkeypatch):
+    # log w_beta is homogeneous in beta, so the share does not depend on it
+    averaged = []
+    evaluate = ok.weights._window_deviations
+
+    def counting(doubled, length, means, offsets):
+        averaged.append(len(offsets) * length)
+        return evaluate(doubled, length, means, offsets)
+
+    monkeypatch.setattr(ok.weights, "_window_deviations", counting)
+    f = ok.GridFunction(grid12, _bmo_inputs(grid12)["log fisher_hartwig 0.1"])
+    ok.bmo_norm(f)
+    full = sum(grid12.size * int(length) for length in ok.ArcFamily(grid12).lengths[1:])
+    assert sum(averaged) < 0.2 * full
+
+
+def test_bmo_rejects_overflowing_prefix_sums(grid12):
+    f = ok.GridFunction(grid12, np.full(grid12.size, 1e305))
+    with pytest.raises(ValueError, match=r"N = 4096 \(max \|f\| = 1e\+305\)"):
+        ok.bmo_norm(f)
 
 
 def test_bmo_against_bruteforce_oracle():
