@@ -7,13 +7,16 @@ p = 2 norms are exact largest singular values of materialized matrices
 (band-restricted inputs, or the full node basis on small grids); for
 p != 2 the dual-norm power iteration, started from the top p = 2 right
 singular vector, reports a lower bound with its convergence state.  Both
-need a p = 2 matrix: a band, or N <= 2^10.
+need a p = 2 matrix: a band, or N <= 2^10.  numpy and scipy bundle separate
+OpenBLAS builds, and alternating calls between their thread pools cost about 6x
+on 2 cores, so the Gram product and the eigensolver are both scipy's.
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import zherk
+from scipy.linalg import blas, eigh
 
 from .fits import fit_loglog
 from .grid import (CircleGrid, GridFunction, duality_map, fourier_multiplier, lp_norms,
@@ -21,6 +24,7 @@ from .grid import (CircleGrid, GridFunction, duality_map, fourier_multiplier, lp
 from .weights import Weight, make_weight
 
 _BLOCK = 16  # inputs per probe call when materializing; 16 x 2^14 complex is 4 MB
+_STEPS = weakref.WeakKeyDictionary()  # grid -> materialize_band's step table
 
 
 @dataclass
@@ -139,25 +143,28 @@ def _materialize_terms(probe: OperatorProbe, band: int, rows) -> np.ndarray:
     n, freqs = probe.grid.size, probe.grid.freqs
     ks = np.arange(-band, band + 1)
     phase = np.exp(1j * np.pi * ks / n)[:, None] / np.sqrt(n)
-    out = np.zeros((len(ks), n), dtype=complex)
+    out = np.empty((len(ks), n), dtype=complex)
     buf = np.empty((_BLOCK, n), dtype=complex)
-    for left, (blo, bhi), right in probe.terms:
+    for t, (left, (blo, bhi), right) in enumerate(probe.terms):
         const = np.all(left == left[0]) and np.all(right == right[0])
-        # row n - k of `shifted` is fft(right) rolled by k
-        shifted = None if const else np.lib.stride_tricks.sliding_window_view(
-            np.tile(np.fft.fft(right), 3), n)
+        if not const:  # row n - k of `shifted` is fft(right) rolled by k
+            shifted = np.lib.stride_tricks.sliding_window_view(np.tile(np.fft.fft(right), 3), n)
+            mask = (freqs >= blo) & (freqs <= bhi)
         for lo in range(0, len(ks), _BLOCK):
             hi = min(lo + _BLOCK, len(ks))
-            blk = buf[: hi - lo]
+            if t and const and (ks[lo] > bhi or ks[hi - 1] < blo):
+                continue  # a later constant term adds only zeros here
+            blk = buf[: hi - lo] if t else out[lo:hi]  # the first term writes `out` itself
             if const:
                 rows(lo, hi, blk)
                 blk *= left[0] * right[0] * ((ks[lo:hi, None] >= blo) & (ks[lo:hi, None] <= bhi))
             else:
                 np.multiply(shifted[n - ks[lo]: n - ks[hi - 1] - 1: -1], phase[lo:hi], out=blk)
-                blk *= (freqs >= blo) & (freqs <= bhi)
+                blk *= mask
                 np.fft.ifft(blk, axis=-1, out=blk)
                 blk *= left
-            out[lo:hi] += blk
+            if t:
+                out[lo:hi] += blk
     return out.T
 
 
@@ -170,9 +177,10 @@ def materialize_band(probe: OperatorProbe, band: int) -> np.ndarray:
     grid = probe.grid
     if band >= grid.size // 2:
         raise ValueError("band exceeds the grid Nyquist range")
-    # a block of consecutive k is a fixed table of e^{ij theta}, j < _BLOCK,
-    # times one row e^{i k_lo theta}: one complex exponential row per block
-    steps = np.exp(1j * np.arange(_BLOCK)[:, None] * grid.nodes) / np.sqrt(grid.size)
+    # inputs lo..hi-1: the grid's table of e^{ij theta}, j < _BLOCK, times e^{i k_lo theta}
+    if grid not in _STEPS:
+        _STEPS[grid] = np.exp(1j * np.arange(_BLOCK)[:, None] * grid.nodes) / np.sqrt(grid.size)
+    steps = _STEPS[grid]
 
     def rows(lo, hi, out=None):
         return np.multiply(steps[: hi - lo], np.exp(1j * (lo - band) * grid.nodes), out=out)
@@ -244,7 +252,7 @@ def _top_eigenpair(probe: OperatorProbe) -> tuple:
         raise ValueError(f"probe '{probe.description}' has no band and N = {probe.grid.size} "
                          f"> 2^10: the p = 2 norm and the p != 2 start both need a band "
                          f"or N <= 2^10")
-    vals, vecs = np.linalg.eigh(zherk(1.0, mat, trans=2), UPLO="U")  # zherk: upper triangle
+    vals, vecs = eigh(blas.zherk(1.0, mat, trans=2), lower=False, driver="evd")  # one OpenBLAS
     return max(vals[-1], 0.0), vecs[:, -1]
 
 

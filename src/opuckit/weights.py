@@ -137,12 +137,13 @@ def make_weight(family: str, params: dict | None = None, grid: CircleGrid | None
     else:
         raise ValueError(f"unknown weight family {family!r}; expected one of {FAMILIES}")
 
+    with np.errstate(over="ignore"):  # an overflowing mean is an error below, or not 1
+        mean = vals.mean()
     if normalize:
-        vals = vals / vals.mean()
-        normalized = True
-    else:
-        with np.errstate(over="ignore"):  # a mean that overflows is not 1
-            normalized = bool(abs(vals.mean() - 1.0) <= 1e-12)
+        if np.isinf(mean):
+            raise ValueError(f"cannot normalize the {family!r} weight: its sample mean overflows")
+        vals = vals / mean
+    normalized = normalize or bool(abs(mean - 1.0) <= 1e-12)
     return Weight(GridFunction(grid, vals), normalized, family, params)
 
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg.blas import zherk
 
 import opuckit as ok
 from opuckit.grid import fourier_multiplier
-from opuckit.operators import OperatorProbe, _top_eigenpair, materialize_full, power_method_lp
+from opuckit.operators import (_BLOCK, OperatorProbe, _top_eigenpair, materialize_full,
+                               power_method_lp)
 
 
 def _inner(grid, f, g):
@@ -346,3 +348,104 @@ def test_norm_needs_band_or_small_grid(grid12, p):
     ident = OperatorProbe(grid12, lambda x: x, lambda x: x, None, p, "unbanded identity")
     with pytest.raises(ValueError, match="'unbanded identity' has no band.*band or N <= 2\\^10"):
         ok.operator_norm(ident)
+
+
+def _materialize_band_zeroed(probe, band):
+    """Reference: materialize_band of a probe with terms as first written, every term
+    adding every block into a zeroed array and the step table built on each call."""
+    grid = probe.grid
+    n, freqs = grid.size, grid.freqs
+    steps = np.exp(1j * np.arange(_BLOCK)[:, None] * grid.nodes) / np.sqrt(n)
+
+    def rows(lo, hi, out=None):
+        return np.multiply(steps[: hi - lo], np.exp(1j * (lo - band) * grid.nodes), out=out)
+
+    ks = np.arange(-band, band + 1)
+    phase = np.exp(1j * np.pi * ks / n)[:, None] / np.sqrt(n)
+    out = np.zeros((len(ks), n), dtype=complex)
+    buf = np.empty((_BLOCK, n), dtype=complex)
+    for left, (blo, bhi), right in probe.terms:
+        const = np.all(left == left[0]) and np.all(right == right[0])
+        shifted = None if const else np.lib.stride_tricks.sliding_window_view(
+            np.tile(np.fft.fft(right), 3), n)
+        for lo in range(0, len(ks), _BLOCK):
+            hi = min(lo + _BLOCK, len(ks))
+            blk = buf[: hi - lo]
+            if const:
+                rows(lo, hi, blk)
+                blk *= left[0] * right[0] * ((ks[lo:hi, None] >= blo) & (ks[lo:hi, None] <= bhi))
+            else:
+                np.multiply(shifted[n - ks[lo]: n - ks[hi - 1] - 1: -1], phase[lo:hi], out=blk)
+                blk *= (freqs >= blo) & (freqs <= bhi)
+                np.fft.ifft(blk, axis=-1, out=blk)
+                blk *= left
+            out[lo:hi] += blk
+    return out.T
+
+
+@pytest.mark.parametrize("m", [10, 12])
+def test_lean_materializer_matches_zeroed_accumulation(m):
+    g = ok.CircleGrid(m)
+    w = ok.make_weight("constant", {}, g)
+    band = 40  # three full blocks and a partial one
+    for f in (np.cos(g.nodes), np.log(np.abs(1.0 - g.points))):
+        for p in (2.0, 3.0):
+            for delta in (1e-3, 0.1):
+                wd = ok.make_weight("perturbed", {"base": w, "f": f, "delta": delta}, g,
+                                    normalize=False)
+                diff = ok.probe_difference(ok.weighted_riesz(wd, p, band=band),
+                                           ok.weighted_riesz(w, p, band=band))
+                assert np.array_equal(ok.materialize_band(diff, band),
+                                      _materialize_band_zeroed(diff, band))
+    fh = ok.make_weight("fisher_hartwig", {"beta": 0.2}, g)
+    for probe in (ok.build_Q(fh, 2.5, 16), ok.weighted_riesz(fh, 3.0, band)):
+        assert np.array_equal(ok.materialize_band(probe, band),
+                              _materialize_band_zeroed(probe, band))
+
+
+def test_lean_materializer_zero_columns(grid12):
+    # probes of constant terms only: a column outside every term's band is exactly 0,
+    # whether the first term writes it or a later term skips its block
+    w = ok.make_weight("constant", {"value": 3.0}, grid12, normalize=False)
+    band = 40
+    ks = np.arange(-band, band + 1)
+    plus = ok.weighted_riesz(w, 2.0, band=band)  # band 0..N/2-1
+    q = ok.build_Q(w, 3.0, 5)                     # two terms, band 0..4
+    for probe, inside in ((plus, ks >= 0), (q, (ks >= 0) & (ks <= 4)),
+                          (ok.probe_difference(q, plus), ks >= 0)):
+        mat = ok.materialize_band(probe, band)
+        assert np.array_equal(mat, _materialize_band_zeroed(probe, band))
+        assert not np.any(mat[:, ~inside])
+    assert np.all(ok.materialize_band(plus, band)[:, ks >= 0].any(axis=0))
+
+
+def test_top_eigenpair_matches_numpy_eigh(grid12):
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    g = ok.CircleGrid(8)
+    for probe, mat in ((ok.weighted_riesz(w, 2.0, band=24), None),
+                       (ok.weighted_riesz(ok.make_weight("fisher_hartwig", {"beta": 0.3}, g), 2.0),
+                        "full")):
+        mat = materialize_full(probe) if mat else ok.materialize_band(probe, probe.band)
+        vals, vecs = np.linalg.eigh(zherk(1.0, mat, trans=2), UPLO="U")
+        top, v = _top_eigenpair(probe)
+        assert_allclose(top, vals[-1], rtol=1e-14)
+        phase = np.vdot(vecs[:, -1], v)
+        assert_allclose(abs(phase), 1.0, rtol=1e-12)
+        assert_allclose(v, phase * vecs[:, -1], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_norms_never_call_numpy_lapack(grid12, monkeypatch, p):
+    # the Gram product is scipy's zherk: an eigensolver from numpy's separate OpenBLAS
+    # would switch thread pools on every probe
+    def numpy_lapack(*args, **kwargs):
+        raise AssertionError("numpy.linalg eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", numpy_lapack)
+    monkeypatch.setattr(np.linalg, "eigvalsh", numpy_lapack)
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12)
+    g = ok.CircleGrid(8)
+    small = ok.weighted_riesz(ok.make_weight("fisher_hartwig", {"beta": 0.2}, g), p)
+    for probe in (ok.weighted_riesz(w, p, band=16), small):  # band and materialize_full paths
+        est = ok.operator_norm(probe)
+        assert est.value >= 1.0 - 1e-10

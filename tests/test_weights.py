@@ -31,6 +31,26 @@ def test_perturbed_family_shape(grid12):
     assert_allclose(w.values, expected, rtol=1e-13)
 
 
+@pytest.mark.parametrize("family,params,m", [("user", {"values": np.full(256, 1e306)}, 8),
+                                             ("constant", {"value": 1e305}, 11)])
+def test_normalize_names_an_overflowing_mean(family, params, m):
+    # the sample mean is inf; dividing by it would report "not strictly positive"
+    with pytest.raises(ValueError, match=f"'{family}' weight: its sample mean overflows"):
+        ok.make_weight(family, params, ok.CircleGrid(m))
+
+
+def test_normalize_divides_by_the_sample_mean(grid12):
+    base = ok.make_weight("constant", {}, grid12)
+    rng = np.random.default_rng(4)
+    for family, params in [("constant", {"value": 1e300}), ("fisher_hartwig", {"beta": 0.3}),
+                           ("bernstein_szego", {"a": 0.5}),
+                           ("user", {"values": rng.uniform(0.1, 1e304, grid12.size)}),
+                           ("perturbed", {"base": base, "f": np.cos(grid12.nodes), "delta": 2.0})]:
+        raw = ok.make_weight(family, params, grid12, normalize=False).values
+        w = ok.make_weight(family, params, grid12)
+        assert w.normalized and np.array_equal(w.values, raw / raw.mean()), family
+
+
 def test_user_weight_rejects_nonpositive(grid12):
     vals = np.ones(grid12.size)
     vals[3] = 0.0
