@@ -13,9 +13,10 @@ Frequencies are kept in numpy FFT order throughout; `analyze` returns the
 coefficients c_k = (1/N) sum_j f(theta_j) e^{-ik theta_j}, which for
 band-limited f coincide with (1/2pi) int f e^{-ik theta} d theta.
 
-`CircleGrid.analyze`/`synthesize`, `fourier_multiplier`, `duality_map` and
-`lp_norms` act on (..., N) stacks along the last axis: k vectors go through
-one call as a (k, N) stack, and row r of the result is the call on row r alone.
+`CircleGrid.analyze`/`synthesize`, `fourier_multiplier`, `duality_map`, `lp_norms`
+and `poisson_extend_circles` act on (..., N) stacks along the last axis: k vectors
+go through one call as a (k, N) stack, and row r of the result is the call on row r
+alone.
 """
 
 from dataclasses import dataclass, field
@@ -212,10 +213,9 @@ def _check_in_disk(z: complex):
 
 
 def poisson_extend(f: GridFunction, z: complex) -> complex:
-    """Poisson integral P(f, z) = (1/2pi) int (1-|z|^2)/|1 - conj(zeta) z|^2 f dtheta."""
-    _check_in_disk(z)
-    kern = (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(f.grid.points) * z) ** 2
-    out = np.sum(kern * f.values) / f.grid.size
+    """Poisson integral P(f, z) = (1/2pi) int (1-|z|^2)/|1 - conj(zeta) z|^2 f dtheta,
+    by the normalized discrete kernel of `poisson_probabilities` (exact on constants)."""
+    out = next(poisson_probabilities(f.grid, [z])) @ f.values
     return float(out.real) if f.is_real else complex(out)
 
 
@@ -223,10 +223,22 @@ def poisson_probabilities(grid: CircleGrid, z_samples):
     """Check every disk point z, then yield for each the normalized Poisson kernel
     (1-|z|^2)/|1 - conj(zeta_j) z|^2 at the nodes: exact probability weights."""
     z_samples = np.asarray(z_samples, dtype=complex).ravel()
+    if z_samples.size == 0:
+        raise ValueError("z_samples must hold at least one disk point, got none")
     for z in z_samples:
         _check_in_disk(z)
     kernels = ((1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(grid.points) * z) ** 2 for z in z_samples)
     return (kern / kern.sum() for kern in kernels)
+
+
+def poisson_extend_circles(values: np.ndarray, radii):
+    """For each r in radii, yield P(v, r e^{i theta_j}) at the nodes for every row v of a
+    real (..., N) stack: rfft bins k = 0..N/2 times r^k, then one irfft.  The half-step
+    phase and the 1/N, N scalings cancel as in `fourier_multiplier`, so none is applied."""
+    spec = np.fft.rfft(values, axis=-1)
+    k = np.arange(spec.shape[-1], dtype=float)
+    for r in radii:
+        yield np.fft.irfft(spec * r ** k, values.shape[-1], axis=-1)
 
 
 def cauchy_integral(f: GridFunction, z: complex) -> complex:
@@ -236,15 +248,17 @@ def cauchy_integral(f: GridFunction, z: complex) -> complex:
 
 
 def harmonic_extension_on_circle(f: GridFunction, r: float) -> GridFunction:
-    """P(f, r e^{i theta_j}) for all nodes at once, via the r^{|k|} multiplier.
+    """P(f, r e^{i theta_j}) for all nodes at once, via the r^{|k|} multiplier
+    (`poisson_extend_circles` for real f).
 
     This is the exact harmonic extension of the band-limited interpolant,
     so P(1, z) = 1 identically.
     """
     if not 0.0 <= r < 1.0:
-        raise ValueError("radius must lie in [0, 1)")
-    out = apply_multiplier(f, r ** np.abs(f.grid.freqs).astype(float))
-    return GridFunction(f.grid, out.values.real) if f.is_real else out
+        raise ValueError(f"radius must lie in [0, 1), got r = {r}")
+    if f.is_real:
+        return GridFunction(f.grid, next(poisson_extend_circles(f.values, [r])))
+    return apply_multiplier(f, r ** np.abs(f.grid.freqs).astype(float))
 
 
 class MomentError(ValueError):

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .grid import CircleGrid, GridFunction, mean, poisson_probabilities, trig_moments
+from .grid import (CircleGrid, GridFunction, mean, poisson_extend_circles, poisson_probabilities,
+                   trig_moments)
 
 FAMILIES = ("constant", "fisher_hartwig", "bernstein_szego", "perturbed", "user")
 _REQUIRED = {"fisher_hartwig": ("beta",), "bernstein_szego": ("a",),
@@ -316,38 +317,24 @@ def fh_subarc_product(beta: float, a: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _poisson_profiles(w: Weight, radii):
-    """Yield the rows P(w, r e^{i theta_j}), P(w^{-1}, .), P(log w, .) for each
-    radius, by the r^{|k|} multiplier (exact extension of the interpolant, so
-    P(1, .) = 1): one (3, N) synthesize per radius.  No (radii, N) array is
-    built; at large N its allocation and release raise the peak memory of
-    later large temporaries."""
-    grid = w.grid
-    absk = np.abs(grid.freqs).astype(float)
-    spectra = grid.analyze(np.stack([w.values, 1.0 / w.values, np.log(w.values)]))
-    for r in radii:
-        yield grid.synthesize(spectra * r ** absk).real
+    """Yield the rows P(w, r e^{i theta_j}), P(w^{-1}, .), P(log w, .), one (3, N) irfft per
+    radius by `poisson_extend_circles`; a (radii, N) array would raise later peak memory."""
+    return poisson_extend_circles(np.stack([w.values, 1.0 / w.values, np.log(w.values)]), radii)
 
 
 def poisson_characteristics(w: Weight, z_samples=None) -> tuple:
-    """(sup P(w,z) P(w^{-1},z),  sup P(w,z) exp(-P(log w,z))) over the samples.
-
-    With the default sample set (radii 1 - 2^{-k} times all grid angles) the
-    profiles are computed by FFT.  By Jensen, the second component never
-    exceeds the first.
-    """
-    grid = w.grid
+    """(sup P(w,z) P(w^{-1},z),  sup P(w,z) exp(-P(log w,z))) over the samples, by
+    default radii 1 - 2^{-k} times all grid angles, whose profiles come by FFT.  By
+    Jensen, the second component never exceeds the first."""
     a2p = ainfp = -np.inf
     if z_samples is None:
-        for pw, pinv, plog in _poisson_profiles(w, 1.0 - 2.0 ** -np.arange(1, grid.log2_size - 1)):
-            a2p = max(a2p, float(np.max(pw * pinv)))
-            ainfp = max(ainfp, float(np.max(pw * np.exp(-plog))))
-        return a2p, ainfp
-
-    logw = np.log(w.values)
-    for lam in poisson_probabilities(grid, z_samples):
-        pw = float(lam @ w.values)
-        a2p = max(a2p, pw * float(lam @ (1.0 / w.values)))
-        ainfp = max(ainfp, pw * float(np.exp(-(lam @ logw))))
+        profiles = _poisson_profiles(w, 1.0 - 2.0 ** -np.arange(1, w.grid.log2_size - 1))
+    else:
+        vals = (w.values, 1.0 / w.values, np.log(w.values))
+        profiles = ([float(lam @ v) for v in vals] for lam in poisson_probabilities(w.grid, z_samples))
+    for pw, pinv, plog in profiles:
+        a2p = max(a2p, float(np.max(pw * pinv)))
+        ainfp = max(ainfp, float(np.max(pw * np.exp(-plog))))
     return a2p, ainfp
 
 

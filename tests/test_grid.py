@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 import opuckit as ok
 from opuckit.grid import (GridSizeError, MomentError, duality_map, fourier_multiplier, lp_norms,
-                         poisson_probabilities)
+                         poisson_extend_circles, poisson_probabilities)
 
 from conftest import random_bandlimited
 
@@ -163,6 +163,46 @@ def test_harmonic_extension_multiplier_is_exact_on_constants(grid12):
     assert_allclose(ext.values, 1.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("family, params, radii", [
+    ("bernstein_szego", {"a": 0.5}, [0.5, 0.9, 0.99]),
+    # the discrete kernel aliases frequency N/2 by r^(N/2), 1.2e-9 at r = 0.99 and
+    # N = 4096, which the cusp of w^-1 lifts to 6e-12 relative: smooth data covers 0.99
+    ("fisher_hartwig", {"beta": 0.3}, [0.5, 0.9]),
+])
+def test_poisson_extend_circles_matches_explicit_kernel(grid12, family, params, radii):
+    # independent oracle: the normalized discrete Poisson kernel at r zeta_j, every 8th node
+    w = ok.make_weight(family, params, grid12)
+    stack = np.stack([w.values, 1.0 / w.values, np.log(w.values)])
+    pts, sub = grid12.points, slice(None, None, 8)
+    for r, got in zip(radii, poisson_extend_circles(stack, radii)):
+        assert got.shape == stack.shape
+        kern = (1.0 - r ** 2) / np.abs(1.0 - np.conj(pts)[None, :] * r * pts[sub, None]) ** 2
+        expect = ((kern / kern.sum(axis=1, keepdims=True)) @ stack.T).T
+        err = np.max(np.abs(got[:, sub] - expect), axis=1)
+        assert np.all(err <= 1e-12 * np.max(np.abs(expect), axis=1))
+
+
+def test_harmonic_extension_on_circle_uses_the_real_kernel(grid12):
+    rng = np.random.default_rng(5)
+    f = random_bandlimited(grid12, rng, 40, real=True)
+    g = random_bandlimited(grid12, rng, 40, real=True)
+    for r in (0.0, 0.5, 0.99):
+        ext = ok.harmonic_extension_on_circle(f, r)
+        assert ext.is_real
+        assert np.array_equal(ext.values, next(poisson_extend_circles(f.values, [r])))
+        # complex f keeps the complex multiplier; it agrees part by part
+        both = ok.harmonic_extension_on_circle(ok.GridFunction(grid12, f.values + 1j * g.values), r)
+        parts = next(poisson_extend_circles(np.stack([f.values, g.values]), [r]))
+        assert_allclose(both.values, parts[0] + 1j * parts[1], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("r", [1.5, 1.0, -0.25, float("nan")])
+def test_harmonic_extension_on_circle_names_bad_radius(grid12, r):
+    one = ok.GridFunction(grid12, np.ones(grid12.size))
+    with pytest.raises(ValueError, match=rf"radius must lie in \[0, 1\), got r = {r}"):
+        ok.harmonic_extension_on_circle(one, r)
+
+
 def test_cauchy_integral(grid12):
     one = ok.GridFunction(grid12, np.ones(grid12.size))
     assert_allclose(ok.cauchy_integral(one, 0.3 + 0.1j), 1.0, atol=1e-12)
@@ -300,6 +340,12 @@ def test_poisson_probabilities_shared_by_both_callers(grid12):
     for caller in (ok.poisson_characteristics, ok.generalized_entropy):
         with pytest.raises(ValueError, match=r"z = \(1\+0j\)"):
             caller(w, [0.2j, 1.0])
+    # no points at all is an error naming the argument, in both callers
+    with pytest.raises(ValueError, match="z_samples"):
+        poisson_probabilities(grid12, [])
+    for caller in (ok.poisson_characteristics, ok.generalized_entropy):
+        with pytest.raises(ValueError, match="z_samples"):
+            caller(w, [])
 
 
 def test_duality_map_subnormal_moduli():
