@@ -213,9 +213,10 @@ def _check_in_disk(z: complex):
 
 
 def poisson_extend(f: GridFunction, z: complex) -> complex:
-    """Poisson integral P(f, z) = (1/2pi) int (1-|z|^2)/|1 - conj(zeta) z|^2 f dtheta,
-    by the normalized discrete kernel of `poisson_probabilities` (exact on constants)."""
-    out = next(poisson_probabilities(f.grid, [z])) @ f.values
+    """Poisson integral P(f, z) = (1/2pi) int (1-|z|^2)/|1 - conj(zeta) z|^2 f dtheta."""
+    _check_in_disk(z)
+    kern = (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(f.grid.points) * z) ** 2
+    out = np.sum(kern * f.values) / f.grid.size
     return float(out.real) if f.is_real else complex(out)
 
 
@@ -248,17 +249,17 @@ def cauchy_integral(f: GridFunction, z: complex) -> complex:
 
 
 def harmonic_extension_on_circle(f: GridFunction, r: float) -> GridFunction:
-    """P(f, r e^{i theta_j}) for all nodes at once, via the r^{|k|} multiplier
-    (`poisson_extend_circles` for real f).
+    """P(f, r e^{i theta_j}) for all nodes at once, via the r^{|k|} multiplier of
+    `poisson_extend_circles` (on the real and imaginary parts of a complex f).
 
     This is the exact harmonic extension of the band-limited interpolant,
     so P(1, z) = 1 identically.
     """
     if not 0.0 <= r < 1.0:
         raise ValueError(f"radius must lie in [0, 1), got r = {r}")
-    if f.is_real:
-        return GridFunction(f.grid, next(poisson_extend_circles(f.values, [r])))
-    return apply_multiplier(f, r ** np.abs(f.grid.freqs).astype(float))
+    parts = f.values if f.is_real else np.stack([f.values.real, f.values.imag])
+    out = next(poisson_extend_circles(parts, [r]))
+    return GridFunction(f.grid, out if f.is_real else out[0] + 1j * out[1])
 
 
 class MomentError(ValueError):

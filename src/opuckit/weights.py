@@ -316,21 +316,17 @@ def fh_subarc_product(beta: float, a: float) -> float:
 # Poisson-type characteristics
 # ---------------------------------------------------------------------------
 
-def _poisson_profiles(w: Weight, radii):
-    """Yield the rows P(w, r e^{i theta_j}), P(w^{-1}, .), P(log w, .), one (3, N) irfft per
-    radius by `poisson_extend_circles`; a (radii, N) array would raise later peak memory."""
-    return poisson_extend_circles(np.stack([w.values, 1.0 / w.values, np.log(w.values)]), radii)
-
-
 def poisson_characteristics(w: Weight, z_samples=None) -> tuple:
     """(sup P(w,z) P(w^{-1},z),  sup P(w,z) exp(-P(log w,z))) over the samples, by
     default radii 1 - 2^{-k} times all grid angles, whose profiles come by FFT.  By
     Jensen, the second component never exceeds the first."""
     a2p = ainfp = -np.inf
+    vals = (w.values, 1.0 / w.values, np.log(w.values))
     if z_samples is None:
-        profiles = _poisson_profiles(w, 1.0 - 2.0 ** -np.arange(1, w.grid.log2_size - 1))
+        # streamed, one (3, N) stack per radius: a (radii, N) array raises later peak memory
+        radii = 1.0 - 2.0 ** -np.arange(1, w.grid.log2_size - 1)
+        profiles = poisson_extend_circles(np.stack(vals), radii)
     else:
-        vals = (w.values, 1.0 / w.values, np.log(w.values))
         profiles = ([float(lam @ v) for v in vals] for lam in poisson_probabilities(w.grid, z_samples))
     for pw, pinv, plog in profiles:
         a2p = max(a2p, float(np.max(pw * pinv)))
