@@ -5,7 +5,7 @@ plot-ready records.
 Pass/fail thresholds live in data/thresholds.json, never in code; a fit
 is accepted only when its R^2 clears the frozen gate, otherwise the record
 is flagged (model misfit) rather than failed (threshold violation).
-Re-running a spec with the same seed reproduces every numeric field.
+Every experiment is deterministic: a record's seed is only echoed.
 """
 
 import csv
@@ -63,11 +63,15 @@ class ExperimentSpec:
         n = 1 << self.grid_log2
         if self.n_grid and max(self.n_grid) >= n // 4:
             raise SpecError(f"n-grid max must stay below N/4 = {n // 4}")
-        if self.p_grid and min(self.p_grid) <= 1.0:
-            raise SpecError("all p must exceed 1")
+        if self.p_grid and not min(self.p_grid) > 1.0:
+            raise SpecError(f"all p must exceed 1, got p_grid = {tuple(self.p_grid)}")
         if self.name == "pcr_upper_trend" and self.n_grid and len(set(self.n_grid)) < 3:
             raise SpecError(f"pcr_upper_trend fits c1 + c2 n^e and needs three distinct degrees "
                             f"in n_grid, got {tuple(self.n_grid)} (from the CLI: --nmax >= 128)")
+        if self.name == "projection_bound" and self.n_grid and len(set(self.n_grid)) < 2:
+            raise SpecError(f"projection_bound compares probes across degrees and needs two "
+                            f"distinct degrees in n_grid, got {tuple(self.n_grid)} "
+                            f"(from the CLI: --nmax >= 91)")
         if self.name == "fh_growth" and (self.params.get("beta") is None) != (not self.p_grid):
             raise SpecError("fh_growth reads --beta and --p only together (params['beta'] "
                             "and p_grid): give both, or neither for the default pairs")
@@ -367,7 +371,7 @@ def _run_continuity(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Rec
         "cos": (np.cos(grid.nodes), cfg["tol_cos"]),
         "log_singular": (np.log(np.abs(1.0 - np.exp(1j * grid.nodes))), cfg["tol_log_singular"]),
     }
-    # the gate cells, then informational p != 2 cells; no cell draws random numbers
+    # the gate cells, then informational p != 2 cells
     cells = [(fname, cfg["p"], deltas) for fname in directions]
     cells += [("cos", float(p), [deltas[0], deltas[-1]]) for p in cfg["informational_p"]]
     for fname, p, cell_deltas in cells:
@@ -484,12 +488,12 @@ def _run_projection_bound(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec
     w = make_weight("fisher_hartwig", {"beta": beta}, grid)
     sys = system_from_weight(w, max(n_grid))
     probes = []
-    for i, n in enumerate(n_grid):
-        seed_i = cell_seed(spec.seed, i)
-        v = projection_norm_probe(sys, n, p, trials=cfg["trials"], seed=seed_i)
-        probes.append(v)
+    for n in n_grid:
+        est = projection_norm_probe(sys, n, p)
+        probes.append(est.value)
         rec.rows.append({"family": "fisher_hartwig", "beta": beta, "p": p, "n": int(n),
-                         "probe": v, "trials": cfg["trials"], "seed": seed_i})
+                         "probe": est.value, "converged": est.converged,
+                         "iterations": est.iterations})
     rec.at_most("max_over_min", max(probes) / min(probes), cfg["max_over_min"])
 
 
@@ -596,13 +600,8 @@ _RUNNERS = {
 EXPERIMENT_NAMES = tuple(_RUNNERS)
 
 
-def cell_seed(master: int, index: int) -> int:
-    """Deterministic per-cell seed derived from (master seed, cell index)."""
-    return int(np.random.SeedSequence(entropy=master, spawn_key=(index,)).generate_state(1)[0])
-
-
 def run(spec: ExperimentSpec) -> ExperimentRecord:
-    """Execute the named experiment; deterministic given the spec seed.
+    """Execute the named experiment; deterministic given the spec.
 
     A module error inside a cell propagates, but the rows completed so far
     are still serialized (when an output path is set) with a failure marker.

@@ -7,9 +7,10 @@ p = 2 norms are exact largest singular values of materialized matrices
 (band-restricted inputs, or the full node basis on small grids); for
 p != 2 the dual-norm power iteration, started from the top p = 2 right
 singular vector, reports a lower bound with its convergence state.  Both
-need a p = 2 matrix: a band, or N <= 2^10.  numpy and scipy bundle separate
-OpenBLAS builds, and alternating calls between their thread pools cost about 6x
-on 2 cores, so the Gram product and the eigensolver are both scipy's.
+need a p = 2 matrix (a band, or N <= 2^10) or the probe's own p = 2 pair.
+numpy and scipy bundle separate OpenBLAS builds, and alternating calls between
+their thread pools cost about 6x on 2 cores, so the Gram product and the
+eigensolver are both scipy's.
 """
 
 import weakref
@@ -32,7 +33,8 @@ class OperatorProbe:
     """A linear operator on grid values and its adjoint, both mapping a (..., N)
     stack to a stack of the same shape, row by row along the last axis.  A probe with
     `terms` ((left, (lo, hi), right), ...) is x -> sum of left * F^-1 1_[lo, hi] F(right * x),
-    F the DFT and 1_[lo, hi] the mask of signed frequencies lo..hi."""
+    F the DFT and 1_[lo, hi] the mask of signed frequencies lo..hi.  A probe with
+    `p2_pair` supplies its own exact p = 2 pair for `operator_norm`."""
 
     grid: CircleGrid
     apply: callable                 # values (..., N) -> values (..., N)
@@ -41,6 +43,7 @@ class OperatorProbe:
     p: float
     description: str
     terms: tuple = ()
+    p2_pair: callable = None        # () -> (lambda, v), as `_top_eigenpair` returns them
 
     def check_linearity(self) -> bool:
         """apply(a f + b g) = a apply(f) + b apply(g) to 1e-10 relative, on two chirps
@@ -79,8 +82,8 @@ def _term_probe(grid: CircleGrid, terms: tuple, band, p: float, description: str
 
 def weighted_riesz(w: Weight, p: float, band: int | None = None) -> OperatorProbe:
     """f -> w^{1/p} P^+ (w^{-1/p} f) on grid functions."""
-    if p <= 1.0:
-        raise ValueError("p > 1 required")
+    if not p > 1.0:
+        raise ValueError(f"p > 1 required, got p = {p}")
     u = w.values ** (1.0 / p)
     return _term_probe(w.grid, ((u, (0, w.grid.size // 2 - 1), 1.0 / u),), band, p,
                        f"w^(1/p) P+ w^(-1/p), p={p}, family={w.family}")
@@ -100,10 +103,10 @@ def build_Q(w: Weight, p: float, n: int) -> OperatorProbe:
     with P_{n-1} the band truncation to frequencies 0..n-1.  Antisymmetric
     at p = 2; satisfies zeta_n = w^{1/p} z^n + Q zeta_n for zeta_n = w^{1/p} Phi_n.
     """
-    if p <= 1.0:
-        raise ValueError("p > 1 required")
+    if not p > 1.0:
+        raise ValueError(f"p > 1 required, got p = {p}")
     if n >= w.grid.size // 4:
-        raise ValueError("band cap n must stay below N/4")
+        raise ValueError(f"band cap n must stay below N/4, got n = {n} with N = {w.grid.size}")
     q = p / (p - 1.0)
     u = w.values ** (1.0 / p)        # w^{1/p}
     v = w.values ** (1.0 / q)        # w^{1/p'}
@@ -205,7 +208,7 @@ def materialize_full(probe: OperatorProbe) -> np.ndarray:
 
 
 def power_method_lp(probe: OperatorProbe, p: float, x0: np.ndarray,
-                    max_iters: int = 100) -> tuple:
+                    max_iters: int = 20) -> tuple:
     """Boyd's dual-norm iteration from one start (N,) or a stack of starts (T, N).
 
     Each start stops on its own test and then leaves the stack.  For every
@@ -259,12 +262,12 @@ def _top_eigenpair(probe: OperatorProbe) -> tuple:
 def operator_norm(probe: OperatorProbe) -> NormEstimate:
     """Induced L^p -> L^p norm of the probe, p = probe.p.
 
-    p = 2: the exact largest singular value, from `_top_eigenpair`.  p != 2:
-    the dual-norm power method started from that pair's right singular
-    vector, a lower bound; non-convergence returns the best ratio so far,
-    flagged.
+    p = 2: the exact largest singular value, from the probe's `p2_pair` or
+    else `_top_eigenpair`.  p != 2: the dual-norm power method started from
+    that pair's right singular vector, a lower bound; non-convergence returns
+    the best ratio so far, flagged.
     """
-    top, v = _top_eigenpair(probe)
+    top, v = probe.p2_pair() if probe.p2_pair else _top_eigenpair(probe)
     if probe.p == 2.0:
         return NormEstimate(float(np.sqrt(top)), "exact_svd_p2")
     x0 = np.array([v])  # a stack of one start: band coefficients, or node values

@@ -24,8 +24,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import blas, eigh
 
-from .grid import CircleGrid, GridFunction, MomentSequence, duality_map, lp_norms
+from .grid import CircleGrid, GridFunction, MomentSequence, lp_norms, trig_moments
+from .operators import NormEstimate, OperatorProbe, operator_norm
 from .weights import Weight
 
 
@@ -289,27 +291,32 @@ def poly_eval_table(table: np.ndarray, z: complex) -> np.ndarray:
 
 
 def project(system: OPUCSystem, f: GridFunction, n: int, weight: Weight | None = None) -> GridFunction:
-    """Orthogonal projection onto span{phi_0..phi_n} in L^2_w, by quadrature.
-
-    Works in coefficient space: two FFTs plus two triangular products.
-    """
+    """Orthogonal projection onto span{phi_0..phi_n} in L^2_w, by quadrature."""
     w = _weight_of(system, weight)
-    return GridFunction(w.grid, _project_values(system.orthonormal_table(n), w, f.values))
+    return GridFunction(w.grid, _project_values(_projector(system, n), w, f.values))
 
 
-def _project_values(table: np.ndarray, w: Weight, values: np.ndarray) -> np.ndarray:
-    # grid values of the projection onto the rows of an orthonormal table
-    grid = w.grid
-    h = grid.analyze(values * w.values)[: len(table)]
-    inner = np.conj(table) @ h              # <f, phi_k>_w
-    coeffs = table.T @ inner                # coefficients of the projection
-    return poly_values(grid, coeffs)
+def _projector(system: OPUCSystem, n: int) -> np.ndarray:
+    """C = table^T conj(table), table = orthonormal_table(n): C times the column of
+    moments <f, z^m>_w, m = 0..n, is the column of the projection's coefficients."""
+    t = system.orthonormal_table(n).T  # Fortran order: scipy's BLAS takes it uncopied
+    return blas.zgemm(1.0, t, t, trans_b=2)
+
+
+def _project_values(proj: np.ndarray, w: Weight, values: np.ndarray) -> np.ndarray:
+    """Grid values of the L^2_w projection of each row of a (..., N) stack: one
+    analyze, one product with the (n+1)^2 `_projector`, one synthesize."""
+    grid, k = w.grid, len(proj)
+    h = grid.analyze(values * w.values)[..., :k].reshape(-1, k)  # <f, z^m>_w
+    coeffs = np.zeros((len(h), grid.size), dtype=complex)
+    coeffs[:, :k] = blas.zgemm(1.0, h, proj, trans_b=1)
+    return grid.synthesize(coeffs).reshape(np.shape(values))
 
 
 def weighted_lp_norm(f: GridFunction | np.ndarray, w: Weight, p: float) -> float:
     """((1/2pi) int |f|^p w dtheta)^{1/p}, rescaled to avoid overflow at large p."""
-    if p < 1.0:
-        raise ValueError("p >= 1 required")
+    if not p >= 1.0:
+        raise ValueError(f"p >= 1 required, got p = {p}")
     vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
     return float(lp_norms(vals, (p,), w.values)[0])
 
@@ -339,51 +346,39 @@ def steklov_norms(system: OPUCSystem, n_grid, p_grid, weight: Weight | None = No
     return np.array([by_degree[n] for n in n_grid]).T
 
 
-def projection_norm_probe(system: OPUCSystem, n: int, p: float, trials: int = 8,
-                          seed: int = 0) -> float:
-    """Lower bound for ||P^w_{[0,n]}||_{L^p_w -> L^p_w}, w the system's weight.
+def projection_norm_probe(system: OPUCSystem, n: int, p: float) -> NormEstimate:
+    """||P^w_{[0,n]}||_{L^p_w -> L^p_w}, w the system's weight, by `operator_norm`.
 
-    Random band-limited starts refined by at most 40 steps of the dual-norm
-    power iteration (the projection is self-adjoint in the weighted pairing,
-    so the adjoint step reuses the same application).
+    The probe is T = u P^w u^-1, u = w^{1/p}, on unweighted L^p, so that
+    ||T||_p is the weighted norm; its adjoint is v P^w v^-1, v = w^{1/q}.
+    T has rank n + 1 and its right singular vectors are v times polynomials
+    of degree <= n, so the exact p = 2 pair that starts the power method is
+    the top eigenpair of an (n+1)^2 generalized Hermitian problem.
     """
     if not 1.0 < p < np.inf:
-        raise ValueError("p must lie in (1, inf)")
+        raise ValueError(f"p must lie in (1, inf), got p = {p}")
     w = _weight_of(system, None)
     grid = w.grid
-    rng = np.random.default_rng(seed)
-    q = p / (p - 1.0)
-    table = system.orthonormal_table(n)
+    u, v = w.values ** (1.0 / p), w.values ** (1.0 - 1.0 / p)
+    proj = _projector(system, n)
 
-    def apply_p(x):
-        return _project_values(table, w, x)
-
-    def ratio(x):
-        # ||Px||/||x|| and Px, which the next power step reuses
-        px = apply_p(x)
-        nx = weighted_lp_norm(x, w, p)
-        return (weighted_lp_norm(px, w, p) / nx if nx > 0 else 0.0), px
-
-    best = 0.0
-    for _ in range(max(trials, 1)):
-        # random coefficients on frequencies -n..2n (negative indices wrap
-        # into the negative-frequency FFT slots)
-        lo, hi = -n, min(2 * n, grid.size // 2 - 1)
+    def p2_pair():
+        # ||v g||_2^2 = a^H K a and ||T v g||_2^2 = a^H M^H G M a for g = sum_m a_m z^m, with
+        # K, G the conjugated Toeplitz Grams of v^2, u^2 (the transposes of the Hermitian
+        # grams: Fortran-order views, taken uncopied) and M = proj K.  Products and eigh
+        # in scipy; not a subset solver: at p = 2 the top eigenvalue is (n+1)-fold, and
+        # zhegvx then returns no vector
+        gram = [trig_moments(GridFunction(grid, x * x), n).toeplitz_gram(n).T for x in (v, u)]
+        m = blas.zgemm(1.0, proj, gram[0])
+        m = blas.zgemm(1.0, m, blas.zgemm(1.0, gram.pop(), m), trans_a=2)
+        vals, vecs = eigh(m, gram.pop(), lower=False, overwrite_a=True, overwrite_b=True,
+                          driver="gvd")
         coeffs = np.zeros(grid.size, dtype=complex)
-        idx = np.arange(lo, hi + 1)
-        coeffs[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
-        r, px = ratio(grid.synthesize(coeffs))
-        best = max(best, r)
+        coeffs[: n + 1] = vecs[:, -1]
+        return max(vals[-1], 0.0), v * grid.synthesize(coeffs)  # node values: no band
 
-        for _ in range(40):
-            z = apply_p(duality_map(px, p))  # self-adjoint in <.,.>_w
-            x_new = duality_map(z, q)
-            nx = weighted_lp_norm(x_new, w, p)
-            if nx == 0.0:
-                break
-            r, px = ratio(x_new / nx)
-            if r <= best * (1.0 + 1e-12):
-                best = max(best, r)
-                break
-            best = r
-    return best
+    probe = OperatorProbe(grid, lambda x: u * _project_values(proj, w, x / u),
+                          lambda x: v * _project_values(proj, w, x / v), None, p,
+                          f"w^(1/p) P^w_[0,{n}] w^(-1/p), p={p}, family={w.family}",
+                          p2_pair=p2_pair)
+    return operator_norm(probe)

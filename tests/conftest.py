@@ -4,6 +4,11 @@ import pytest
 import opuckit as ok
 
 
+def pytest_addoption(parser):
+    parser.addoption("--update-goldens", action="store_true",
+                     help="rewrite tests/golden/*.json from the records the acceptance tests build")
+
+
 @pytest.fixture(scope="session")
 def grid12():
     return ok.CircleGrid(12)

@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+import opuckit as ok
 from opuckit import cli, experiments, operators
 from opuckit.cli import build_parser, main
-from opuckit.experiments import (EXPERIMENT_NAMES, ExperimentSpec, SpecError, cell_seed,
+from opuckit.experiments import (EXPERIMENT_NAMES, ExperimentSpec, SpecError,
                                  load_thresholds, run)
+from opuckit.operators import NormEstimate
 
 
 def test_thresholds_load_and_cover_experiments():
@@ -88,10 +90,8 @@ def test_projection_bound_deterministic():
 def test_runner_adds_grid_log2_and_seed_to_every_row():
     diag = run(ExperimentSpec(name="opuc_diagnostics", grid_log2=11, params={"nmax": 8}, seed=5))
     assert all(r["grid_log2"] == 11 and r["seed"] == 5 for r in diag.rows)
-    # cells keep their own seeds
     proj = run(ExperimentSpec(name="projection_bound", grid_log2=10, n_grid=(16, 32), seed=5))
-    assert [r["seed"] for r in proj.rows] == [cell_seed(5, 0), cell_seed(5, 1)]
-    assert all(r["grid_log2"] == 10 for r in proj.rows)
+    assert [(r["grid_log2"], r["seed"]) for r in proj.rows] == [(10, 5), (10, 5)]
     # the dual-mass refinement rows keep their own grid
     clark = run(ExperimentSpec(name="clark_duality", grid_log2=10, seed=5))
     assert all(r["seed"] == 5 for r in clark.rows)
@@ -105,7 +105,7 @@ def test_aborted_record_rows_carry_shared_fields(tmp_path, monkeypatch):
         calls.append(1)
         if len(calls) == 2:
             raise ValueError("second cell fails")
-        return 1.0
+        return NormEstimate(1.0, "power_method_p")
 
     monkeypatch.setattr(experiments, "projection_norm_probe", fail_second)
     out = tmp_path / "partial.json"
@@ -113,7 +113,7 @@ def test_aborted_record_rows_carry_shared_fields(tmp_path, monkeypatch):
         run(ExperimentSpec(name="projection_bound", grid_log2=10, n_grid=(16, 32), seed=3,
                            out=str(out)))
     rows = json.loads(out.read_text())["rows"]
-    assert [(r["grid_log2"], r["seed"]) for r in rows] == [(10, cell_seed(3, 0))]
+    assert [(r["grid_log2"], r["seed"]) for r in rows] == [(10, 3)]
 
 
 def test_entropy_runner_small():
@@ -183,6 +183,53 @@ def test_cli_rejects_short_pcr_grid_before_work(capsys):
         assert "n_grid" in err and "--nmax >= 128" in err
 
 
+def test_cli_rejects_single_degree_projection_before_work(monkeypatch, capsys):
+    # one degree would pass max/min = 1 without comparing anything
+    def no_run(spec):
+        raise AssertionError("a single-degree projection spec must stop before any work")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    for nmax in ("48", "64"):
+        assert main(["projection", "--nmax", nmax]) == 4
+        err = capsys.readouterr().err
+        assert "n_grid" in err and "--nmax >= 91" in err
+    with pytest.raises(SpecError, match="n_grid"):
+        ExperimentSpec(name="projection_bound", n_grid=(64, 64))
+
+
+_W12 = ok.make_weight("fisher_hartwig", {"beta": 0.3}, ok.CircleGrid(12))
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: ok.weighted_riesz(_W12, 0.5), "p = 0.5"),
+    (lambda: ok.build_Q(_W12, 1.0, 8), "p = 1.0"),
+    (lambda: ok.build_Q(_W12, 3.0, 1024), "n = 1024 with N = 4096"),
+    (lambda: ok.weighted_lp_norm(_W12.values, _W12, 0.25), "p = 0.25"),
+    (lambda: ok.projection_norm_probe(ok.system_from_weight(_W12, 4), 4, float("inf")),
+     "p = inf"),
+    (lambda: ok.projection_norm_probe(ok.system_from_weight(_W12, 4), 4, float("nan")),
+     "p = nan"),
+    (lambda: ExperimentSpec(name="fh_growth", p_grid=(3.0, 0.75)), "p_grid = (3.0, 0.75)"),
+])
+def test_bad_exponent_errors_name_the_value(call, named):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert named in str(exc.value)
+
+
+def test_projection_bound_rows_carry_convergence():
+    # p = 2.1 sits next to the degenerate p = 2 and stops at the cap; p = 4 converges
+    near = run(ExperimentSpec(name="projection_bound", grid_log2=10, n_grid=(16, 32)))
+    assert [(r["converged"], r["iterations"]) for r in near.rows] == [(False, 20)] * 2
+    # no convergence flag: criterion 11 asserts a flag-free record at m = 14
+    assert near.passed and near.flags == ["thresholds were frozen at grid_log2=14; "
+                                          "this run used grid_log2=10"]
+    far = run(ExperimentSpec(name="projection_bound", grid_log2=12, n_grid=(16, 32),
+                             p_grid=(4.0,)))
+    assert all(r["converged"] and r["iterations"] < 20 for r in far.rows)
+    assert all("trials" not in r for r in far.rows)
+
+
 def test_csv_round_trip(tmp_path):
     out = tmp_path / "rows.csv"
     code = main(["entropy", "--grid-log2", "11", "--nmax", "64",
@@ -236,7 +283,7 @@ def test_cli_option_outside_the_table_exits_4(monkeypatch, capsys):
 
 def test_cli_projection_honours_p(tmp_path):
     out = tmp_path / "proj.json"
-    main(["projection", "--grid-log2", "10", "--nmax", "32", "--p", "3", "--out", str(out)])
+    main(["projection", "--grid-log2", "10", "--nmax", "91", "--p", "3", "--out", str(out)])
     payload = json.loads(out.read_text())
     assert payload["spec"]["p_grid"] == [3.0]
     assert payload["rows"] and all(r["p"] == 3.0 for r in payload["rows"])

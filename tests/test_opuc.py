@@ -7,8 +7,7 @@ from scipy.special import binom
 
 import opuckit as ok
 from opuckit import opuc
-from opuckit.experiments import cell_seed
-from opuckit.grid import duality_map
+from opuckit.operators import materialize_full
 from opuckit.opuc import RecursionBreakdownError
 
 
@@ -194,67 +193,69 @@ def test_projection_kills_antianalytic(grid12):
 def test_projection_norm_probe_lebesgue(grid14):
     w = ok.make_weight("constant", {}, grid14)
     sys = ok.system_from_weight(w, 64)
-    assert abs(ok.projection_norm_probe(sys, 32, 2.0, trials=4, seed=3) - 1.0) < 1e-10
+    assert abs(ok.projection_norm_probe(sys, 32, 2.0).value - 1.0) < 1e-10
     # bounded by the Riesz-projection L^4 norm
-    assert ok.projection_norm_probe(sys, 32, 4.0, trials=6, seed=3) <= 3.0
+    assert ok.projection_norm_probe(sys, 32, 4.0).value <= 3.0
 
 
-def projection_norm_probe_loop(system, n, p, trials=8, seed=0, power_iters=40):
-    """Oracle: the power iteration that projects each iterate twice, once
-    for its ratio and again at the top of the next step."""
-    w, grid = system.weight, system.weight.grid
-    rng = np.random.default_rng(seed)
-    q = p / (p - 1.0)
-    table = system.orthonormal_table(n)
-
-    def apply_p(x):
-        return opuc._project_values(table, w, x)
-
-    def ratio(x):
-        nx = ok.weighted_lp_norm(x, w, p)
-        return ok.weighted_lp_norm(apply_p(x), w, p) / nx if nx > 0 else 0.0
-
-    best = 0.0
-    for _ in range(max(trials, 1)):
-        lo, hi = -n, min(2 * n, grid.size // 2 - 1)
-        coeffs = np.zeros(grid.size, dtype=complex)
-        idx = np.arange(lo, hi + 1)
-        coeffs[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
-        x = grid.synthesize(coeffs)
-        best = max(best, ratio(x))
-        for _ in range(power_iters):
-            u = duality_map(apply_p(x), p)
-            x_new = duality_map(apply_p(u), q)
-            nx = ok.weighted_lp_norm(x_new, w, p)
-            if nx == 0.0:
-                break
-            x = x_new / nx
-            r = ratio(x)
-            if r <= best * (1.0 + 1e-12):
-                best = max(best, r)
-                break
-            best = r
-    return best
+def _projection_probe(monkeypatch, sys, n, p):
+    """(the OperatorProbe that projection_norm_probe builds, its NormEstimate)."""
+    probes = []
+    norm = opuc.operator_norm
+    monkeypatch.setattr(opuc, "operator_norm", lambda probe: probes.append(probe) or norm(probe))
+    est = ok.projection_norm_probe(sys, n, p)
+    return probes[0], est
 
 
-@pytest.mark.parametrize("p", [2.1, 3.0])
-def test_projection_norm_probe_matches_loop(grid14, monkeypatch, p):
-    # the default projection_bound cell: beta 0.3, n = 64, 6 trials, seed cell_seed(1, 0)
-    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid14)
+@pytest.mark.parametrize("p", [1.5, 3.0, 6.0])
+def test_projection_probe_rank_one_is_one(grid12, p):
+    # P_0^w f = the w-mean of f: a rank-one map with ||P_0^w||_{L^p_w} = 1 for normalized w
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    est = ok.projection_norm_probe(ok.system_from_weight(w, 8), 0, p)
+    assert est.converged and est.method == "power_method_p"
+    assert abs(est.value - 1.0) < 1e-12
+
+
+def test_projection_probe_at_p2_is_one(grid12):
+    # at p = 2, P^w is an orthogonal projection of L^2_w
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
     sys = ok.system_from_weight(w, 64)
-    seed = cell_seed(1, 0)
-    calls = []
-    project = opuc._project_values
-    monkeypatch.setattr(opuc, "_project_values", lambda *a: calls.append(1) or project(*a))
-    want = projection_norm_probe_loop(sys, 64, p, trials=6, seed=seed)
-    n_loop = len(calls)
-    got = ok.projection_norm_probe(sys, 64, p, trials=6, seed=seed)
-    assert got == want
-    # a trial of k power steps projects 1 + 3k times in the loop, 1 + 2k here
-    iters = (n_loop - 6) // 3
-    assert n_loop == 6 + 3 * iters and len(calls) - n_loop == 6 + 2 * iters
-    if p == 2.1:
-        assert (n_loop, len(calls) - n_loop) == (258, 174)
+    for n in (1, 16, 64):
+        est = ok.projection_norm_probe(sys, n, 2.0)
+        assert est.method == "exact_svd_p2" and abs(est.value - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("p", [2.1, 4.0])
+@pytest.mark.parametrize("n", [8, 32])
+def test_projection_probe_p2_pair_matches_full_svd(monkeypatch, p, n):
+    # the (n+1)^2 generalized eigenproblem against the SVD of the probe's N x N matrix
+    g = ok.CircleGrid(10)
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, g)
+    probe, _ = _projection_probe(monkeypatch, ok.system_from_weight(w, n), n, p)
+    top, v = probe.p2_pair()
+    sigma = np.linalg.svd(materialize_full(probe), compute_uv=False)[0]
+    assert_allclose(np.sqrt(top), sigma, rtol=1e-12)
+    # v is the top right singular vector: its Rayleigh quotient reaches sigma
+    assert_allclose(np.linalg.norm(probe.apply(v)) / np.linalg.norm(v), sigma, rtol=1e-12)
+
+
+def test_projection_probe_stacks_and_adjoint(grid12, monkeypatch):
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    probe, _ = _projection_probe(monkeypatch, ok.system_from_weight(w, 24), 24, 3.0)
+    t = grid12.nodes
+    x = np.array([np.exp(1j * t * t), np.cos(5 * t) + 1j * np.sin(t) ** 3, (1.0 + t) ** -2])
+    y = np.array([np.exp(-2j * t * t), np.sign(np.sin(3 * t)), t * np.exp(7j * t)])
+    for fn in (probe.apply, probe.adjoint):
+        stacked = fn(x)
+        assert stacked.shape == x.shape
+        # equal up to BLAS blocking, which may differ between one row and three
+        assert_allclose(stacked, [fn(row) for row in x], rtol=0,
+                        atol=1e-14 * np.max(np.abs(stacked)))
+    # <Tx, y> = <x, T*y> in the unweighted pairing
+    lhs = np.sum(probe.apply(x) * np.conj(y), axis=-1)
+    rhs = np.sum(x * np.conj(probe.adjoint(y)), axis=-1)
+    assert_allclose(lhs, rhs, rtol=1e-12)
+    assert probe.check_linearity()
 
 
 def test_weighted_lp_norms(fh02_system, grid14):
