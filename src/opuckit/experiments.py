@@ -251,8 +251,8 @@ def _steklov_norms(grid, pairs, n_grid) -> dict:
         p_by_beta.setdefault(float(beta), []).append(float(p))
     out = {}
     for beta, p_grid in p_by_beta.items():
-        sys = system_from_weight(make_weight("fisher_hartwig", {"beta": beta}, grid), max(n_grid))
-        for p, norms in zip(p_grid, steklov_norms(sys, n_grid, p_grid).tolist()):
+        w = make_weight("fisher_hartwig", {"beta": beta}, grid)
+        for p, norms in zip(p_grid, steklov_norms(w, n_grid, p_grid).tolist()):
             out[beta, p] = norms
     return out
 
@@ -512,11 +512,11 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec:
     c_cal = float(np.exp(cal_icpt))
 
     def empirical_pstar(beta: float) -> tuple:
-        sys = system_from_weight(make_weight("fisher_hartwig", {"beta": beta}, grid), max(n_grid))
+        w = make_weight("fisher_hartwig", {"beta": beta}, grid)
         p_pred = 2.0 + 1.0 / beta
         p_grid = list(spec.p_grid) or [p_pred * f for f in cfg["p_grid_factors"]]
         es = []
-        for p, norms in zip(p_grid, steklov_norms(sys, n_grid, p_grid).tolist()):
+        for p, norms in zip(p_grid, steklov_norms(w, n_grid, p_grid).tolist()):
             g = growth_exponent(n_grid, norms, float(p))
             es.append(g["e_model"])
             rec.rows.append({"family": "fisher_hartwig", "beta": beta, "p": float(p),

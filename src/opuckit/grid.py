@@ -16,7 +16,9 @@ band-limited f coincide with (1/2pi) int f e^{-ik theta} d theta.
 `CircleGrid.analyze`/`synthesize`, `fourier_multiplier`, `duality_map`, `lp_norms`
 and `poisson_extend_circles` act on (..., N) stacks along the last axis: k vectors
 go through one call as a (k, N) stack, and row r of the result is the call on row r
-alone.
+alone.  `synthesize` also takes a (..., k) prefix, 1 <= k <= N, of bins 0..k-1 with
+the rest zero: the coefficients of polynomials of degree < k, valued at the nodes
+without building the padded spectrum.
 """
 
 from dataclasses import dataclass, field
@@ -72,12 +74,25 @@ class CircleGrid:
             raise GridSizeError(f"expected {self.size} samples, got shape {values.shape}")
         return np.fft.fft(values, axis=-1) / self.size * self._phase
 
+    @cached_property
+    def _unphase(self) -> np.ndarray:
+        # e^{+i pi k / N}: undoes `_phase` on the way back to the nodes.
+        return np.exp(1j * np.pi * self.freqs / self.size)
+
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
-        """Inverse of `analyze`: samples at the grid nodes, shape (..., N)."""
+        """Inverse of `analyze`: samples at the grid nodes, shape (..., N).
+
+        `coeffs` is a (..., k) stack, 1 <= k <= N, holding bins 0..k-1 in FFT
+        order; the bins above are zero.  Only the k given bins are phased, and
+        the inverse FFT zero-pads them to N and does the scaling, so a
+        polynomial of degree k - 1 costs no full-length pass before the transform.
+        """
         coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape[-1:] != (self.size,):
-            raise GridSizeError(f"expected {self.size} coefficients, got shape {coeffs.shape}")
-        return np.fft.ifft(coeffs / self._phase, axis=-1) * self.size
+        k = coeffs.shape[-1] if coeffs.ndim else 0
+        if not 1 <= k <= self.size:
+            raise GridSizeError(f"expected 1 to {self.size} coefficients along the last axis, "
+                                f"got shape {coeffs.shape}")
+        return np.fft.ifft(coeffs * self._unphase[:k], n=self.size, axis=-1, norm="forward")
 
 
 @dataclass

@@ -11,9 +11,11 @@ Levinson-Durbin recursion on the Toeplitz moment matrix; each step costs
 one O(n) dot product, so a run to degree nmax is O(nmax^2) work.  The loop
 exists once, in `_monic_rows`, which keeps only the current Phi_n in two
 rolling buffers.  `szego_recursion` keeps the Verblunsky coefficients and
-E_n, O(nmax) memory; `OPUCSystem.monic`, the O(nmax^2) table of every row,
-is rebuilt from the coefficients on first use, and `steklov_norms` streams
-the rows instead, in O(N + nmax) memory.
+E_n, O(nmax) memory, and hands each row to an optional `on_row` callback as
+the moment-driven pass makes it; `OPUCSystem.monic`, the O(nmax^2) table of
+every row, is rebuilt from the coefficients on first use.  `steklov_norms`
+evaluates its degrees inside that callback: one recursion pass per weight, in
+O(N + nmax) memory.
 
 Because the moments come from grid samples, the polynomials are exactly
 orthonormal for the discrete node measure, and every quadrature inner
@@ -128,16 +130,22 @@ def _monic_rows(nmax: int, alphas: np.ndarray, moments: MomentSequence | None = 
         cur, nxt = nxt, cur
 
 
-def szego_recursion(moments: MomentSequence, nmax: int, weight: Weight | None = None) -> OPUCSystem:
-    """Run the moment-driven recursion up to degree nmax (needs kmax >= nmax)."""
+def szego_recursion(moments: MomentSequence, nmax: int, weight: Weight | None = None,
+                    on_row=None) -> OPUCSystem:
+    """Run the moment-driven recursion up to degree nmax (needs kmax >= nmax).
+
+    `on_row(n, b)` is called with the coefficients b of each Phi_n, n = 0..nmax,
+    as they are made; b is a view, valid only during the call.
+    """
     if nmax < 0:
         raise ValueError("nmax must be nonnegative")
     if moments.kmax < nmax:
         raise ValueError(f"need moments up to order {nmax}, have kmax = {moments.kmax}")
     alphas = np.zeros(nmax, dtype=complex)
     norms_sq = np.zeros(nmax + 1)
-    for _ in _monic_rows(nmax, alphas, moments, norms_sq):
-        pass
+    for n, b in _monic_rows(nmax, alphas, moments, norms_sq):
+        if on_row is not None:
+            on_row(n, b)
     return OPUCSystem(nmax=nmax, verblunsky=alphas, norms_sq=norms_sq, weight=weight)
 
 
@@ -209,13 +217,10 @@ def psi_integral_form(system: OPUCSystem, w: Weight, n: int, z: complex) -> comp
 # ---------------------------------------------------------------------------
 
 def poly_values(grid: CircleGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Values of sum_m coeffs[m] z^m at the grid nodes, by padded FFT."""
-    coeffs = np.asarray(coeffs, dtype=complex)
+    """Values of sum_m coeffs[m] z^m at the grid nodes, by one zero-padded inverse FFT."""
     if len(coeffs) > grid.size // 2:
         raise ValueError("polynomial degree must stay below N/2")
-    full = np.zeros(grid.size, dtype=complex)
-    full[: len(coeffs)] = coeffs
-    return grid.synthesize(full)
+    return grid.synthesize(coeffs)
 
 
 def poly_eval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -308,9 +313,7 @@ def _project_values(proj: np.ndarray, w: Weight, values: np.ndarray) -> np.ndarr
     analyze, one product with the (n+1)^2 `_projector`, one synthesize."""
     grid, k = w.grid, len(proj)
     h = grid.analyze(values * w.values)[..., :k].reshape(-1, k)  # <f, z^m>_w
-    coeffs = np.zeros((len(h), grid.size), dtype=complex)
-    coeffs[:, :k] = blas.zgemm(1.0, h, proj, trans_b=1)
-    return grid.synthesize(coeffs).reshape(np.shape(values))
+    return grid.synthesize(blas.zgemm(1.0, h, proj, trans_b=1)).reshape(np.shape(values))
 
 
 def weighted_lp_norm(f: GridFunction | np.ndarray, w: Weight, p: float) -> float:
@@ -321,28 +324,35 @@ def weighted_lp_norm(f: GridFunction | np.ndarray, w: Weight, p: float) -> float
     return float(lp_norms(vals, (p,), w.values)[0])
 
 
-def steklov_norms(system: OPUCSystem, n_grid, p_grid, weight: Weight | None = None) -> np.ndarray:
-    """(len(p_grid), len(n_grid)) table of ||Phi_n||_{L^p_w} for the monic Phi_n of a system.
+def steklov_norms(w: Weight, n_grid, p_grid) -> np.ndarray:
+    """(len(p_grid), len(n_grid)) table of ||Phi_n||_{L^p_w} for the monic Phi_n of a weight.
 
-    Streams the recursion from the system's Verblunsky coefficients up to
-    max(n_grid) in O(N + nmax) memory: `system.monic` is not built, and
-    each requested degree costs one synthesize whatever the number of p.
+    One moment-driven recursion to max(n_grid) evaluates each requested
+    degree as its row is made, in O(N + nmax) memory: no table of rows is
+    built, and each degree costs one synthesize whatever the number of p.
     Every entry equals
-    weighted_lp_norm(poly_values(w.grid, system.monic_coeffs(n)), w, p) bitwise.
+    weighted_lp_norm(poly_values(w.grid, system_from_weight(w, nmax).monic_coeffs(n)), w, p)
+    bitwise.
     """
-    w = _weight_of(system, weight)
+    if not isinstance(w, Weight):
+        hint = "; pass system.weight" if isinstance(w, OPUCSystem) else ""
+        raise TypeError(f"steklov_norms: w must be a Weight, got {type(w).__name__}{hint}")
     n_grid = [int(n) for n in n_grid]
-    top = min(system.nmax, w.grid.size // 2 - 1)
+    top = w.grid.size // 2 - 1
     if not n_grid or min(n_grid) < 0 or max(n_grid) > top:
         raise ValueError(f"n_grid must be a non-empty list of degrees in [0, {top}] "
-                         f"(nmax = {system.nmax}, N/2 = {w.grid.size // 2}), got {n_grid}")
+                         f"(N/2 = {w.grid.size // 2}), got {n_grid}")
     p_grid = [float(p) for p in p_grid]
     if not p_grid or min(p_grid) < 1.0:
         raise ValueError(f"p_grid must be a non-empty list of exponents p >= 1, got {p_grid}")
     wanted, by_degree = set(n_grid), {}
-    for n, b in _monic_rows(max(n_grid), system.verblunsky):
+
+    def on_row(n, b):
         if n in wanted:
             by_degree[n] = lp_norms(poly_values(w.grid, b), p_grid, w.values)
+
+    nmax = max(n_grid)
+    szego_recursion(w.moments(nmax), nmax, on_row=on_row)
     return np.array([by_degree[n] for n in n_grid]).T
 
 
@@ -373,9 +383,7 @@ def projection_norm_probe(system: OPUCSystem, n: int, p: float) -> NormEstimate:
         m = blas.zgemm(1.0, m, blas.zgemm(1.0, gram.pop(), m), trans_a=2)
         vals, vecs = eigh(m, gram.pop(), lower=False, overwrite_a=True, overwrite_b=True,
                           driver="gvd")
-        coeffs = np.zeros(grid.size, dtype=complex)
-        coeffs[: n + 1] = vecs[:, -1]
-        return max(vals[-1], 0.0), v * grid.synthesize(coeffs)  # node values: no band
+        return max(vals[-1], 0.0), v * grid.synthesize(vecs[:, -1])  # node values: no band
 
     probe = OperatorProbe(grid, lambda x: u * _project_values(proj, w, x / u),
                           lambda x: v * _project_values(proj, w, x / v), None, p,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -264,6 +266,25 @@ def test_stacked_analyze_synthesize_match_rows():
             g.analyze(bad)
         with pytest.raises(GridSizeError):
             g.synthesize(bad)
+
+
+@pytest.mark.parametrize("k", [1, 128, 256])
+def test_synthesize_prefix_equals_padded_call(k):
+    g = ok.CircleGrid(8)
+    rng = np.random.default_rng(k)
+    prefix = rng.standard_normal((4, k)) + 1j * rng.standard_normal((4, k))
+    padded = np.zeros((4, g.size), dtype=complex)
+    padded[:, :k] = prefix
+    assert np.array_equal(g.synthesize(prefix), g.synthesize(padded))
+    assert np.array_equal(g.synthesize(prefix[0]), g.synthesize(padded[0]))
+    assert g.synthesize(prefix).shape == (4, g.size)
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (257,), (2, 257), ()])
+def test_synthesize_rejects_bad_prefix_naming_shape(shape):
+    g = ok.CircleGrid(8)
+    with pytest.raises(GridSizeError, match=f"1 to 256 .*got shape {re.escape(str(shape))}"):
+        g.synthesize(np.ones(shape))
 
 
 def test_fourier_multiplier_stack_and_phase_free_form():

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -326,9 +324,8 @@ def test_streamed_rows_equal_table_rows(grid12, family, params):
 def test_steklov_norms_equal_weighted_lp_norm(grid12, family, params):
     w = ok.make_weight(family, params, grid12)
     n_grid, p_grid = [181, 64, 0, 256, 64], [1.0, 2.0, 3.5, 6.0, 8]
+    got = ok.steklov_norms(w, n_grid, p_grid)
     sys = ok.system_from_weight(w, max(n_grid))
-    got = ok.steklov_norms(sys, n_grid, p_grid)
-    assert "monic" not in vars(sys)  # streamed: the table was never built
     assert got.shape == (len(p_grid), len(n_grid))
     for i, p in enumerate(p_grid):
         for j, n in enumerate(n_grid):
@@ -336,18 +333,48 @@ def test_steklov_norms_equal_weighted_lp_norm(grid12, family, params):
             assert got[i, j] == expected
 
 
-def test_steklov_norms_follow_the_verblunsky_coefficients(grid12):
-    # a system rebuilt from perturbed coefficients moves the norms, and they
-    # stay those of its own table
+def test_steklov_norms_run_one_recursion_pass(grid12, monkeypatch):
     w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
-    sys = ok.system_from_weight(w, 128)
-    moved = replace(sys, verblunsky=1.01 * sys.verblunsky)
-    got, clean = ok.steklov_norms(moved, [64, 128], [4.0]), ok.steklov_norms(sys, [64, 128], [4.0])
+    entered, rows = [], opuc._monic_rows
+
+    def counting(*args, **kwargs):
+        entered.append(args[0])
+        return rows(*args, **kwargs)
+
+    monkeypatch.setattr(opuc, "_monic_rows", counting)
+    ok.steklov_norms(w, [16, 128, 64], [3.0, 6.0])
+    assert entered == [128]
+
+
+@pytest.mark.parametrize("family,params", STREAM_CASES)
+def test_on_row_sees_the_table_rows(grid12, family, params):
+    w = ok.make_weight(family, params, grid12)
+    nmax, seen = 128, {}
+    sys = ok.szego_recursion(w.moments(nmax), nmax, w, lambda n, b: seen.setdefault(n, b.copy()))
+    assert sorted(seen) == list(range(nmax + 1))
+    for n, b in seen.items():
+        assert np.array_equal(b, sys.monic[n, : n + 1])
+
+
+def test_steklov_norms_follow_the_weight(grid12):
+    # a perturbed weight moves every norm, and they stay those of its own system
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    moved = ok.make_weight("user", {"values": w.values * (1.0 + 0.01 * np.cos(grid12.nodes))}, grid12)
+    n_grid, p_grid = [8, 64, 128], [2.0, 4.0]
+    got, clean = ok.steklov_norms(moved, n_grid, p_grid), ok.steklov_norms(w, n_grid, p_grid)
     assert np.all(got != clean)
-    for j, n in enumerate((64, 128)):
-        assert got[0, j] == ok.weighted_lp_norm(ok.poly_values(grid12, moved.monic_coeffs(n)), w, 4.0)
-    with pytest.raises(ValueError, match="no weight"):
-        ok.steklov_norms(ok.second_kind(sys), [8], [4.0])
+    sys = ok.system_from_weight(moved, max(n_grid))
+    for i, p in enumerate(p_grid):
+        for j, n in enumerate(n_grid):
+            assert got[i, j] == ok.weighted_lp_norm(ok.poly_values(grid12, sys.monic_coeffs(n)), moved, p)
+
+
+def test_steklov_norms_name_a_non_weight(grid12):
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    with pytest.raises(TypeError, match=r"w must be a Weight, got OPUCSystem; pass system\.weight"):
+        ok.steklov_norms(ok.system_from_weight(w, 16), [8], [4.0])
+    with pytest.raises(TypeError, match="w must be a Weight, got ndarray"):
+        ok.steklov_norms(w.values, [8], [4.0])
 
 
 def test_second_kind_matches_explicit_loop(grid12):
@@ -381,26 +408,25 @@ def test_breakdown_reports_index_on_both_paths(grid12):
     assert err.value.index == 1
 
 
-@pytest.mark.parametrize("n_grid", [[], [-1, 8], [16, 65]])
+@pytest.mark.parametrize("n_grid", [[], [-1, 8], [16, 2048]])
 def test_steklov_norms_rejects_bad_n_grid(grid12, n_grid):
-    sys = ok.system_from_weight(ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12), 64)
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12)
     with pytest.raises(ValueError, match="n_grid"):
-        ok.steklov_norms(sys, n_grid, [4.0])
+        ok.steklov_norms(w, n_grid, [4.0])
 
 
-def test_steklov_norms_rejects_degrees_beyond_half_grid(grid12):
-    # a weight on N = 64 nodes: degree 32 is in the system but not below N/2
-    sys = ok.system_from_weight(ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12), 64)
+def test_steklov_norms_rejects_degrees_beyond_half_grid():
+    # a weight on N = 64 nodes: degree 32 is not below N/2
     coarse = ok.make_weight("fisher_hartwig", {"beta": 0.2}, ok.CircleGrid(6))
     with pytest.raises(ValueError, match="N/2 = 32"):
-        ok.steklov_norms(sys, [8, 32], [4.0], weight=coarse)
+        ok.steklov_norms(coarse, [8, 32], [4.0])
 
 
 @pytest.mark.parametrize("p_grid", [[], [0.5, 4.0]])
 def test_steklov_norms_rejects_bad_p_grid(grid12, p_grid):
-    sys = ok.system_from_weight(ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12), 16)
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12)
     with pytest.raises(ValueError, match="p_grid"):
-        ok.steklov_norms(sys, [8], p_grid)
+        ok.steklov_norms(w, [8], p_grid)
 
 
 def test_steklov_norms_memory_stays_below_table(grid14):
@@ -411,11 +437,9 @@ def test_steklov_norms_memory_stays_below_table(grid14):
     table_bytes = (nmax + 1) ** 2 * 16
     tracemalloc.start()
     try:
-        sys = ok.system_from_weight(w, nmax)
-        ok.steklov_norms(sys, [256, 1024, nmax], [3.0, 6.0])
+        ok.steklov_norms(w, [256, 1024, nmax], [3.0, 6.0])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     # O(N + nmax): a few grid-sized arrays, against the 67 MB table
     assert peak < table_bytes / 20
-    assert "monic" not in vars(sys)
