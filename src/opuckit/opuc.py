@@ -298,22 +298,18 @@ def poly_eval_table(table: np.ndarray, z: complex) -> np.ndarray:
 def project(system: OPUCSystem, f: GridFunction, n: int, weight: Weight | None = None) -> GridFunction:
     """Orthogonal projection onto span{phi_0..phi_n} in L^2_w, by quadrature."""
     w = _weight_of(system, weight)
-    return GridFunction(w.grid, _project_values(_projector(system, n), w, f.values))
+    return GridFunction(w.grid, _project_values(system.orthonormal_table(n), w, f.values))
 
 
-def _projector(system: OPUCSystem, n: int) -> np.ndarray:
-    """C = table^T conj(table), table = orthonormal_table(n): C times the column of
-    moments <f, z^m>_w, m = 0..n, is the column of the projection's coefficients."""
-    t = system.orthonormal_table(n).T  # Fortran order: scipy's BLAS takes it uncopied
-    return blas.zgemm(1.0, t, t, trans_b=2)
-
-
-def _project_values(proj: np.ndarray, w: Weight, values: np.ndarray) -> np.ndarray:
-    """Grid values of the L^2_w projection of each row of a (..., N) stack: one
-    analyze, one product with the (n+1)^2 `_projector`, one synthesize."""
-    grid, k = w.grid, len(proj)
+def _project_values(table: np.ndarray, w: Weight, values: np.ndarray) -> np.ndarray:
+    """Grid values of the L^2_w projection of each row of a (..., N) stack onto the
+    rows of `table` = orthonormal_table(n): one analyze, the inner products
+    <f, phi_k>_w = conj(table) <f, z^m>_w, the coefficients table^T <f, phi_k>_w,
+    one synthesize.  O(n^2) per row."""
+    grid, k, t = w.grid, len(table), table.T  # Fortran order: scipy's BLAS takes t uncopied
     h = grid.analyze(values * w.values)[..., :k].reshape(-1, k)  # <f, z^m>_w
-    return grid.synthesize(blas.zgemm(1.0, h, proj, trans_b=1)).reshape(np.shape(values))
+    coeffs = blas.zgemm(1.0, t, blas.zgemm(1.0, t, h.T, trans_a=2))  # one column per row of h
+    return grid.synthesize(coeffs.T).reshape(np.shape(values))
 
 
 def weighted_lp_norm(f: GridFunction | np.ndarray, w: Weight, p: float) -> float:
@@ -370,23 +366,25 @@ def projection_norm_probe(system: OPUCSystem, n: int, p: float) -> NormEstimate:
     w = _weight_of(system, None)
     grid = w.grid
     u, v = w.values ** (1.0 / p), w.values ** (1.0 - 1.0 / p)
-    proj = _projector(system, n)
+    table = system.orthonormal_table(n)
+    t = table.T  # Fortran order: scipy's BLAS takes it uncopied
 
     def p2_pair():
         # ||v g||_2^2 = a^H K a and ||T v g||_2^2 = a^H M^H G M a for g = sum_m a_m z^m, with
         # K, G the conjugated Toeplitz Grams of v^2, u^2 (the transposes of the Hermitian
-        # grams: Fortran-order views, taken uncopied) and M = proj K.  Products and eigh
-        # in scipy; not a subset solver: at p = 2 the top eigenvalue is (n+1)-fold, and
-        # zhegvx then returns no vector
+        # grams: Fortran-order views, taken uncopied) and M = table^T (conj(table) K), which
+        # maps a to the projection's coefficients.  Products and eigh in scipy; not a
+        # subset solver: at p = 2 the top eigenvalue is (n+1)-fold, and zhegvx then
+        # returns no vector
         gram = [trig_moments(GridFunction(grid, x * x), n).toeplitz_gram(n).T for x in (v, u)]
-        m = blas.zgemm(1.0, proj, gram[0])
+        m = blas.zgemm(1.0, t, blas.zgemm(1.0, t, gram[0], trans_a=2))
         m = blas.zgemm(1.0, m, blas.zgemm(1.0, gram.pop(), m), trans_a=2)
         vals, vecs = eigh(m, gram.pop(), lower=False, overwrite_a=True, overwrite_b=True,
                           driver="gvd")
         return max(vals[-1], 0.0), v * grid.synthesize(vecs[:, -1])  # node values: no band
 
-    probe = OperatorProbe(grid, lambda x: u * _project_values(proj, w, x / u),
-                          lambda x: v * _project_values(proj, w, x / v), None, p,
+    probe = OperatorProbe(grid, lambda x: u * _project_values(table, w, x / u),
+                          lambda x: v * _project_values(table, w, x / v), None, p,
                           f"w^(1/p) P^w_[0,{n}] w^(-1/p), p={p}, family={w.family}",
                           p2_pair=p2_pair)
     return operator_norm(probe)

@@ -262,6 +262,16 @@ def test_criterion_12_pcr_upper_trend(golden):
     golden(rec)
 
 
+def test_opuc_diagnostics_record(golden):
+    rec = run(ExperimentSpec(name="opuc_diagnostics", grid_log2=GRID.log2_size))
+    c = rec.checks
+    report("opuc_diagnostics (default spec)", rec.passed and not rec.flags,
+           f"Gram deviation {c['gram_identity']['value']:.1e}, "
+           f"Gram-Schmidt oracle {c['gram_schmidt_oracle']['value']:.1e}, "
+           f"1/kappa in {c['normalization_sandwich']['value']}")
+    golden(rec)
+
+
 def test_golden_comparison_catches_one_perturbed_float():
     # negative control: the comparison of the golden records must fail on one moved float
     want = json.loads((GOLDEN / "projection_bound.json").read_text())

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -330,3 +334,15 @@ def test_continuity_rows_do_not_depend_on_the_seed():
     assert [r["seed"] for r in rows[1]] == [7] * len(rows[1])
     strip = [[{k: v for k, v in r.items() if k != "seed"} for r in rs] for rs in rows]
     assert strip[0] == strip[1]
+
+
+def test_import_loads_no_scipy_integrate():
+    # every opuckit process pays for its imports: scipy.integrate alone took about
+    # 0.2 s and 23 MB, and nothing in the package needs it
+    src = str(Path(ok.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import sys, opuckit; "
+            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'integrate']])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

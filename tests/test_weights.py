@@ -1,12 +1,16 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 import opuckit as ok
 from opuckit.grid import poisson_extend_circles
+from opuckit.weights import _gauss_jacobi01
 
 
 def test_make_weight_constant(grid12):
@@ -184,6 +188,52 @@ def test_fh_a2_exact_values():
 def test_fh_subarc_product_matches_exact(beta):
     q = ok.fh_subarc_product(beta, 0.1)
     assert abs(q / ok.fh_a2_exact(beta) - 1.0) < 0.02
+
+
+def _subarc_product_quad_alg(beta, a):
+    """The same product by QUADPACK's algebraic-weight rule (QAWS), an independent oracle."""
+    g = lambda x: np.sinc(a * x / (2.0 * np.pi)) ** (2.0 * beta)  # (2 sin(t/2)/t)^{2 beta}, t = a x
+    avg_w = quad(g, 0.0, 1.0, weight="alg", wvar=(2.0 * beta, 0.0))[0]
+    avg_inv = quad(lambda x: 1.0 / g(x), 0.0, 1.0, weight="alg", wvar=(-2.0 * beta, 0.0))[0]
+    return avg_w * avg_inv
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, np.pi])
+@pytest.mark.parametrize("beta", [0.01, 0.1, 0.25, 0.3, 0.4, 0.45, 0.49])
+def test_fh_subarc_product_matches_quad_alg(beta, a):
+    q = ok.fh_subarc_product(beta, a)
+    assert abs(q / _subarc_product_quad_alg(beta, a) - 1.0) < 1e-13
+
+
+@pytest.mark.parametrize("c", [-0.98, -0.8, -0.2, -0.02, 0.02, 0.2, 0.8, 0.98])
+def test_gauss_jacobi_rule_matches_scipy(c):
+    nodes, weights = _gauss_jacobi01(c)
+    x, wx = roots_jacobi(len(nodes), 0.0, c)  # weight (1 + x)^c on [-1, 1]
+    assert_allclose(nodes, (1.0 + x) / 2.0, rtol=0, atol=1e-15)
+    # scipy's weights are the less accurate pair near c = -1: at c = -0.98 they
+    # integrate x^k, k < 64, only to 1.6e-11 relative, the Golub-Welsch ones to 1.1e-14
+    assert_allclose(weights, wx / 2.0 ** (c + 1.0), rtol=2e-11, atol=0)
+
+
+@pytest.mark.parametrize("c", [-0.98, -0.5, 0.3, 0.98])
+def test_gauss_jacobi_rule_exact_on_monomials(c):
+    nodes, weights = _gauss_jacobi01(c)
+    k = np.arange(2 * len(nodes))
+    got = (nodes ** k[:, None]) @ weights
+    assert_allclose(got, 1.0 / (c + k + 1.0), rtol=2e-14)
+
+
+@pytest.mark.parametrize("beta, a, message", [
+    (0.5, 0.1, "need 0 < beta < 1/2, got beta = 0.5"),
+    (0.0, 0.1, "need 0 < beta < 1/2, got beta = 0.0"),
+    (float("nan"), 0.1, "need 0 < beta < 1/2, got beta = nan"),
+    (0.3, 4.0, "need 0 < a <= pi, got a = 4.0"),
+    (0.3, 0.0, "need 0 < a <= pi, got a = 0.0"),
+    (0.3, float("nan"), "need 0 < a <= pi, got a = nan"),
+])
+def test_fh_subarc_product_names_bad_input(beta, a, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ok.fh_subarc_product(beta, a)
 
 
 def test_poisson_characteristics_constant(grid12):
