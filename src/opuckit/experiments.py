@@ -75,6 +75,10 @@ class ExperimentSpec:
         if self.name == "fh_growth" and (self.params.get("beta") is None) != (not self.p_grid):
             raise SpecError("fh_growth reads --beta and --p only together (params['beta'] "
                             "and p_grid): give both, or neither for the default pairs")
+        if self.name == "clark_duality" and self.grid_log2 < 10:
+            raise SpecError(f"clark_duality refines its dual mass on the grids 2^(m-4), 2^(m-2) "
+                            f"and 2^m, and the smallest grid is 2^6: it needs grid_log2 >= 10, "
+                            f"got {self.grid_log2}")
         if self.name == "projection_bound" and len(self.p_grid) > 1:
             raise SpecError(f"projection_bound probes one exponent: --p takes a single "
                             f"value, got {tuple(self.p_grid)}")
@@ -88,15 +92,54 @@ class ExperimentSpec:
 
 @dataclass
 class ExperimentRecord:
+    """What a run produces: rows, fits, checks and flags, filled in place by
+    the experiment's runner.
+
+    A stored fit is flagged when its R^2 is below the frozen gate `gate`; a
+    fit given a tolerance also gets its verdict, exponent within
+    predicted_exponent +/- tol, as its `pass` and as a check.  Each row gets
+    the spec's grid_log2 and seed unless its cell set its own.  The rows
+    survive an aborted run, for the partial record.
+    """
+
     name: str
     spec: dict
-    rows: list
-    fits: dict
-    checks: dict       # check name -> {"pass": bool, "value": ..., "threshold": ...}
-    flags: list
-    wall_time: float
     seed: int
+    gate: float
+    rows: list = field(default_factory=list)
+    fits: dict = field(default_factory=dict)
+    checks: dict = field(default_factory=dict)  # check name -> {"pass", "value", "threshold"}
+    flags: list = field(default_factory=list)
+    wall_time: float = 0.0
     version: str = __version__
+
+    def cell(self, family: str, grid: CircleGrid | None = None, normalize: bool = True,
+             **params):
+        """(weight, row) of one weight cell: the family's weight on `grid` (None
+        when no grid is given), and row(**fields), which appends
+        {family, **params, **fields}."""
+        w = None if grid is None else make_weight(family, params, grid, normalize)
+        return w, lambda **fields: self.row(family=family, **params, **fields)
+
+    def row(self, **fields):
+        fields.setdefault("grid_log2", self.spec["grid_log2"])
+        fields.setdefault("seed", self.seed)
+        self.rows.append(fields)
+
+    def check(self, name: str, value, ok: bool, threshold):
+        self.checks[name] = {"pass": bool(ok), "value": value, "threshold": threshold}
+
+    def at_most(self, name: str, value, tol):
+        self.check(name, value, value <= tol, tol)
+
+    def fit(self, label: str, fit: dict, tol=None, check: str | None = None):
+        if fit["r2"] < self.gate:
+            self.flags.append(f"{label}: fit R^2 = {fit['r2']:.4f} below acceptance gate {self.gate}")
+        if tol is not None:
+            target = fit["predicted_exponent"]
+            fit["pass"] = abs(fit["exponent"] - target) <= tol
+            self.check(check, fit["exponent"], fit["pass"], f"{target} +/- {tol}")
+        self.fits[label] = fit
 
     @property
     def passed(self) -> bool:
@@ -160,64 +203,21 @@ def _strict_json(obj):
     return obj
 
 
-class _Recorder:
-    """What a runner produces: rows, fits, checks and flags.
-
-    A stored fit is flagged when its R^2 is below the frozen gate; a fit
-    given a tolerance also gets its verdict, exponent within
-    predicted_exponent +/- tol, as its `pass` and as a check.  The rows
-    survive an aborted run, for the partial record.
-    """
-
-    def __init__(self, gate: float):
-        self.gate = gate
-        self.rows, self.fits, self.checks, self.flags = [], {}, {}, []
-
-    def check(self, name: str, value, ok: bool, threshold):
-        self.checks[name] = {"pass": bool(ok), "value": value, "threshold": threshold}
-
-    def at_most(self, name: str, value, tol):
-        self.check(name, value, value <= tol, tol)
-
-    def fit(self, label: str, fit: dict, tol=None, check: str | None = None):
-        if fit["r2"] < self.gate:
-            self.flags.append(f"{label}: fit R^2 = {fit['r2']:.4f} below acceptance gate {self.gate}")
-        if tol is not None:
-            target = fit["predicted_exponent"]
-            fit["pass"] = abs(fit["exponent"] - target) <= tol
-            self.check(check, fit["exponent"], fit["pass"], f"{target} +/- {tol}")
-        self.fits[label] = fit
-
-    def record(self, spec: ExperimentSpec, wall: float) -> ExperimentRecord:
-        """The record, each row given the spec's grid_log2 and seed unless its
-        cell set its own; written to spec.out when that is set."""
-        for row in self.rows:
-            row.setdefault("grid_log2", spec.grid_log2)
-            row.setdefault("seed", spec.seed)
-        record = ExperimentRecord(name=spec.name, spec=spec.echo(), rows=self.rows,
-                                  fits=self.fits, checks=self.checks, flags=self.flags,
-                                  wall_time=wall, seed=spec.seed)
-        if spec.out:
-            record.write(spec.out, spec.fmt)
-        return record
-
-
 # ---------------------------------------------------------------------------
 # individual experiments
 # ---------------------------------------------------------------------------
 
-def _run_a2_scaling(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
+def _run_a2_scaling(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: ExperimentRecord):
     cfg = thr["a2_scaling"]
     arcs = ArcFamily(grid, spec.arcs)
 
     vals = []
     for b in cfg["slope_betas"]:
-        w = make_weight("fisher_hartwig", {"beta": float(b)}, grid, normalize=False)
+        w, row = rec.cell("fisher_hartwig", grid, normalize=False, beta=float(b))
         rep = ap_characteristic(w, 2.0, arcs)
         vals.append(rep.value)
-        rec.rows.append({"family": "fisher_hartwig", "beta": float(b), "p": 2.0,
-                         "a2": rep.value, "argmax_offset": rep.argmax_arc[0],
-                         "argmax_len": rep.argmax_arc[1], "kind": "slope"})
+        row(p=2.0, a2=rep.value, argmax_offset=rep.argmax_arc[0],
+            argmax_len=rep.argmax_arc[1], kind="slope")
     slope, icpt, r2 = fit_loglog(cfg["slope_betas"], np.array(vals) - 1.0)
     rec.fit("beta_squared_law", {"exponent": slope, "intercept": icpt, "r2": r2,
                                  "predicted_exponent": cfg["slope_target"]},
@@ -225,11 +225,10 @@ def _run_a2_scaling(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Rec
 
     prods = []
     for b in cfg["band_betas"]:
-        w = make_weight("fisher_hartwig", {"beta": float(b)}, grid, normalize=False)
+        w, row = rec.cell("fisher_hartwig", grid, normalize=False, beta=float(b))
         v = ap_characteristic(w, 2.0, arcs).value
         prods.append(v * (1.0 - 2.0 * b))
-        rec.rows.append({"family": "fisher_hartwig", "beta": float(b), "p": 2.0, "a2": v,
-                         "product": v * (1.0 - 2.0 * b), "kind": "blowup_band"})
+        row(p=2.0, a2=v, product=v * (1.0 - 2.0 * b), kind="blowup_band")
     in_band = cfg["band_lo"] <= min(prods) and max(prods) <= cfg["band_hi"]
     rec.check("blowup_band", [min(prods), max(prods)], in_band, [cfg["band_lo"], cfg["band_hi"]])
 
@@ -239,25 +238,26 @@ def _run_a2_scaling(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Rec
         ex = fh_a2_exact(float(b))
         rel = abs(q / ex - 1.0)
         worst = max(worst, rel)
-        rec.rows.append({"family": "fisher_hartwig", "beta": float(b), "p": 2.0,
-                         "subarc_product": q, "exact": ex, "rel_err": rel, "kind": "subarc"})
+        _, row = rec.cell("fisher_hartwig", beta=float(b))
+        row(p=2.0, subarc_product=q, exact=ex, rel_err=rel, kind="subarc")
     rec.at_most("subarc_identity", worst, cfg["subarc_rel_tol"])
 
 
-def _steklov_norms(grid, pairs, n_grid) -> dict:
-    """(beta, p) -> [||Phi_n||_{L^p_w} for n in n_grid], one recursion pass per beta."""
+def _steklov_norms(rec, grid, pairs, n_grid) -> dict:
+    """(beta, p) -> ([||Phi_n||_{L^p_w} for n in n_grid], the beta cell's row),
+    one recursion pass per beta."""
     p_by_beta = {}
     for beta, p in pairs:
         p_by_beta.setdefault(float(beta), []).append(float(p))
     out = {}
     for beta, p_grid in p_by_beta.items():
-        w = make_weight("fisher_hartwig", {"beta": beta}, grid)
+        w, row = rec.cell("fisher_hartwig", grid, beta=beta)
         for p, norms in zip(p_grid, steklov_norms(w, n_grid, p_grid).tolist()):
-            out[beta, p] = norms
+            out[beta, p] = norms, row
     return out
 
 
-def _run_fh_growth(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
+def _run_fh_growth(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: ExperimentRecord):
     cfg = thr["fh_growth"]
     n_grid = list(spec.n_grid) or cfg["n_grid"]
     pairs = cfg["pairs"]
@@ -265,12 +265,11 @@ def _run_fh_growth(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Reco
         pairs = [(float(spec.params["beta"]), float(p)) for p in spec.p_grid]
 
     cb, cp = cfg["critical_pair"]
-    all_norms = _steklov_norms(grid, [*pairs, (cb, cp)], n_grid)
+    all_norms = _steklov_norms(rec, grid, [*pairs, (cb, cp)], n_grid)
     for beta, p in pairs:
-        norms = all_norms[float(beta), float(p)]
+        norms, row = all_norms[float(beta), float(p)]
         for n, nv in zip(n_grid, norms):
-            rec.rows.append({"family": "fisher_hartwig", "beta": float(beta), "p": float(p),
-                             "n": int(n), "norm": nv})
+            row(p=float(p), n=int(n), norm=nv)
         g = growth_exponent(n_grid, norms, float(p))
         key = f"beta={beta},p={p}"
         if len(set(n_grid)) < 3:
@@ -281,65 +280,61 @@ def _run_fh_growth(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Reco
                       "predicted_exponent": max(0.0, float(p) * beta - 2.0 * beta - 1.0)},
                 cfg["exponent_tol"], f"exponent[{key}]")
 
-    norms = all_norms[float(cb), float(cp)]
+    norms, row = all_norms[float(cb), float(cp)]
     y = np.array(norms) ** float(cp)
     ssr_log = regression_ssr(n_grid, y, "log")
     log_wins = True
     for eps in cfg["critical_eps"]:
         ssr_pow = regression_ssr(n_grid, y, "power", float(eps))
         log_wins = log_wins and (ssr_log < ssr_pow)
-        rec.rows.append({"family": "fisher_hartwig", "beta": float(cb), "p": float(cp),
-                         "n": -1, "norm": float("nan"), "ssr_log": ssr_log,
-                         "ssr_power_eps": ssr_pow, "eps": float(eps)})
+        row(p=float(cp), n=-1, norm=float("nan"), ssr_log=ssr_log, ssr_power_eps=ssr_pow,
+            eps=float(eps))
     label = classify_growth(n_grid, norms, float(cp))
     rec.check("critical_log_class", label, log_wins and label == "log",
               "log beats n^eps regressions")
 
 
-def _run_entropy_limit(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
+def _run_entropy_limit(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: ExperimentRecord):
     cfg = thr["entropy_limit"]
     n_grid = list(spec.n_grid) or cfg["n_grid"]
     n_final = max(n_grid)
 
-    w1 = make_weight("constant", {}, grid)
+    w1, _ = rec.cell("constant", grid)
     s1 = system_from_weight(w1, n_final)
     rec.at_most("constant_zero", max(abs(entropy(s1, w1, n)) for n in n_grid),
                 cfg["constant_tol"])
 
     betas = cfg["betas"] if spec.params.get("beta") is None else [float(spec.params["beta"])]
     for beta in betas:
-        w = make_weight("fisher_hartwig", {"beta": float(beta)}, grid)
+        w, row = rec.cell("fisher_hartwig", grid, beta=float(beta))
         sys = system_from_weight(w, n_final)
         target = entropy_limit_target(w)
         gaps = []
         for n in n_grid:
             e = entropy(sys, w, n)
             gaps.append(abs(e - target))
-            rec.rows.append({"family": "fisher_hartwig", "beta": float(beta), "n": int(n),
-                             "entropy": e, "target": target, "gap": gaps[-1]})
+            row(n=int(n), entropy=e, target=target, gap=gaps[-1])
         rec.at_most(f"fh_gap[beta={beta}]", gaps[-1], cfg["fh_tol"])
 
-    wb = make_weight("bernstein_szego", {"a": cfg["bs_a"]}, grid)
+    wb, row = rec.cell("bernstein_szego", grid, a=cfg["bs_a"])
     sb = system_from_weight(wb, n_final)
     tb = entropy_limit_target(wb)
     bs_gap = max(abs(entropy(sb, wb, n) - tb) for n in n_grid if n >= 2)
-    rec.rows.append({"family": "bernstein_szego", "a": cfg["bs_a"], "n": n_final,
-                     "entropy": entropy(sb, wb, n_final), "target": tb, "gap": bs_gap})
+    row(n=n_final, entropy=entropy(sb, wb, n_final), target=tb, gap=bs_gap)
     rec.at_most("bs_gap", bs_gap, cfg["bs_tol"])
 
 
-def _run_strong_szego(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
+def _run_strong_szego(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: ExperimentRecord):
     cfg = thr["strong_szego"]
     n_grid = list(spec.n_grid) or cfg["n_grid"]
     beta = float(spec.params.get("beta", cfg["beta"]))
 
-    w = make_weight("fisher_hartwig", {"beta": beta}, grid)
+    w, row = rec.cell("fisher_hartwig", grid, beta=beta)
     sys = system_from_weight(w, max(n_grid))
     sz = szego_function(w)
     errs = [strong_szego_error(sys, sz, n) for n in n_grid]
     for n, e in zip(n_grid, errs):
-        rec.rows.append({"family": "fisher_hartwig", "beta": beta, "n": int(n), "p": 2.0,
-                         "error": e})
+        row(n=int(n), p=2.0, error=e)
     decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
     rec.check("fh_decreasing", errs, decreasing, "monotone decreasing")
     rec.at_most("fh_final", errs[-1], cfg["final_tol"])
@@ -348,25 +343,24 @@ def _run_strong_szego(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _R
     try:
         errs_info = [strong_szego_error(sys, sz, n, p_info) for n in n_grid]
         for n, e in zip(n_grid, errs_info):
-            rec.rows.append({"family": "fisher_hartwig", "beta": beta, "n": int(n), "p": p_info,
-                             "error": e})
+            row(n=int(n), p=p_info, error=e)
     except ValueError as exc:
         rec.flags.append(f"informational p={p_info} skipped: {exc}")
 
-    wb = make_weight("bernstein_szego", {"a": cfg["bs_a"]}, grid)
-    sysb = system_from_weight(wb, max(2, min(8, max(n_grid))))
+    wb, row = rec.cell("bernstein_szego", grid, a=cfg["bs_a"])
+    n_bs = min(8, max(n_grid))
+    sysb = system_from_weight(wb, max(2, n_bs))
     szb = szego_function(wb)
-    bs_err = max(strong_szego_error(sysb, szb, n) for n in (1, 2, min(8, max(n_grid))))
-    rec.rows.append({"family": "bernstein_szego", "a": cfg["bs_a"], "n": 8, "p": 2.0,
-                     "error": bs_err})
+    bs_err = max(strong_szego_error(sysb, szb, n) for n in (1, 2, n_bs))
+    row(n=n_bs, p=2.0, error=bs_err)
     rec.at_most("bs_exact", bs_err, cfg["bs_tol"])
 
 
-def _run_continuity(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
+def _run_continuity(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: ExperimentRecord):
     cfg = thr["continuity"]
     deltas, band = cfg["deltas"], int(cfg["band"])
 
-    w = make_weight("constant", {}, grid)
+    w, _ = rec.cell("constant", grid)
     directions = {
         "cos": (np.cos(grid.nodes), cfg["tol_cos"]),
         "log_singular": (np.log(np.abs(1.0 - np.exp(1j * grid.nodes))), cfg["tol_log_singular"]),
@@ -378,9 +372,8 @@ def _run_continuity(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Rec
         res = continuity_experiment(w, GridFunction(grid, directions[fname][0]), p, cell_deltas,
                                     band=band)
         for (delta, dist), est in zip(res["rows"], res["estimates"]):
-            rec.rows.append({"f": fname, "p": p, "delta": delta, "distance": dist,
-                             "converged": est.converged, "iterations": est.iterations,
-                             "band": band})
+            rec.row(f=fname, p=p, delta=delta, distance=dist, converged=est.converged,
+                    iterations=est.iterations, band=band)
             if not est.converged:
                 rec.flags.append(f"power method not converged after {est.iterations} "
                                  f"iterations: f={fname}, p={p}, delta={delta}")
@@ -390,28 +383,26 @@ def _run_continuity(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Rec
                     f"slope[{fname}]")
 
 
-def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
+def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: ExperimentRecord):
     cfg = thr["clark_duality"]
     alphas = [complex(re, im) for re, im in cfg["alphas_re_im"]]
 
     # probability mass at machine precision: smooth family for every alpha,
     # Fisher-Hartwig for the non-inverting alphas
-    wb = make_weight("bernstein_szego", {"a": cfg["smooth_family_a"]}, grid)
+    wb, row = rec.cell("bernstein_szego", grid, a=cfg["smooth_family_a"])
     worst_smooth = 0.0
     for a in alphas:
         cd = clark_weight(wb, a)
         worst_smooth = max(worst_smooth, abs(cd.mass - 1.0))
-        rec.rows.append({"family": "bernstein_szego", "alpha": str(a),
-                         "mass_defect": abs(cd.mass - 1.0)})
+        row(alpha=str(a), mass_defect=abs(cd.mass - 1.0))
     rec.at_most("mass_smooth", worst_smooth, cfg["mass_tol"])
 
-    wf = make_weight("fisher_hartwig", {"beta": cfg["fh_beta"]}, grid)
+    wf, row = rec.cell("fisher_hartwig", grid, beta=cfg["fh_beta"])
     worst_fh = 0.0
     for a in alphas:
         cd = clark_weight(wf, a)
         defect = abs(cd.mass - 1.0)
-        rec.rows.append({"family": "fisher_hartwig", "beta": cfg["fh_beta"], "alpha": str(a),
-                         "mass_defect": defect})
+        row(alpha=str(a), mass_defect=defect)
         if abs(a + 1.0) > 1e-12:
             worst_fh = max(worst_fh, defect)
     rec.at_most("mass_fh_noninverting", worst_fh, cfg["mass_tol"])
@@ -420,11 +411,9 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _
     # refinement trend rather than at the smooth-family tolerance
     defects = []
     for m in (spec.grid_log2 - 4, spec.grid_log2 - 2, spec.grid_log2):
-        gm = CircleGrid(m)
-        wm = make_weight("fisher_hartwig", {"beta": cfg["fh_beta"]}, gm)
+        wm, row = rec.cell("fisher_hartwig", CircleGrid(m), beta=cfg["fh_beta"])
         defects.append(abs(clark_weight(wm, -1.0).mass - 1.0))
-        rec.rows.append({"family": "fisher_hartwig", "beta": cfg["fh_beta"], "alpha": "(-1+0j)",
-                         "mass_defect": defects[-1], "grid_log2": m})
+        row(alpha="(-1+0j)", mass_defect=defects[-1], grid_log2=m)
     ratio = cfg["fh_dual_mass_refinement_ratio"]
     trend_ok = all(defects[i + 1] < ratio * defects[i] for i in range(len(defects) - 1))
     rec.check("mass_fh_dual_refinement", defects, trend_ok, f"ratio < {ratio} per refinement")
@@ -432,13 +421,12 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _
     # A_2 stability of the dual across the beta sweep
     ratios, duals = [], []
     for b in cfg["dual_sweep_betas"]:
-        wfb = make_weight("fisher_hartwig", {"beta": float(b)}, grid)
+        wfb, row = rec.cell("fisher_hartwig", grid, beta=float(b))
         a2w = ap_characteristic(wfb, 2.0).value
         a2d = ap_characteristic(clark_weight(wfb, -1.0).w_alpha, 2.0).value
         ratios.append(a2d / a2w)
         duals.append(a2d)
-        rec.rows.append({"family": "fisher_hartwig", "beta": float(b), "a2": a2w,
-                         "a2_dual": a2d, "ratio": a2d / a2w})
+        row(a2=a2w, a2_dual=a2d, ratio=a2d / a2w)
     bounded = np.isfinite(duals).all() and max(ratios) <= cfg["dual_ratio_cap"]
     monotone = all(duals[i + 1] > duals[i] for i in range(len(duals) - 1))
     rec.check("dual_a2_bounded", max(ratios), bounded, cfg["dual_ratio_cap"])
@@ -457,7 +445,7 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _
     rec.at_most("psi_gram_dual", gdev, cfg["psi_gram_tol"])
 
     # generalized-entropy invariance on radius k_invariance_radius
-    wk = make_weight("fisher_hartwig", {"beta": cfg["k_invariance_beta"]}, grid)
+    wk, row = rec.cell("fisher_hartwig", grid, beta=cfg["k_invariance_beta"])
     n_ang = cfg["k_invariance_angles"]
     angles = grid.nodes[:: grid.size // n_ang]
     zs = cfg["k_invariance_radius"] * np.exp(1j * angles)
@@ -469,9 +457,7 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _
         d = np.abs(ka - k_base)
         worst_masked = max(worst_masked, float(d[away].max()))
         worst_all = max(worst_all, float(d.max()))
-        rec.rows.append({"family": "fisher_hartwig", "beta": cfg["k_invariance_beta"],
-                         "alpha": str(a), "k_dev_masked": float(d[away].max()),
-                         "k_dev_all": float(d.max())})
+        row(alpha=str(a), k_dev_masked=float(d[away].max()), k_dev_all=float(d.max()))
     rec.at_most("k_invariance_masked", worst_masked, cfg["k_invariance_tol"])
     rec.at_most("k_invariance_all_angles", worst_all, cfg["k_invariance_all_angle_cap"])
     kb = generalized_entropy(wb, zs)
@@ -479,25 +465,23 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _
     rec.at_most("k_invariance_smooth", float(np.max(np.abs(kbd - kb))), 1e-10)
 
 
-def _run_projection_bound(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
+def _run_projection_bound(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: ExperimentRecord):
     cfg = thr["projection_bound"]
     n_grid = list(spec.n_grid) or cfg["n_grid"]
     beta = float(spec.params.get("beta", cfg["beta"]))
     p = float((spec.p_grid or [cfg["p"]])[0])
 
-    w = make_weight("fisher_hartwig", {"beta": beta}, grid)
+    w, row = rec.cell("fisher_hartwig", grid, beta=beta)
     sys = system_from_weight(w, max(n_grid))
     probes = []
     for n in n_grid:
         est = projection_norm_probe(sys, n, p)
         probes.append(est.value)
-        rec.rows.append({"family": "fisher_hartwig", "beta": beta, "p": p, "n": int(n),
-                         "probe": est.value, "converged": est.converged,
-                         "iterations": est.iterations})
+        row(p=p, n=int(n), probe=est.value, converged=est.converged, iterations=est.iterations)
     rec.at_most("max_over_min", max(probes) / min(probes), cfg["max_over_min"])
 
 
-def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
+def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: ExperimentRecord):
     cfg = thr["pcr_upper_trend"]
     n_grid = list(spec.n_grid) or cfg["n_grid"]
 
@@ -505,22 +489,21 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec:
     cal_betas = cfg["calibration_betas"]
     cal_vals = []
     for b in cal_betas:
-        w = make_weight("fisher_hartwig", {"beta": float(b)}, grid, normalize=False)
+        w, _ = rec.cell("fisher_hartwig", grid, normalize=False, beta=float(b))
         cal_vals.append(ap_characteristic(w, 2.0).value)
     cal_slope, cal_icpt, cal_r2 = fit_loglog(cal_betas, np.array(cal_vals) - 1.0)
     rec.fit("calibration", {"exponent": cal_slope, "intercept": cal_icpt, "r2": cal_r2})
     c_cal = float(np.exp(cal_icpt))
 
     def empirical_pstar(beta: float) -> tuple:
-        w = make_weight("fisher_hartwig", {"beta": beta}, grid)
+        w, row = rec.cell("fisher_hartwig", grid, beta=beta)
         p_pred = 2.0 + 1.0 / beta
         p_grid = list(spec.p_grid) or [p_pred * f for f in cfg["p_grid_factors"]]
         es = []
         for p, norms in zip(p_grid, steklov_norms(w, n_grid, p_grid).tolist()):
             g = growth_exponent(n_grid, norms, float(p))
             es.append(g["e_model"])
-            rec.rows.append({"family": "fisher_hartwig", "beta": beta, "p": float(p),
-                             "n": max(n_grid), "norm": norms[-1], "exponent": g["e_model"]})
+            row(p=float(p), n=max(n_grid), norm=norms[-1], exponent=g["e_model"])
             if (abs(g["e_model"]) <= cfg["ambiguity_band"]
                     and abs(p - p_pred) > cfg["critical_window"] * p_pred):
                 rec.flags.append(f"ambiguous growth class at beta={beta:.4f}, p={p:.3f} "
@@ -530,13 +513,12 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec:
     pstars, ts = [], []
     for t in cfg["t_grid"]:
         beta = float(((t - 1.0) / c_cal) ** (1.0 / cal_slope))
-        w = make_weight("fisher_hartwig", {"beta": beta}, grid, normalize=False)
+        w, row = rec.cell("fisher_hartwig", grid, normalize=False, beta=beta)
         t_meas = ap_characteristic(w, 2.0).value
         pstar, p_pred = empirical_pstar(beta)
         pstars.append(pstar)
         ts.append(t_meas)
-        rec.rows.append({"family": "fisher_hartwig", "beta": beta, "t_target": float(t),
-                         "t_measured": t_meas, "p_star": pstar, "p_predicted": p_pred})
+        row(t_target=float(t), t_measured=t_meas, p_star=pstar, p_predicted=p_pred)
 
     ts = np.array(ts)
     pstars = np.array(pstars)
@@ -553,21 +535,20 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec:
                   [spot["lo"], spot["hi"]])
 
 
-def _run_opuc_diagnostics(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: _Recorder):
+def _run_opuc_diagnostics(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: ExperimentRecord):
     nmax = int(spec.params.get("nmax", 64))
     family = spec.family
-    params = {k: v for k, v in spec.params.items() if k in ("beta", "a", "value")}
+    params = {k: float(v) for k, v in spec.params.items() if k in ("beta", "a", "value")}
     if family == "fisher_hartwig" and "beta" not in params:
         params["beta"] = 0.3
     if family == "bernstein_szego" and "a" not in params:
         params["a"] = 0.5
 
-    w = make_weight(family, params, grid)
+    w, row = rec.cell(family, grid, **params)
     sys = system_from_weight(w, nmax)
     for n in range(nmax + 1):
-        rec.rows.append({"family": family, **{k: float(v) for k, v in params.items()},
-                         "n": n, "abs_alpha": float(abs(sys.verblunsky[n])) if n < nmax else float("nan"),
-                         "kappa": float(sys.kappa[n])})
+        row(n=n, abs_alpha=float(abs(sys.verblunsky[n])) if n < nmax else float("nan"),
+            kappa=float(sys.kappa[n]))
 
     gdev = float(np.max(np.abs(gram_matrix(sys, nmax) - np.eye(nmax + 1))))
     rec.at_most("gram_identity", gdev, thr["orthonormality"]["max_gram_deviation"])
@@ -607,7 +588,7 @@ def run(spec: ExperimentSpec) -> ExperimentRecord:
     are still serialized (when an output path is set) with a failure marker.
     """
     thr = load_thresholds()
-    rec = _Recorder(thr["fit_acceptance_r2"])
+    rec = ExperimentRecord(spec.name, spec.echo(), spec.seed, thr["fit_acceptance_r2"])
     t0 = time.perf_counter()
     try:
         _RUNNERS[spec.name](spec, thr, CircleGrid(spec.grid_log2), rec)
@@ -615,14 +596,18 @@ def run(spec: ExperimentSpec) -> ExperimentRecord:
         rec.fits, rec.checks = {}, {}
         rec.flags = [f"aborted after {len(rec.rows)} rows: {exc!r}"]
         rec.check("completed", repr(exc), False, "experiment ran to completion")
-        rec.record(spec, time.perf_counter() - t0)
+        rec.wall_time = time.perf_counter() - t0
+        if spec.out:
+            rec.write(spec.out, spec.fmt)
         raise
-    wall = time.perf_counter() - t0
+    rec.wall_time = time.perf_counter() - t0
     calibrated = thr["orthonormality"]["grid_log2"]
     if spec.grid_log2 != calibrated:
         rec.flags.append(f"thresholds were frozen at grid_log2={calibrated}; "
                          f"this run used grid_log2={spec.grid_log2}")
     if spec.name == "fh_growth":
         budget = thr["fh_growth"]["max_seconds_total"]
-        rec.check("runtime", wall, wall < budget, budget)
-    return rec.record(spec, wall)
+        rec.check("runtime", rec.wall_time, rec.wall_time < budget, budget)
+    if spec.out:
+        rec.write(spec.out, spec.fmt)
+    return rec

@@ -138,21 +138,28 @@ def make_weight(family: str, params: dict | None = None, grid: CircleGrid | None
     else:
         raise ValueError(f"unknown weight family {family!r}; expected one of {FAMILIES}")
 
-    with np.errstate(over="ignore"):  # an overflowing mean is an error below, or not 1
-        mean = vals.mean()
+    mean = _sample_mean(vals, family, normalize)
     if normalize:
-        if np.isinf(mean):
-            raise ValueError(f"cannot normalize the {family!r} weight: its sample mean overflows")
         vals = vals / mean
     normalized = normalize or bool(abs(mean - 1.0) <= 1e-12)
     return Weight(GridFunction(grid, vals), normalized, family, params)
+
+
+def _sample_mean(vals: np.ndarray, family: str, rescale: bool) -> float:
+    """The mean of the samples; one that overflows is an error when the samples
+    are to be divided by it (the quotient would be 0), otherwise it is not 1."""
+    with np.errstate(over="ignore"):
+        mean = vals.mean()
+    if rescale and np.isinf(mean):
+        raise ValueError(f"cannot normalize the {family!r} weight: its sample mean overflows")
+    return mean
 
 
 def renormalized(w: Weight) -> Weight:
     """Copy of w rescaled to ||w/2pi||_1 = 1 (no-op when already flagged)."""
     if w.normalized:
         return w
-    vals = w.values / w.values.mean()
+    vals = w.values / _sample_mean(w.values, w.family, True)
     return Weight(GridFunction(w.grid, vals), True, w.family, dict(w.params))
 
 

@@ -290,3 +290,12 @@ def test_golden_comparison_catches_one_perturbed_float():
         got = copy.deepcopy(want)
         edit(got)
         assert len(golden_mismatches(got, want)) == 1
+
+
+def test_golden_rows_name_their_weight():
+    # a row says which weight made it: its family's parameter rides with the family
+    param = {"fisher_hartwig": "beta", "bernstein_szego": "a"}
+    for path in sorted(GOLDEN.glob("*.json")):
+        for i, row in enumerate(json.loads(path.read_text())["rows"]):
+            key = param.get(row.get("family"))
+            assert key is None or key in row, f"{path.name} rows[{i}] lacks {key!r}"

@@ -133,6 +133,11 @@ def test_strong_szego_runner_small():
     assert rec.checks["bs_exact"]["pass"]
 
 
+def test_strong_szego_bs_row_records_the_degree_used():
+    rec = run(ExperimentSpec(name="strong_szego", grid_log2=10, n_grid=(2, 4)))
+    assert [r["n"] for r in rec.rows if r["family"] == "bernstein_szego"] == [4]
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # 0: clean pass at the calibrated grid (cheap subcommand)
     assert main(["opuc", "--nmax", "16"]) == 0
@@ -185,6 +190,18 @@ def test_cli_rejects_short_pcr_grid_before_work(capsys):
         assert main(["pcr", "--nmax", nmax]) == 4
         err = capsys.readouterr().err
         assert "n_grid" in err and "--nmax >= 128" in err
+
+
+def test_cli_rejects_clark_grid_below_10_before_work(monkeypatch, capsys):
+    # the refinement trend would otherwise fail on the m - 4 grid, one the user never named
+    def no_run(spec):
+        raise AssertionError("a clark spec below grid_log2 10 must stop before any work")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    assert main(["clark", "--grid-log2", "9"]) == 4
+    err = capsys.readouterr().err
+    assert "clark_duality" in err and "grid_log2 >= 10, got 9" in err
+    ExperimentSpec(name="clark_duality", grid_log2=10)
 
 
 def test_cli_rejects_single_degree_projection_before_work(monkeypatch, capsys):

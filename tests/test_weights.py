@@ -42,6 +42,10 @@ def test_normalize_names_an_overflowing_mean(family, params, m):
     # the sample mean is inf; dividing by it would report "not strictly positive"
     with pytest.raises(ValueError, match=f"'{family}' weight: its sample mean overflows"):
         ok.make_weight(family, params, ok.CircleGrid(m))
+    w = ok.make_weight(family, params, ok.CircleGrid(m), normalize=False)
+    assert not w.normalized
+    with pytest.raises(ValueError, match=f"'{family}' weight: its sample mean overflows"):
+        ok.renormalized(w)
 
 
 def test_normalize_divides_by_the_sample_mean(grid12):
