@@ -60,7 +60,7 @@ class ExperimentSpec:
             raise SpecError("format must be 'csv' or 'json'")
         if self.arcs not in ("dyadic", "full"):
             raise SpecError("arcs must be 'dyadic' or 'full'")
-        n = 1 << self.grid_log2
+        n = CircleGrid(self.grid_log2).size
         if self.n_grid and max(self.n_grid) >= n // 4:
             raise SpecError(f"n-grid max must stay below N/4 = {n // 4}")
         if self.p_grid and not min(self.p_grid) > 1.0:
@@ -72,6 +72,13 @@ class ExperimentSpec:
             raise SpecError(f"projection_bound compares probes across degrees and needs two "
                             f"distinct degrees in n_grid, got {tuple(self.n_grid)} "
                             f"(from the CLI: --nmax >= 91)")
+        if self.name in ("fh_growth", "pcr_upper_trend") and self.n_grid and min(self.n_grid) < 1:
+            raise SpecError(f"{self.name} fits log n and n^e and needs degrees n >= 1 in "
+                            f"n_grid, got {tuple(self.n_grid)} (from the CLI: --nmax >= 1)")
+        if self.name == "entropy_limit" and self.n_grid and max(self.n_grid) < 2:
+            raise SpecError(f"entropy_limit takes the Bernstein-Szego gap over n >= 2 and needs "
+                            f"a degree n >= 2 in n_grid, got {tuple(self.n_grid)} "
+                            f"(from the CLI: --nmax >= 2)")
         if self.name == "fh_growth" and (self.params.get("beta") is None) != (not self.p_grid):
             raise SpecError("fh_growth reads --beta and --p only together (params['beta'] "
                             "and p_grid): give both, or neither for the default pairs")

@@ -26,6 +26,13 @@ from .weights import Weight, make_weight
 
 _BLOCK = 16  # inputs per probe call when materializing; 16 x 2^14 complex is 4 MB
 _STEPS = weakref.WeakKeyDictionary()  # grid -> materialize_band's step table
+_POWER_STEPS = 20  # power_method_lp's cap on steps
+
+
+def check_exponent(p: float, what: str):
+    """The one exponent check of every probe: p in (1, inf)."""
+    if not 1.0 < p < np.inf:
+        raise ValueError(f"{what} needs p in (1, inf), got p = {p}")
 
 
 @dataclass
@@ -44,6 +51,9 @@ class OperatorProbe:
     description: str
     terms: tuple = ()
     p2_pair: callable = None        # () -> (lambda, v), as `_top_eigenpair` returns them
+
+    def __post_init__(self):
+        check_exponent(self.p, f"probe '{self.description}'")
 
     def check_linearity(self) -> bool:
         """apply(a f + b g) = a apply(f) + b apply(g) to 1e-10 relative, on two chirps
@@ -82,16 +92,16 @@ def _term_probe(grid: CircleGrid, terms: tuple, band, p: float, description: str
 
 def weighted_riesz(w: Weight, p: float, band: int | None = None) -> OperatorProbe:
     """f -> w^{1/p} P^+ (w^{-1/p} f) on grid functions."""
-    if not p > 1.0:
-        raise ValueError(f"p > 1 required, got p = {p}")
+    check_exponent(p, "weighted_riesz")
     u = w.values ** (1.0 / p)
     return _term_probe(w.grid, ((u, (0, w.grid.size // 2 - 1), 1.0 / u),), band, p,
                        f"w^(1/p) P+ w^(-1/p), p={p}, family={w.family}")
 
 
 def probe_difference(a: OperatorProbe, b: OperatorProbe) -> OperatorProbe:
-    if a.grid.log2_size != b.grid.log2_size or not (a.terms and b.terms):
-        raise ValueError("probe_difference takes two probes built from terms on one grid")
+    if a.grid.log2_size != b.grid.log2_size or not (a.terms and b.terms) or a.p != b.p:
+        raise ValueError(f"probe_difference takes two probes built from terms on one grid "
+                         f"at one exponent, got p = {a.p} and p = {b.p}")
     return _term_probe(a.grid, a.terms + tuple((-left, bd, right) for left, bd, right in b.terms),
                        a.band if a.band is not None else b.band, a.p,
                        f"({a.description}) - ({b.description})")
@@ -103,8 +113,7 @@ def build_Q(w: Weight, p: float, n: int) -> OperatorProbe:
     with P_{n-1} the band truncation to frequencies 0..n-1.  Antisymmetric
     at p = 2; satisfies zeta_n = w^{1/p} z^n + Q zeta_n for zeta_n = w^{1/p} Phi_n.
     """
-    if not p > 1.0:
-        raise ValueError(f"p > 1 required, got p = {p}")
+    check_exponent(p, "build_Q")
     if n >= w.grid.size // 4:
         raise ValueError(f"band cap n must stay below N/4, got n = {n} with N = {w.grid.size}")
     q = p / (p - 1.0)
@@ -207,40 +216,29 @@ def materialize_full(probe: OperatorProbe) -> np.ndarray:
     return _materialize(probe, (n, lambda lo, hi: np.eye(hi - lo, n, lo, dtype=complex)))
 
 
-def power_method_lp(probe: OperatorProbe, p: float, x0: np.ndarray,
-                    max_iters: int = 20) -> tuple:
-    """Boyd's dual-norm iteration from one start (N,) or a stack of starts (T, N).
+def power_method_lp(probe: OperatorProbe, x0: np.ndarray) -> tuple:
+    """Boyd's dual-norm iteration at p = probe.p from one start x0 (N,).
 
-    Each start stops on its own test and then leaves the stack.  For every
-    start the ratio ||Tx||_p / ||x||_p is monotone non-decreasing, so the
-    result is a certified lower bound; a start stops once the ratio gains less
-    than a factor 1 + 1e-11.  Returns (best ratio over starts,
-    all starts converged, most iterations any start used).
+    The ratio ||Tx||_p / ||x||_p is monotone non-decreasing, so the result is
+    a certified lower bound.  The iteration stops as converged once the ratio
+    gains less than a factor 1 + 1e-11, or at an iterate of norm 0 (or NaN);
+    else after _POWER_STEPS steps.  Returns (best ratio, converged, iterations).
     """
+    p = probe.p
     q = p / (p - 1.0)
-    stack = np.ndim(x0) == 2  # a single start reaches the probe as a single vector
-    call = (lambda f, x: _on_stack(probe, f, x) if stack else f(x[0])[None])
-    x = np.atleast_2d(x0)
-    x = x / lp_norms(x, (p,))[0][:, None]
-    best = np.zeros(len(x))
-    iters = np.full(len(x), max_iters)
-    live = np.arange(len(x))  # start index of each row of x
-    for it in range(max_iters):
-        y = call(probe.apply, x)
+    x, best = x0 / lp_norms(x0, (p,))[0], 0.0
+    for it in range(_POWER_STEPS):
+        y = _on_stack(probe, probe.apply, x)
         r = lp_norms(y, (p,))[0]
-        stop = r <= best[live] * (1.0 + 1e-11)
-        best[live] = np.where(stop, np.maximum(best[live], r), r)
-        if not stop.all():
-            x = duality_map(call(probe.adjoint, duality_map(y[~stop], p)), q)
-            nx = lp_norms(x, (p,))[0]
-            keep = nx > 0.0  # a start whose iterate has norm 0 (or NaN) stops here
-            stop[~stop] = ~keep
-            x = x[keep] / nx[keep, None]
-        iters[live[stop]] = it
-        live = live[~stop]
-        if live.size == 0:
-            break
-    return float(best.max()), bool(np.all(iters < max_iters)), int(iters.max())
+        if r <= best * (1.0 + 1e-11):
+            return float(max(best, r)), True, it
+        best = r
+        x = duality_map(_on_stack(probe, probe.adjoint, duality_map(y, p)), q)
+        nx = lp_norms(x, (p,))[0]
+        if not nx > 0.0:
+            return float(best), True, it
+        x = x / nx
+    return float(best), False, _POWER_STEPS
 
 
 def _top_eigenpair(probe: OperatorProbe) -> tuple:
@@ -270,12 +268,11 @@ def operator_norm(probe: OperatorProbe) -> NormEstimate:
     top, v = probe.p2_pair() if probe.p2_pair else _top_eigenpair(probe)
     if probe.p == 2.0:
         return NormEstimate(float(np.sqrt(top)), "exact_svd_p2")
-    x0 = np.array([v])  # a stack of one start: band coefficients, or node values
-    if probe.band is not None:
-        coeffs = np.zeros((1, probe.grid.size), dtype=complex)
-        coeffs[:, np.arange(-probe.band, probe.band + 1)] = x0
-        x0 = probe.grid.synthesize(coeffs)
-    best, converged, iters = power_method_lp(probe, probe.p, x0)
+    if probe.band is not None:  # v holds band coefficients; the start is node values
+        coeffs = np.zeros(probe.grid.size, dtype=complex)
+        coeffs[np.arange(-probe.band, probe.band + 1)] = v
+        v = probe.grid.synthesize(coeffs)
+    best, converged, iters = power_method_lp(probe, v)
     return NormEstimate(best, "power_method_p", converged=converged, iterations=iters)
 
 

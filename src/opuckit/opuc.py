@@ -29,7 +29,7 @@ import numpy as np
 from scipy.linalg import blas, eigh
 
 from .grid import CircleGrid, GridFunction, MomentSequence, lp_norms, trig_moments
-from .operators import NormEstimate, OperatorProbe, operator_norm
+from .operators import NormEstimate, OperatorProbe, check_exponent, operator_norm
 from .weights import Weight
 
 
@@ -361,8 +361,7 @@ def projection_norm_probe(system: OPUCSystem, n: int, p: float) -> NormEstimate:
     of degree <= n, so the exact p = 2 pair that starts the power method is
     the top eigenpair of an (n+1)^2 generalized Hermitian problem.
     """
-    if not 1.0 < p < np.inf:
-        raise ValueError(f"p must lie in (1, inf), got p = {p}")
+    check_exponent(p, "projection_norm_probe")
     w = _weight_of(system, None)
     grid = w.grid
     u, v = w.values ** (1.0 / p), w.values ** (1.0 - 1.0 / p)

@@ -218,6 +218,25 @@ def test_cli_rejects_single_degree_projection_before_work(monkeypatch, capsys):
         ExperimentSpec(name="projection_bound", n_grid=(64, 64))
 
 
+def test_cli_bad_grid_log2_names_the_value(capsys):
+    assert main(["a2", "--grid-log2", "-1"]) == 4
+    assert "log2_size must be in [6, 24], got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, needs", [
+    (["steklov", "--nmax", "0"], "--nmax >= 1"),  # log n of n = 0
+    (["entropy", "--nmax", "0"], "--nmax >= 2"),  # no degree for the n >= 2 gap
+    (["entropy", "--nmax", "1"], "--nmax >= 2"),
+])
+def test_cli_rejects_degrees_the_fits_cannot_take(argv, needs, capfd):
+    assert main(argv) == 4
+    err = capfd.readouterr().err  # file-descriptor level: LAPACK writes there itself
+    assert "n_grid" in err and needs in err
+    assert "On entry to" not in err and "LAPACK" not in err
+    with pytest.raises(SpecError, match="n >= 1"):
+        ExperimentSpec(name="pcr_upper_trend", n_grid=(0, 64, 128))
+
+
 _W12 = ok.make_weight("fisher_hartwig", {"beta": 0.3}, ok.CircleGrid(12))
 
 
@@ -231,6 +250,11 @@ _W12 = ok.make_weight("fisher_hartwig", {"beta": 0.3}, ok.CircleGrid(12))
     (lambda: ok.projection_norm_probe(ok.system_from_weight(_W12, 4), 4, float("nan")),
      "p = nan"),
     (lambda: ExperimentSpec(name="fh_growth", p_grid=(3.0, 0.75)), "p_grid = (3.0, 0.75)"),
+    # a user-built probe
+    (lambda: ok.OperatorProbe(_W12.grid, lambda x: x, lambda x: x, 8, 1.0, "identity"),
+     "probe 'identity' needs p in (1, inf), got p = 1.0"),
+    (lambda: ok.OperatorProbe(_W12.grid, lambda x: x, lambda x: x, 8, 0.5, "identity"),
+     "probe 'identity' needs p in (1, inf), got p = 0.5"),
 ])
 def test_bad_exponent_errors_name_the_value(call, named):
     with pytest.raises(ValueError) as exc:
@@ -332,9 +356,7 @@ def test_fh_growth_flags_fits_on_fewer_than_three_degrees():
 
 def test_unconverged_continuity_cell_is_flagged(monkeypatch):
     # negative control: with one iteration no p != 2 cell converges
-    capped = operators.power_method_lp
-    monkeypatch.setattr(operators, "power_method_lp",
-                        lambda probe, p, x0: capped(probe, p, x0, max_iters=1))
+    monkeypatch.setattr(operators, "_POWER_STEPS", 1)
     rec = run(ExperimentSpec(name="continuity", grid_log2=10))
     unconverged = [r for r in rec.rows if not r["converged"]]
     assert {(r["p"], r["delta"]) for r in unconverged} == {(2.5, 0.1), (2.5, 0.001),

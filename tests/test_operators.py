@@ -70,7 +70,7 @@ def test_power_method_against_bruteforce_sphere():
     pm = 0.0
     for s in range(20):
         x0 = np.random.default_rng(s).standard_normal(5)
-        val, _, _ = power_method_lp(probe, 3.0, x0)
+        val, _, _ = power_method_lp(probe, x0)
         pm = max(pm, val)
     X = np.random.default_rng(7).standard_normal((1_000_000, 5))
     num = (np.abs(X @ A.T) ** 3).mean(axis=1) ** (1.0 / 3.0)
@@ -228,30 +228,10 @@ def test_blocked_materializers_match_column_loop(grid12):
 def test_materialize_rejects_probe_without_stacks(grid12):
     probe = OperatorProbe(grid12, lambda x: np.ravel(x)[: grid12.size], lambda x: x,
                           band=4, p=2.0, description="row-only probe")
-    for p in (2.0, 3.0):  # the materializer and the batched power method
+    for p in (2.0, 3.0):  # both need the p = 2 materialization
         probe.p = p
         with pytest.raises(ValueError, match="row-only probe"):
             ok.operator_norm(probe)
-
-
-def test_batched_power_method_matches_single_starts(grid12):
-    w = ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12)
-    # Q converges after 8, 10 and 11 iterations from these starts; P+ at p = 3 runs out
-    for p, probe in [(2.5, ok.build_Q(w, 2.5, 8)), (3.0, ok.weighted_riesz(w, 3.0, band=16))]:
-        rng = np.random.default_rng(8)
-        starts = rng.standard_normal((3, grid12.size)) + 1j * rng.standard_normal((3, grid12.size))
-        single = [power_method_lp(probe, p, x0, max_iters=30) for x0 in starts]
-        best, conv, iters = power_method_lp(probe, p, starts, max_iters=30)
-        assert_allclose(best, max(s[0] for s in single), rtol=1e-12)
-        assert conv == all(s[1] for s in single)
-        assert iters == max(s[2] for s in single)
-        # each start leaves the stack after the iteration where it stops alone
-        heights = []
-        counted = OperatorProbe(grid12, lambda x: heights.append(len(x)) or probe.apply(x),
-                                probe.adjoint, probe.band, p, "counted")
-        power_method_lp(counted, p, starts, max_iters=30)
-        applies = sorted((s[2] + 1 if s[1] else 30) for s in single)
-        assert heights == [sum(a > i for a in applies) for i in range(applies[-1])]
 
 
 def test_gram_eigvalsh_norm_matches_svd(grid12):
@@ -300,6 +280,10 @@ def test_probe_difference_needs_terms(grid12):
     ident = OperatorProbe(grid12, lambda x: x, lambda x: x, 8, 2.0, "identity")
     with pytest.raises(ValueError, match="terms"):
         ok.probe_difference(ident, ident)
+    # the second probe's terms are w^(+-1/2): no p = 3 operator
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    with pytest.raises(ValueError, match="p = 3.0 and p = 2.0"):
+        ok.probe_difference(ok.weighted_riesz(w, 3.0, band=8), ok.weighted_riesz(w, 2.0, band=8))
 
 
 @pytest.mark.parametrize("p", [2.5, 3.0, 4.0])
@@ -323,8 +307,8 @@ def test_exact_lp_norms(p):
     mult = OperatorProbe(g, lambda x: u * x, lambda x: u * x, None, p, "multiplication")
     assert_allclose(ok.operator_norm(mult).value, np.max(u), rtol=1e-13)
     draws = np.random.default_rng(1).standard_normal((2, 2, g.size))
-    starts = np.vstack([_top_eigenpair(mult)[1], draws[:, 0] + 1j * draws[:, 1]])
-    assert_allclose(power_method_lp(mult, p, starts)[0], np.max(u), rtol=1e-13)
+    starts = [_top_eigenpair(mult)[1], *(draws[:, 0] + 1j * draws[:, 1])]
+    assert_allclose(max(power_method_lp(mult, x0)[0] for x0 in starts), np.max(u), rtol=1e-13)
 
 
 def test_warm_start_converges_where_random_starts_do_not(grid12):
@@ -338,8 +322,8 @@ def test_warm_start_converges_where_random_starts_do_not(grid12):
     rng = np.random.default_rng(3)
     coeffs = np.zeros((3, grid12.size), dtype=complex)
     coeffs[:, np.arange(-64, 65)] = rng.standard_normal((3, 129)) + 1j * rng.standard_normal((3, 129))
-    best, converged, _ = power_method_lp(probe, 2.5, grid12.synthesize(coeffs))
-    assert not converged and best <= warm.value
+    runs = [power_method_lp(probe, x0) for x0 in grid12.synthesize(coeffs)]
+    assert not all(conv for _, conv, _ in runs) and max(best for best, _, _ in runs) <= warm.value
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -409,7 +393,7 @@ def test_lean_materializer_zero_columns(grid12):
     w = ok.make_weight("constant", {"value": 3.0}, grid12, normalize=False)
     band = 40
     ks = np.arange(-band, band + 1)
-    plus = ok.weighted_riesz(w, 2.0, band=band)  # band 0..N/2-1
+    plus = ok.weighted_riesz(w, 3.0, band=band)  # band 0..N/2-1
     q = ok.build_Q(w, 3.0, 5)                     # two terms, band 0..4
     for probe, inside in ((plus, ks >= 0), (q, (ks >= 0) & (ks <= 4)),
                           (ok.probe_difference(q, plus), ks >= 0)):
