@@ -79,6 +79,11 @@ class ExperimentSpec:
             raise SpecError(f"entropy_limit takes the Bernstein-Szego gap over n >= 2 and needs "
                             f"a degree n >= 2 in n_grid, got {tuple(self.n_grid)} "
                             f"(from the CLI: --nmax >= 2)")
+        if self.name == "strong_szego" and self.n_grid and max(self.n_grid) < 1:
+            raise SpecError(f"strong_szego checks the Bernstein-Szego closed form at degree "
+                            f"min(8, max(n_grid)), exact only from n = 1 on, and needs a degree "
+                            f"n >= 1 in n_grid, got {tuple(self.n_grid)} "
+                            f"(from the CLI: --nmax >= 1)")
         if self.name == "fh_growth" and (self.params.get("beta") is None) != (not self.p_grid):
             raise SpecError("fh_growth reads --beta and --p only together (params['beta'] "
                             "and p_grid): give both, or neither for the default pairs")

@@ -8,13 +8,18 @@ p = 2 norms are exact largest singular values of materialized matrices
 p != 2 the dual-norm power iteration, started from the top p = 2 right
 singular vector, reports a lower bound with its convergence state.  Both
 need a p = 2 matrix (a band, or N <= 2^10) or the probe's own p = 2 pair.
+The continuity difference u P+ u^{-1} - P+ over a constant base weight has
+such a pair, `_commutator_pair`: its band Gram has displacement rank 4, so a
+few length-N FFTs give it without materializing the band.
 numpy and scipy bundle separate OpenBLAS builds, and alternating calls between
 their thread pools cost about 6x on 2 cores, so the Gram product and the
 eigensolver are both scipy's.
 """
 
+import dataclasses
 import weakref
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import blas, eigh
@@ -257,6 +262,59 @@ def _top_eigenpair(probe: OperatorProbe) -> tuple:
     return max(vals[-1], 0.0), vecs[:, -1]
 
 
+def _commutator_pair(probe: OperatorProbe) -> tuple:
+    """`_top_eigenpair` of u P+ u^{-1} - P+ on the probe's band, without the band matrix.
+
+    (u, P+, 1/u) is probe.terms[0].  With R = fft(1/u), W = fft(u^2), m the mask of
+    bins 0..N/2-1 and phi_k = e^{i pi k/N}, the shift identity of `_materialize_terms`
+    gives column k = s_k phi_k/sqrt(N) u ifft(A_k), A_k = mask_k * roll(R, k): mask
+    1 - m and s = -1 for k >= 0 (x_k - u P+ u^{-1} x_k = u (1 - P+) u^{-1} x_k), mask m
+    and s = +1 for k < 0.  So G_jk = s_j s_k conj(phi_j) phi_k N^-3 A_j^H C A_k with
+    C[a, b] = W[a - b] = N F diag(u^2) F^-1 circulant.  Within a sign half,
+    A_{k+1} = Z A_k + d_k, Z the cyclic shift and d_k = s_k (R[-1-k] e_0 - R[N/2-1-k] e_{N/2}),
+    and Z^H C Z = C, so
+
+        A_{j+1}^H C A_{k+1} - A_j^H C A_k = d_j^H y_k + y_j^H d_k + d_j^H C d_k,  y_k = C Z A_k,
+
+    of rank <= 4, reading y_k at bins 0 and N/2 only.  Those, and the first row of
+    each block, are correlations sum_b h[b] R[b - k] = N ifft(fft(h) / u)[k]; the rest
+    of the upper triangle follows by one row update per input.
+    """
+    u, _, rinv = probe.terms[0]
+    n, band = u.size, probe.band
+    half = n // 2
+    u2 = u * u
+    spec, w_hat = np.fft.fft(rinv), np.fft.fft(u2)
+    low = np.arange(n) < half
+    # C A_k at the first input of each half: k = -band under m, k = 0 under 1 - m
+    firsts = np.array([np.where(low, np.roll(spec, -band), 0.0), np.where(low, 0.0, spec)])
+    c_first = n * np.fft.fft(u2 * np.fft.ifft(firsts, axis=-1), axis=-1)
+    w_rev = w_hat[::-1]  # y_k[a] = sum_c W[a - 1 - c] A_k[c]
+    h = [np.roll(w_rev, a) * mask for mask in (low, ~low) for a in (0, half)]
+    h += [np.conj(c) * mask for c in c_first for mask in (low, ~low)]
+    corr = n * np.fft.ifft(np.fft.fft(h, axis=-1) * rinv, axis=-1)
+
+    ks = np.arange(-band, band + 1)
+    s = np.where(ks < 0, 1.0, -1.0)
+    d = s[:, None] * np.stack([spec[-1 - ks], -spec[(half - 1 - ks) % n]], axis=-1)
+    y = np.where((ks < 0)[:, None], corr[[0, 1]][:, ks].T, corr[[2, 3]][:, ks].T)
+    w2 = np.array([[w_hat[0], w_hat[half]], [w_hat[half], w_hat[0]]])
+    upd = np.conj(d) @ (y + d @ w2).T + np.conj(y) @ d.T  # w2 is symmetric: W[N/2] is real
+
+    gram = np.empty((2 * band + 1, 2 * band + 1), dtype=complex)
+    for r in range(2 * band + 1):
+        if r == band:  # first row of the k >= 0 block
+            gram[r, r:] = corr[7, ks[band:]]
+        elif r == 0:  # first rows of the k < 0 and the (k < 0, k >= 0) blocks
+            gram[r] = np.concatenate([corr[4, ks[:band]], corr[5, ks[band:]]])
+        else:
+            gram[r, r:] = gram[r - 1, r - 1:-1] + upd[r - 1, r - 1:-1]
+            if r < band:  # first column of the (k < 0, k >= 0) block
+                gram[r, band] = np.conj(corr[6, ks[r]])
+    vals, vecs = eigh(gram / float(n) ** 3, lower=False, driver="evd")
+    return max(vals[-1], 0.0), s * np.exp(-1j * np.pi * ks / n) * vecs[:, -1]
+
+
 def operator_norm(probe: OperatorProbe) -> NormEstimate:
     """Induced L^p -> L^p norm of the probe, p = probe.p.
 
@@ -285,19 +343,33 @@ def continuity_experiment(w: Weight, f: GridFunction, p: float, deltas,
     """Distances d(delta) = ||T(w e^{delta f}) - T(w)||_{p,p} and the log-log slope.
 
     Exact band-restricted norms at p = 2, power-method lower bounds otherwise.
-    Rows are (delta, distance); the caller wraps them into experiment records.
-    `estimates` holds each row's NormEstimate, with its convergence state.
+    With a constant base the difference is u P+ u^{-1} - P+, and its p = 2 pair
+    (also the p != 2 start) is `_commutator_pair`; any other base materializes
+    the band.  Rows are (delta, distance); the caller wraps them into experiment
+    records.  `estimates` holds each row's NormEstimate, with its convergence state.
     """
-    deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
-    if np.any(deltas <= 0):
-        raise ValueError("deltas must be positive")
+    raw = np.asarray(deltas, dtype=float)
+    if not (raw.ndim == 1 and np.all(np.isfinite(raw)) and np.all(raw > 0)):
+        raise ValueError(f"continuity_experiment needs every delta finite and > 0, "
+                         f"got deltas = {raw.tolist()}")
+    if len(set(raw.tolist())) < 2:
+        raise ValueError(f"continuity_experiment fits a slope and needs at least two distinct "
+                         f"deltas, got deltas = {raw.tolist()}")
+    half = w.grid.size // 2
+    if not (isinstance(band, (int, np.integer)) and 0 <= band < half):
+        raise ValueError(f"continuity_experiment needs an integer band with "
+                         f"0 <= band < N/2 = {half}, got band = {band!r}")
+    deltas = np.sort(raw)[::-1]
     fv = f.real_values()
     base = weighted_riesz(w, p, band=band)
+    constant = np.all(w.values == w.values[0])
     estimates = []
     for delta in deltas:
         wd = make_weight("perturbed", {"base": w, "f": fv, "delta": delta}, w.grid,
                          normalize=False)
         diff = probe_difference(weighted_riesz(wd, p, band=band), base)
+        if constant:
+            diff = dataclasses.replace(diff, p2_pair=partial(_commutator_pair, diff))
         estimates.append(operator_norm(diff))
     rows = [(float(delta), est.value) for delta, est in zip(deltas, estimates)]
     slope, intercept, r2 = fit_loglog(deltas, [r[1] for r in rows])

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import opuckit as ok
@@ -227,6 +228,7 @@ def test_cli_bad_grid_log2_names_the_value(capsys):
     (["steklov", "--nmax", "0"], "--nmax >= 1"),  # log n of n = 0
     (["entropy", "--nmax", "0"], "--nmax >= 2"),  # no degree for the n >= 2 gap
     (["entropy", "--nmax", "1"], "--nmax >= 2"),
+    (["szego", "--nmax", "0"], "--nmax >= 1"),  # the Bernstein-Szego row needs degree >= 1
 ])
 def test_cli_rejects_degrees_the_fits_cannot_take(argv, needs, capfd):
     assert main(argv) == 4
@@ -238,6 +240,12 @@ def test_cli_rejects_degrees_the_fits_cannot_take(argv, needs, capfd):
 
 
 _W12 = ok.make_weight("fisher_hartwig", {"beta": 0.3}, ok.CircleGrid(12))
+_C12 = ok.make_weight("constant", {}, ok.CircleGrid(12))
+_COS12 = ok.GridFunction(_C12.grid, np.cos(_C12.grid.nodes))
+
+
+def _continuity12(deltas, band=16):
+    return ok.continuity_experiment(_C12, _COS12, 2.0, deltas, band=band)
 
 
 @pytest.mark.parametrize("call, named", [
@@ -255,6 +263,16 @@ _W12 = ok.make_weight("fisher_hartwig", {"beta": 0.3}, ok.CircleGrid(12))
      "probe 'identity' needs p in (1, inf), got p = 1.0"),
     (lambda: ok.OperatorProbe(_W12.grid, lambda x: x, lambda x: x, 8, 0.5, "identity"),
      "probe 'identity' needs p in (1, inf), got p = 0.5"),
+    # continuity fits a slope over distinct positive deltas on a band below Nyquist
+    (lambda: _continuity12([]), "at least two distinct deltas, got deltas = []"),
+    (lambda: _continuity12([0.1]), "at least two distinct deltas, got deltas = [0.1]"),
+    (lambda: _continuity12([0.1, 0.1]), "got deltas = [0.1, 0.1]"),
+    (lambda: _continuity12([float("nan"), 0.1]), "finite and > 0, got deltas = [nan, 0.1]"),
+    (lambda: _continuity12([float("inf"), 0.1]), "finite and > 0, got deltas = [inf, 0.1]"),
+    (lambda: _continuity12([0.0, 0.1]), "finite and > 0, got deltas = [0.0, 0.1]"),
+    (lambda: _continuity12([0.1, 0.01], band=-1), "0 <= band < N/2 = 2048, got band = -1"),
+    (lambda: _continuity12([0.1, 0.01], band=2048), "got band = 2048"),
+    (lambda: _continuity12([0.1, 0.01], band=16.0), "got band = 16.0"),
 ])
 def test_bad_exponent_errors_name_the_value(call, named):
     with pytest.raises(ValueError) as exc:

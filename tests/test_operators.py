@@ -4,9 +4,10 @@ from numpy.testing import assert_allclose
 from scipy.linalg.blas import zherk
 
 import opuckit as ok
+from opuckit import operators
 from opuckit.grid import fourier_multiplier
-from opuckit.operators import (_BLOCK, OperatorProbe, _top_eigenpair, materialize_full,
-                               power_method_lp)
+from opuckit.operators import (_BLOCK, OperatorProbe, _commutator_pair, _top_eigenpair,
+                               materialize_full, power_method_lp)
 
 
 def _inner(grid, f, g):
@@ -258,19 +259,23 @@ def test_continuity_carries_convergence_state():
     assert all(1 <= e.iterations <= 100 for e in power["estimates"])
 
 
+def _continuity_probe(grid, direction, p, delta, band, base=None):
+    """The difference T(w e^{delta f}) - T(w) of `continuity_experiment`, without a pair."""
+    w = base or ok.make_weight("constant", {}, grid)
+    f = np.cos(grid.nodes) if direction == "cos" else np.log(np.abs(1.0 - grid.points))
+    wd = ok.make_weight("perturbed", {"base": w, "f": f, "delta": delta}, grid, normalize=False)
+    return ok.probe_difference(ok.weighted_riesz(wd, p, band=band),
+                               ok.weighted_riesz(w, p, band=band))
+
+
 @pytest.mark.parametrize("direction", ["cos", "log_singular"])
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_spectral_columns_match_apply_path(grid12, direction, p):
     # the continuity probe: the constant-weight base P+ is the term that needs no FFT
-    w = ok.make_weight("constant", {}, grid12)
-    f = np.cos(grid12.nodes) if direction == "cos" else np.log(np.abs(1.0 - grid12.points))
     band = 20
     ks = np.arange(-band, band + 1)
     for delta in (1e-3, 0.1):
-        wd = ok.make_weight("perturbed", {"base": w, "f": f, "delta": delta}, grid12,
-                            normalize=False)
-        probe = ok.probe_difference(ok.weighted_riesz(wd, p, band=band),
-                                    ok.weighted_riesz(w, p, band=band))
+        probe = _continuity_probe(grid12, direction, p, delta, band)
         cols = np.column_stack([probe.apply(np.exp(1j * k * grid12.nodes)) for k in ks])
         assert_allclose(ok.materialize_band(probe, band), cols / np.sqrt(grid12.size),
                         rtol=0, atol=1e-14)
@@ -433,3 +438,59 @@ def test_norms_never_call_numpy_lapack(grid12, monkeypatch, p):
     for probe in (ok.weighted_riesz(w, p, band=16), small):  # band and materialize_full paths
         est = ok.operator_norm(probe)
         assert est.value >= 1.0 - 1e-10
+    # the continuity probe's own pair: its eigensolver is scipy's too
+    const = ok.make_weight("constant", {}, grid12)
+    f = ok.GridFunction(grid12, np.cos(grid12.nodes))
+    res = ok.continuity_experiment(const, f, p, [1e-2, 1e-1], band=16)
+    assert all(dist > 0 for _, dist in res["rows"])
+
+
+@pytest.mark.parametrize("m", [10, 12])
+@pytest.mark.parametrize("direction", ["cos", "log_singular"])
+def test_commutator_pair_matches_top_eigenpair(m, direction):
+    grid = ok.CircleGrid(m)
+    for band in (0, 1, 16, 40):
+        for p in (2.0, 3.0):
+            for delta in (1e-3, 0.1):
+                probe = _continuity_probe(grid, direction, p, delta, band)
+                top_ref, v_ref = _top_eigenpair(probe)
+                top, v = _commutator_pair(probe)
+                assert_allclose(top, top_ref, rtol=1e-11)
+                # the materialized columns lose ~4e-16/delta to cancellation, so v_ref
+                # is off by up to 4e-10 where the top gap is small (log_singular, band
+                # 40, delta 1e-3): compare the angle and v's residual in the reference Gram
+                assert abs(np.vdot(v_ref, v)) == pytest.approx(1.0, abs=1e-10)
+                mat = ok.materialize_band(probe, band)
+                resid = mat.conj().T @ (mat @ v) - top_ref * v
+                assert np.linalg.norm(resid) <= 1e-10 * top_ref
+
+
+def test_continuity_first_order_oracle():
+    # w = 1, f = cos: u [P+, u^-1] has d(delta) = delta/4 + delta^2/16 + O(delta^3) at p = 2
+    g = ok.CircleGrid(10)
+    w = ok.make_weight("constant", {}, g)
+    f = ok.GridFunction(g, np.cos(g.nodes))
+    res = ok.continuity_experiment(w, f, 2.0, [1e-6, 1e-5], band=16)
+    for delta, dist in res["rows"]:
+        assert abs(dist / (delta / 4 + delta ** 2 / 16) - 1.0) <= 5e-11
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_continuity_base_decides_the_p2_path(grid12, monkeypatch, p):
+    f = ok.GridFunction(grid12, np.cos(grid12.nodes))
+    deltas = [1e-2, 1e-1]
+    # a non-constant base materializes the band, bitwise as operator_norm does it
+    fh = ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12)
+    res = ok.continuity_experiment(fh, f, p, deltas, band=16)
+    for (delta, dist), est in zip(res["rows"], res["estimates"]):
+        ref = ok.operator_norm(_continuity_probe(grid12, "cos", p, delta, 16, base=fh))
+        assert (dist, est) == (ref.value, ref)
+
+    # a constant base never materializes it
+    def no_band(*args, **kwargs):
+        raise AssertionError("band materialized")
+
+    monkeypatch.setattr(operators, "materialize_band", no_band)
+    const = ok.make_weight("constant", {}, grid12)
+    res = ok.continuity_experiment(const, f, p, deltas, band=16)
+    assert all(dist > 0 for _, dist in res["rows"])
