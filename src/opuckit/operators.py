@@ -1,23 +1,22 @@
 """Weighted Riesz projections, the commutator-difference operator Q_{w,p},
 and induced L^p operator-norm estimation.
 
-All operators act on grid functions in the *unweighted* L^p(T); the weight
-enters through conjugation, e.g. T_w f = w^{1/p} P^+ (w^{-1/p} f).  For
-p = 2 norms are exact largest singular values of materialized matrices
-(band-restricted inputs, or the full node basis on small grids); for
-p != 2 the dual-norm power iteration, started from the top p = 2 right
-singular vector, reports a lower bound with its convergence state.  Both
-need a p = 2 matrix (a band, or N <= 2^10) or the probe's own p = 2 pair.
-The continuity difference u P+ u^{-1} - P+ over a constant base weight has
-such a pair, `_commutator_pair`: its band Gram has displacement rank 4, so a
-few length-N FFTs give it without materializing the band.
-numpy and scipy bundle separate OpenBLAS builds, and alternating calls between
-their thread pools cost about 6x on 2 cores, so the Gram product and the
-eigensolver are both scipy's.
+All operators act on grid functions in the *unweighted* L^p(T); the weight enters
+through conjugation, e.g. T_w f = w^{1/p} P^+ (w^{-1/p} f).  For p = 2 norms are exact
+largest singular values of materialized matrices (band-restricted inputs, or the full
+node basis on small grids); for p != 2 the dual-norm power iteration, started from the
+top p = 2 right singular vector, reports a lower bound with its convergence state.  Both
+need a p = 2 matrix (a band, or N <= 2^10) or the probe's own p = 2 pair.  One
+materializer builds every such matrix, each column through the probe's `apply`.  The
+continuity difference u P+ u^{-1} - P+ over a constant base weight has such a pair,
+`_commutator_pair`: its band Gram has displacement rank 4, so a few length-N FFTs give
+it; any other base materializes the band (0.25 s per distance at N = 2^14, band 64).
+numpy and scipy bundle separate OpenBLAS builds, and alternating calls between their
+thread pools cost about 6x on 2 cores, so the Gram product and the eigensolver are both
+scipy's.
 """
 
 import dataclasses
-import weakref
 from dataclasses import dataclass
 from functools import partial
 
@@ -30,7 +29,6 @@ from .grid import (CircleGrid, GridFunction, duality_map, fourier_multiplier, lp
 from .weights import Weight, make_weight
 
 _BLOCK = 16  # inputs per probe call when materializing; 16 x 2^14 complex is 4 MB
-_STEPS = weakref.WeakKeyDictionary()  # grid -> materialize_band's step table
 _POWER_STEPS = 20  # power_method_lp's cap on steps
 
 
@@ -38,6 +36,13 @@ def check_exponent(p: float, what: str):
     """The one exponent check of every probe: p in (1, inf)."""
     if not 1.0 < p < np.inf:
         raise ValueError(f"{what} needs p in (1, inf), got p = {p}")
+
+
+def check_band(band, n: int, what: str):
+    """The one band check of every probe: an integer 0 <= band < N/2."""
+    if not (isinstance(band, (int, np.integer)) and 0 <= band < n // 2):
+        raise ValueError(f"{what} needs an integer band with 0 <= band < N/2 = {n // 2}, "
+                         f"got band = {band!r}")
 
 
 @dataclass
@@ -59,6 +64,8 @@ class OperatorProbe:
 
     def __post_init__(self):
         check_exponent(self.p, f"probe '{self.description}'")
+        if self.band is not None:
+            check_band(self.band, self.grid.size, f"probe '{self.description}'")
 
     def check_linearity(self) -> bool:
         """apply(a f + b g) = a apply(f) + b apply(g) to 1e-10 relative, on two chirps
@@ -139,10 +146,8 @@ def _on_stack(probe: OperatorProbe, fn, x: np.ndarray) -> np.ndarray:
     return y
 
 
-def _materialize(probe: OperatorProbe, inputs) -> np.ndarray:
-    """(N, k) matrix of the probe applied to inputs (k, rows), where rows(lo, hi)
-    returns the stack of inputs lo..hi-1; only one _BLOCK of them is built at a time."""
-    k, rows = inputs
+def _materialize(probe: OperatorProbe, k: int, rows) -> np.ndarray:
+    """(N, k) matrix of the probe on k inputs; rows(lo, hi) builds inputs lo..hi-1."""
     out = np.empty((k, probe.grid.size), dtype=complex)
     for lo in range(0, k, _BLOCK):
         hi = min(lo + _BLOCK, k)
@@ -150,65 +155,23 @@ def _materialize(probe: OperatorProbe, inputs) -> np.ndarray:
     return out.T
 
 
-def _materialize_terms(probe: OperatorProbe, band: int, rows) -> np.ndarray:
-    """materialize_band of a probe with terms, on inputs x_k = e^{ik theta}/sqrt(N).
-
-    On the half-step grid fft(right x_k)[j] = e^{i pi k/N} fft(right)[j - k] / sqrt(N):
-    a block of a term's columns is a shifted view of one spectrum, masked, and one
-    in-place inverse FFT.  A term with constant left and right maps x_k, which
-    rows(lo, hi, out) writes, to left right x_k in its band and to 0 outside."""
-    n, freqs = probe.grid.size, probe.grid.freqs
-    ks = np.arange(-band, band + 1)
-    phase = np.exp(1j * np.pi * ks / n)[:, None] / np.sqrt(n)
-    out = np.empty((len(ks), n), dtype=complex)
-    buf = np.empty((_BLOCK, n), dtype=complex)
-    for t, (left, (blo, bhi), right) in enumerate(probe.terms):
-        const = np.all(left == left[0]) and np.all(right == right[0])
-        if not const:  # row n - k of `shifted` is fft(right) rolled by k
-            shifted = np.lib.stride_tricks.sliding_window_view(np.tile(np.fft.fft(right), 3), n)
-            mask = (freqs >= blo) & (freqs <= bhi)
-        for lo in range(0, len(ks), _BLOCK):
-            hi = min(lo + _BLOCK, len(ks))
-            if t and const and (ks[lo] > bhi or ks[hi - 1] < blo):
-                continue  # a later constant term adds only zeros here
-            blk = buf[: hi - lo] if t else out[lo:hi]  # the first term writes `out` itself
-            if const:
-                rows(lo, hi, blk)
-                blk *= left[0] * right[0] * ((ks[lo:hi, None] >= blo) & (ks[lo:hi, None] <= bhi))
-            else:
-                np.multiply(shifted[n - ks[lo]: n - ks[hi - 1] - 1: -1], phase[lo:hi], out=blk)
-                blk *= mask
-                np.fft.ifft(blk, axis=-1, out=blk)
-                blk *= left
-            if t:
-                out[lo:hi] += blk
-    return out.T
-
-
 def materialize_band(probe: OperatorProbe, band: int) -> np.ndarray:
     """Matrix of the probe restricted to inputs e^{ik theta}, |k| <= band.
 
     Columns are scaled by 1/sqrt(N) so singular values equal operator norms
-    between the discrete L^2 spaces.  A probe with terms takes `_materialize_terms`.
+    between the discrete L^2 spaces.
     """
     grid = probe.grid
-    if band >= grid.size // 2:
-        raise ValueError("band exceeds the grid Nyquist range")
-    # inputs lo..hi-1: the grid's table of e^{ij theta}, j < _BLOCK, times e^{i k_lo theta}
-    if grid not in _STEPS:
-        _STEPS[grid] = np.exp(1j * np.arange(_BLOCK)[:, None] * grid.nodes) / np.sqrt(grid.size)
-    steps = _STEPS[grid]
-
-    def rows(lo, hi, out=None):
-        return np.multiply(steps[: hi - lo], np.exp(1j * (lo - band) * grid.nodes), out=out)
-
-    if probe.terms:
-        return _materialize_terms(probe, band, rows)
-    return _materialize(probe, (2 * band + 1, rows))
+    check_band(band, grid.size, f"materialize_band of probe '{probe.description}'")
+    # inputs lo..hi-1: e^{ij theta}/sqrt(N), j < _BLOCK, times e^{i k_lo theta}
+    steps = np.exp(1j * np.arange(_BLOCK)[:, None] * grid.nodes) / np.sqrt(grid.size)
+    return _materialize(probe, 2 * band + 1,
+                        lambda lo, hi: steps[: hi - lo] * np.exp(1j * (lo - band) * grid.nodes))
 
 
 def compress_band(probe: OperatorProbe, band: int) -> np.ndarray:
     """Square compression <T e_b, e_a> for |a|, |b| <= band (discrete L^2 pairing)."""
+    check_band(band, probe.grid.size, f"compress_band of probe '{probe.description}'")
     ks = np.arange(-band, band + 1)
     scale = np.sqrt(probe.grid.size)
     return probe.grid.analyze(materialize_band(probe, band).T)[:, ks].T * scale
@@ -217,8 +180,9 @@ def compress_band(probe: OperatorProbe, band: int) -> np.ndarray:
 def materialize_full(probe: OperatorProbe) -> np.ndarray:
     n = probe.grid.size
     if n > 1024:
-        raise ValueError("full materialization is restricted to N <= 2^10")
-    return _materialize(probe, (n, lambda lo, hi: np.eye(hi - lo, n, lo, dtype=complex)))
+        raise ValueError(f"materialize_full of probe '{probe.description}' needs N <= 2^10, "
+                         f"got N = {n}")
+    return _materialize(probe, n, lambda lo, hi: np.eye(hi - lo, n, lo, dtype=complex))
 
 
 def power_method_lp(probe: OperatorProbe, x0: np.ndarray) -> tuple:
@@ -265,14 +229,14 @@ def _top_eigenpair(probe: OperatorProbe) -> tuple:
 def _commutator_pair(probe: OperatorProbe) -> tuple:
     """`_top_eigenpair` of u P+ u^{-1} - P+ on the probe's band, without the band matrix.
 
-    (u, P+, 1/u) is probe.terms[0].  With R = fft(1/u), W = fft(u^2), m the mask of
-    bins 0..N/2-1 and phi_k = e^{i pi k/N}, the shift identity of `_materialize_terms`
-    gives column k = s_k phi_k/sqrt(N) u ifft(A_k), A_k = mask_k * roll(R, k): mask
-    1 - m and s = -1 for k >= 0 (x_k - u P+ u^{-1} x_k = u (1 - P+) u^{-1} x_k), mask m
-    and s = +1 for k < 0.  So G_jk = s_j s_k conj(phi_j) phi_k N^-3 A_j^H C A_k with
-    C[a, b] = W[a - b] = N F diag(u^2) F^-1 circulant.  Within a sign half,
-    A_{k+1} = Z A_k + d_k, Z the cyclic shift and d_k = s_k (R[-1-k] e_0 - R[N/2-1-k] e_{N/2}),
-    and Z^H C Z = C, so
+    (u, P+, 1/u) is probe.terms[0].  With R = fft(1/u), W = fft(u^2), m the mask of bins
+    0..N/2-1 and phi_k = e^{i pi k/N}, the half-step grid's shift identity for inputs
+    x_k = e^{ik theta}/sqrt(N), fft(x_k / u) = phi_k/sqrt(N) roll(R, k), gives column
+    k = s_k phi_k/sqrt(N) u ifft(A_k), A_k = mask_k * roll(R, k): mask 1 - m and s = -1 for
+    k >= 0 (x_k - u P+ u^{-1} x_k = u (1 - P+) u^{-1} x_k), mask m and s = +1 for k < 0.
+    So G_jk = s_j s_k conj(phi_j) phi_k N^-3 A_j^H C A_k with C[a, b] = W[a - b] =
+    N F diag(u^2) F^-1 circulant.  Within a sign half, A_{k+1} = Z A_k + d_k, Z the cyclic
+    shift and d_k = s_k (R[-1-k] e_0 - R[N/2-1-k] e_{N/2}), and Z^H C Z = C, so
 
         A_{j+1}^H C A_{k+1} - A_j^H C A_k = d_j^H y_k + y_j^H d_k + d_j^H C d_k,  y_k = C Z A_k,
 
@@ -355,10 +319,6 @@ def continuity_experiment(w: Weight, f: GridFunction, p: float, deltas,
     if len(set(raw.tolist())) < 2:
         raise ValueError(f"continuity_experiment fits a slope and needs at least two distinct "
                          f"deltas, got deltas = {raw.tolist()}")
-    half = w.grid.size // 2
-    if not (isinstance(band, (int, np.integer)) and 0 <= band < half):
-        raise ValueError(f"continuity_experiment needs an integer band with "
-                         f"0 <= band < N/2 = {half}, got band = {band!r}")
     deltas = np.sort(raw)[::-1]
     fv = f.real_values()
     base = weighted_riesz(w, p, band=band)

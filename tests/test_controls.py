@@ -2,16 +2,20 @@
 
 Each case runs its experiment at the default grid (m = 14) clean and asserts that
 it passes, then runs it with the bug and asserts that exactly the named checks
-fail.  The README table "Which gate sees which bug" lists these cases with the
-bugs that no gate sees yet.
+fail.  A bug that no gate sees is pinned as a blind spot, next to the test that
+does see it.  The README table "Which gate sees which bug" lists these cases with
+the bugs that have no control yet.
 """
 
+import numpy as np
 import pytest
 
+import opuckit.operators
 import opuckit.szego
 import opuckit.weights
 from opuckit.experiments import ExperimentSpec, run
-from opuckit.grid import GridFunction
+from opuckit.grid import CircleGrid, GridFunction
+from opuckit.weights import Weight
 
 # experiment -> (module, attribute, bug(original) -> replacement, checks that fail)
 CONTROLS = {
@@ -36,3 +40,25 @@ def test_planted_bug_fails_the_gate(name, monkeypatch):
     planted = run(ExperimentSpec(name=name))
     assert not planted.passed
     assert {k for k, c in planted.checks.items() if not c["pass"]} == fails
+
+
+def _first_order_defects():
+    """d / (delta/4 + delta^2/16) - 1 for w = 1, f = cos, p = 2 (m = 10, band 16)."""
+    g = CircleGrid(10)
+    res = opuckit.operators.continuity_experiment(opuckit.weights.make_weight("constant", {}, g),
+                                                  GridFunction(g, np.cos(g.nodes)), 2.0,
+                                                  [1e-6, 1e-5], band=16)
+    return [dist / (delta / 4 + delta ** 2 / 16) - 1.0 for delta, dist in res["rows"]]
+
+
+def test_continuity_u_equals_w_is_a_blind_spot_the_oracle_sees(monkeypatch):
+    # criterion 8: weighted_riesz with u = w, not w^(1/p), doubles every distance
+    # but keeps the log-log slope 1; the first-order oracle reads the perturbed
+    # term that the commutator pair takes its u from
+    assert run(ExperimentSpec(name="continuity")).passed
+    assert all(abs(e) <= 5e-11 for e in _first_order_defects())
+    riesz = opuckit.operators.weighted_riesz
+    monkeypatch.setattr(opuckit.operators, "weighted_riesz", lambda w, p, band=None: riesz(
+        Weight(GridFunction(w.grid, w.values ** p), False, w.family), p, band=band))
+    assert run(ExperimentSpec(name="continuity")).passed  # the blind spot
+    assert all(abs(e - 1.0) < 1e-4 for e in _first_order_defects())
