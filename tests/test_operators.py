@@ -211,17 +211,13 @@ def test_norm_estimate_metadata(grid12):
 def test_blocked_materializers_match_column_loop(grid12):
     w = ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12)
     band = 20  # 41 columns: two full blocks and a partial one
+    probe = ok.build_Q(w, 2.5, 16)
     ks = np.arange(-band, band + 1)
-    # Q, and the continuity differences over a constant base
-    continuity = [_continuity_probe(grid12, direction, p, delta, band)
-                  for direction in ("cos", "log_singular") for p in (2.0, 3.0)
-                  for delta in (1e-3, 0.1)]
-    for probe in [ok.build_Q(w, 2.5, 16), *continuity]:
-        cols = np.column_stack([probe.apply(np.exp(1j * k * grid12.nodes)) for k in ks])
-        assert_allclose(ok.materialize_band(probe, band), cols / np.sqrt(grid12.size),
-                        rtol=0, atol=1e-14)
-        comp = np.column_stack([grid12.analyze(cols[:, i])[ks] for i in range(len(ks))])
-        assert_allclose(ok.compress_band(probe, band), comp, atol=1e-13)
+    cols = np.column_stack([probe.apply(np.exp(1j * k * grid12.nodes)) for k in ks])
+    assert_allclose(ok.materialize_band(probe, band), cols / np.sqrt(grid12.size),
+                    rtol=0, atol=1e-14)
+    comp = np.column_stack([grid12.analyze(cols[:, i])[ks] for i in range(len(ks))])
+    assert_allclose(ok.compress_band(probe, band), comp, atol=1e-13)
 
     g = ok.CircleGrid(8)
     small = ok.weighted_riesz(ok.make_weight("fisher_hartwig", {"beta": 0.2}, g), 2.0)
@@ -270,6 +266,22 @@ def _continuity_probe(grid, direction, p, delta, band, base=None):
     wd = ok.make_weight("perturbed", {"base": w, "f": f, "delta": delta}, grid, normalize=False)
     return ok.probe_difference(ok.weighted_riesz(wd, p, band=band),
                                ok.weighted_riesz(w, p, band=band))
+
+
+@pytest.mark.parametrize("direction", ["cos", "log_singular"])
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_spectral_columns_match_apply_path(grid12, direction, p):
+    # the continuity probe's band columns, the difference of two probes over a constant
+    # base, against the probe applied to each e^{ik theta} by itself
+    band = 20
+    ks = np.arange(-band, band + 1)
+    for delta in (1e-3, 0.1):
+        probe = _continuity_probe(grid12, direction, p, delta, band)
+        cols = np.column_stack([probe.apply(np.exp(1j * k * grid12.nodes)) for k in ks])
+        assert_allclose(ok.materialize_band(probe, band), cols / np.sqrt(grid12.size),
+                        rtol=0, atol=1e-14)
+        comp = np.column_stack([grid12.analyze(cols[:, i])[ks] for i in range(len(ks))])
+        assert_allclose(ok.compress_band(probe, band), comp, atol=1e-13)
 
 
 def test_probe_difference_needs_terms(grid12):
