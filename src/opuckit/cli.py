@@ -19,21 +19,14 @@ Exit codes: 0 all checks pass; 2 flagged cells; 3 failed thresholds;
 import argparse
 import sys
 
-from .experiments import ExperimentSpec, SpecError, run
+from .experiments import EXPERIMENTS, ExperimentSpec, SpecError, run
 
-# subcommand -> (experiment, the options it reads besides --grid-log2,
-# --seed, --out and --format); any other option exits 4
-_SUBCOMMANDS = {
-    "a2": ("a2_scaling", ("--arcs",)),
-    "opuc": ("opuc_diagnostics", ("--family", "--beta", "--a", "--nmax")),
-    "entropy": ("entropy_limit", ("--beta", "--nmax")),
-    "szego": ("strong_szego", ("--beta", "--nmax")),
-    "steklov": ("fh_growth", ("--beta", "--p", "--nmax")),
-    "continuity": ("continuity", ()),
-    "clark": ("clark_duality", ()),
-    "projection": ("projection_bound", ("--beta", "--p", "--nmax")),
-    "pcr": ("pcr_upper_trend", ("--p", "--nmax")),
-}
+# subcommand -> experiment; each takes --grid-log2, --seed, --out, --format and the
+# option of each input its experiment reads (EXPERIMENTS); any other option exits 4
+_SUBCOMMANDS = {"a2": "a2_scaling", "opuc": "opuc_diagnostics", "entropy": "entropy_limit",
+                "szego": "strong_szego", "steklov": "fh_growth", "continuity": "continuity",
+                "clark": "clark_duality", "projection": "projection_bound",
+                "pcr": "pcr_upper_trend"}
 
 
 class _ArgumentError(Exception):
@@ -52,19 +45,22 @@ def _parse_p_list(text: str) -> tuple:
         raise _ArgumentError(f"cannot parse p list {text!r}") from None
 
 
-_OPTIONS = {
-    "--grid-log2": dict(type=int, default=14, metavar="INT",
-                        help="log2 of the grid size (default 14)"),
-    "--beta": dict(type=float, metavar="FLOAT", help="Fisher-Hartwig exponent override"),
-    "--a": dict(type=float, metavar="FLOAT", help="Bernstein-Szego parameter"),
-    "--family": dict(metavar="NAME", help="weight family (default fisher_hartwig)"),
-    "--nmax": dict(type=int, metavar="INT", help="maximal polynomial degree override"),
-    "--p": dict(type=_parse_p_list, metavar="FLOAT[,FLOAT...]",
-                help="exponent or comma list of exponents"),
-    "--seed": dict(type=int, default=0, metavar="U64"),
-    "--out": dict(metavar="PATH", help="write the machine-readable record here"),
-    "--format": dict(choices=("csv", "json"), default="json"),
-    "--arcs": dict(choices=("dyadic", "full"), default="dyadic"),
+def _degree_ladder(nmax: int) -> tuple:
+    """The n-grid that --nmax sets: the degrees of the ladder up to nmax, or nmax alone."""
+    return tuple(n for n in (64, 91, 128, 181, 256, 362, 512) if n <= nmax) or (nmax,)
+
+
+_NMAX = dict(type=int, metavar="INT", help="maximal polynomial degree override")
+# spec input -> (its option, the option's arguments)
+_INPUT_OPTIONS = {
+    "family": ("--family", dict(metavar="NAME", help="weight family (default fisher_hartwig)")),
+    "beta": ("--beta", dict(type=float, metavar="FLOAT", help="Fisher-Hartwig exponent override")),
+    "a": ("--a", dict(type=float, metavar="FLOAT", help="Bernstein-Szego parameter")),
+    "nmax": ("--nmax", _NMAX),
+    "n_grid": ("--nmax", _NMAX),
+    "p_grid": ("--p", dict(type=_parse_p_list, metavar="FLOAT[,FLOAT...]",
+                           help="exponent or comma list of exponents")),
+    "arcs": ("--arcs", dict(choices=("dyadic", "full"), default="dyadic")),
 }
 
 
@@ -72,35 +68,30 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="opuckit", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, (name, options) in _SUBCOMMANDS.items():
+    for cmd, name in _SUBCOMMANDS.items():
         # no abbreviations: --a must not stand for a2's --arcs
         p = sub.add_parser(cmd, help=f"run the {name} experiment", allow_abbrev=False)
-        for opt in ("--grid-log2", *options, "--seed", "--out", "--format"):
-            p.add_argument(opt, **_OPTIONS[opt])
+        p.add_argument("--grid-log2", type=int, default=14, metavar="INT",
+                       help="log2 of the grid size (default 14)")
+        for key in EXPERIMENTS[name].reads:
+            option, kwargs = _INPUT_OPTIONS[key]
+            p.add_argument(option, dest=key, **kwargs)
+        p.add_argument("--seed", type=int, default=0, metavar="U64")
+        p.add_argument("--out", metavar="PATH", help="write the machine-readable record here")
+        p.add_argument("--format", choices=("csv", "json"), default="json")
     return parser
 
 
 def spec_from_args(args) -> ExperimentSpec:
-    name = _SUBCOMMANDS[args.command][0]
+    name = _SUBCOMMANDS[args.command]
     opts = vars(args)
-    params = {k: opts[k] for k in ("beta", "a", "nmax") if opts.get(k) is not None}
-    n_grid = ()
-    if "nmax" in params and name != "opuc_diagnostics":
-        base = [64, 91, 128, 181, 256, 362, 512]
-        n_grid = tuple(n for n in base if n <= params["nmax"]) or (params["nmax"],)
-    family = opts.get("family") or ("bernstein_szego" if "a" in params else "fisher_hartwig")
-    return ExperimentSpec(
-        name=name,
-        family=family,
-        params=params,
-        grid_log2=args.grid_log2,
-        n_grid=n_grid,
-        p_grid=tuple(opts.get("p") or ()),
-        seed=args.seed,
-        out=args.out,
-        fmt=args.format,
-        arcs=opts.get("arcs", "dyadic"),
-    )
+    inputs = {k: opts[k] for k in EXPERIMENTS[name].reads if opts[k] is not None}
+    if "n_grid" in inputs:
+        inputs["n_grid"] = _degree_ladder(inputs["n_grid"])
+    if "a" in inputs:
+        inputs.setdefault("family", "bernstein_szego")
+    return ExperimentSpec(name=name, grid_log2=args.grid_log2, seed=args.seed, out=args.out,
+                          fmt=args.format, **inputs)
 
 
 def main(argv=None) -> int:

@@ -12,7 +12,8 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 from importlib import resources
 
 import numpy as np
@@ -42,9 +43,14 @@ class SpecError(ValueError):
 
 @dataclass
 class ExperimentSpec:
+    """One run of a named experiment, which reads the inputs its EXPERIMENTS row
+    names and ignores the others; None and () keep the frozen defaults."""
+
     name: str
     family: str = "fisher_hartwig"
-    params: dict = field(default_factory=dict)
+    beta: float | None = None
+    a: float | None = None
+    nmax: int | None = None
     grid_log2: int = 14
     n_grid: tuple = ()
     p_grid: tuple = ()
@@ -60,7 +66,13 @@ class ExperimentSpec:
             raise SpecError("format must be 'csv' or 'json'")
         if self.arcs not in ("dyadic", "full"):
             raise SpecError("arcs must be 'dyadic' or 'full'")
+        for key, value in (("beta", self.beta), ("a", self.a)):
+            if value is not None and not np.isfinite(value):
+                raise SpecError(f"{key} must be finite (from the CLI: --{key}), got {key} = {value}")
         n = CircleGrid(self.grid_log2).size
+        if self.nmax is not None and not (0 <= self.nmax < n // 2 and self.nmax == int(self.nmax)):
+            raise SpecError(f"nmax must be an integer with 0 <= nmax < N/2 = {n // 2} "
+                            f"(from the CLI: --nmax), got nmax = {self.nmax}")
         if self.n_grid and max(self.n_grid) >= n // 4:
             raise SpecError(f"n-grid max must stay below N/4 = {n // 4}")
         if self.p_grid and not min(self.p_grid) > 1.0:
@@ -81,12 +93,11 @@ class ExperimentSpec:
                             f"(from the CLI: --nmax >= 2)")
         if self.name == "strong_szego" and self.n_grid and max(self.n_grid) < 1:
             raise SpecError(f"strong_szego checks the Bernstein-Szego closed form at degree "
-                            f"min(8, max(n_grid)), exact only from n = 1 on, and needs a degree "
-                            f"n >= 1 in n_grid, got {tuple(self.n_grid)} "
-                            f"(from the CLI: --nmax >= 1)")
-        if self.name == "fh_growth" and (self.params.get("beta") is None) != (not self.p_grid):
-            raise SpecError("fh_growth reads --beta and --p only together (params['beta'] "
-                            "and p_grid): give both, or neither for the default pairs")
+                            f"min(8, max(n_grid)), exact only from n = 1 on, and needs a degree n "
+                            f">= 1 in n_grid, got {tuple(self.n_grid)} (from the CLI: --nmax >= 1)")
+        if self.name == "fh_growth" and (self.beta is None) != (not self.p_grid):
+            raise SpecError("fh_growth reads --beta and --p only together (beta and "
+                            "p_grid): give both, or neither for the default pairs")
         if self.name == "clark_duality" and self.grid_log2 < 10:
             raise SpecError(f"clark_duality refines its dual mass on the grids 2^(m-4), 2^(m-2) "
                             f"and 2^m, and the smallest grid is 2^6: it needs grid_log2 >= 10, "
@@ -96,10 +107,9 @@ class ExperimentSpec:
                             f"value, got {tuple(self.p_grid)}")
 
     def echo(self) -> dict:
-        d = asdict(self)
-        d["params"] = {k: (v if isinstance(v, (int, float, str, bool, type(None))) else repr(v))
-                       for k, v in self.params.items()}
-        return d
+        """name, grid_log2, seed and the inputs the experiment reads."""
+        keys = ("name", "grid_log2", "seed", *EXPERIMENTS[self.name].reads)
+        return {k: getattr(self, k) for k in keys}
 
 
 @dataclass
@@ -159,11 +169,7 @@ class ExperimentRecord:
 
     @property
     def exit_code(self) -> int:
-        if not self.passed:
-            return 3
-        if self.flags:
-            return 2
-        return 0
+        return 3 if not self.passed else 2 if self.flags else 0
 
     def to_json(self) -> str:
         payload = {
@@ -178,11 +184,7 @@ class ExperimentRecord:
         buf = io.StringIO()
         if not self.rows:
             return ""
-        keys = list(self.rows[0].keys())
-        for row in self.rows[1:]:
-            for k in row:
-                if k not in keys:
-                    keys.append(k)
+        keys = list(dict.fromkeys(k for row in self.rows for k in row))
         writer = csv.DictWriter(buf, fieldnames=keys)
         writer.writeheader()
         for row in self.rows:
@@ -273,8 +275,8 @@ def _run_fh_growth(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: Exper
     cfg = thr["fh_growth"]
     n_grid = list(spec.n_grid) or cfg["n_grid"]
     pairs = cfg["pairs"]
-    if spec.params.get("beta") is not None and spec.p_grid:
-        pairs = [(float(spec.params["beta"]), float(p)) for p in spec.p_grid]
+    if spec.beta is not None and spec.p_grid:
+        pairs = [(float(spec.beta), float(p)) for p in spec.p_grid]
 
     cb, cp = cfg["critical_pair"]
     all_norms = _steklov_norms(rec, grid, [*pairs, (cb, cp)], n_grid)
@@ -316,7 +318,7 @@ def _run_entropy_limit(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: E
     rec.at_most("constant_zero", max(abs(entropy(s1, w1, n)) for n in n_grid),
                 cfg["constant_tol"])
 
-    betas = cfg["betas"] if spec.params.get("beta") is None else [float(spec.params["beta"])]
+    betas = cfg["betas"] if spec.beta is None else [float(spec.beta)]
     for beta in betas:
         w, row = rec.cell("fisher_hartwig", grid, beta=float(beta))
         sys = system_from_weight(w, n_final)
@@ -331,15 +333,16 @@ def _run_entropy_limit(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: E
     wb, row = rec.cell("bernstein_szego", grid, a=cfg["bs_a"])
     sb = system_from_weight(wb, n_final)
     tb = entropy_limit_target(wb)
-    bs_gap = max(abs(entropy(sb, wb, n) - tb) for n in n_grid if n >= 2)
-    row(n=n_final, entropy=entropy(sb, wb, n_final), target=tb, gap=bs_gap)
+    es = {n: entropy(sb, wb, n) for n in n_grid if n >= 2}
+    bs_gap = max(abs(e - tb) for e in es.values())
+    row(n=n_final, entropy=es[n_final], target=tb, gap=bs_gap)
     rec.at_most("bs_gap", bs_gap, cfg["bs_tol"])
 
 
 def _run_strong_szego(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: ExperimentRecord):
     cfg = thr["strong_szego"]
     n_grid = list(spec.n_grid) or cfg["n_grid"]
-    beta = float(spec.params.get("beta", cfg["beta"]))
+    beta = float(cfg["beta"] if spec.beta is None else spec.beta)
 
     w, row = rec.cell("fisher_hartwig", grid, beta=beta)
     sys = system_from_weight(w, max(n_grid))
@@ -402,9 +405,9 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: E
     # probability mass at machine precision: smooth family for every alpha,
     # Fisher-Hartwig for the non-inverting alphas
     wb, row = rec.cell("bernstein_szego", grid, a=cfg["smooth_family_a"])
+    smooth = {a: clark_weight(wb, a) for a in alphas}
     worst_smooth = 0.0
-    for a in alphas:
-        cd = clark_weight(wb, a)
+    for a, cd in smooth.items():
         worst_smooth = max(worst_smooth, abs(cd.mass - 1.0))
         row(alpha=str(a), mass_defect=abs(cd.mass - 1.0))
     rec.at_most("mass_smooth", worst_smooth, cfg["mass_tol"])
@@ -444,15 +447,16 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: E
     rec.check("dual_a2_bounded", max(ratios), bounded, cfg["dual_ratio_cap"])
     rec.check("dual_a2_monotone", duals, monotone, "increasing in beta")
 
-    # involution and second-kind orthonormality on the smooth family
-    dd = clark_weight(clark_weight(wb, -1.0).w_alpha, -1.0)
+    # involution and second-kind orthonormality on the smooth dual: the alpha = -1 cell
+    dual = smooth[-1.0]
+    dd = clark_weight(dual.w_alpha, -1.0)
     rec.at_most("dual_of_dual", float(np.max(np.abs(dd.w_alpha.values - wb.values))),
                 cfg["dual_of_dual_tol"])
 
     nmax = cfg["psi_gram_nmax"]
     sysb = system_from_weight(wb, 2 * nmax)
     psib = second_kind(sysb)
-    wdual = renormalized(clark_weight(wb, -1.0).w_alpha)
+    wdual = renormalized(dual.w_alpha)
     gdev = float(np.max(np.abs(gram_matrix(psib, nmax, weight=wdual) - np.eye(nmax + 1))))
     rec.at_most("psi_gram_dual", gdev, cfg["psi_gram_tol"])
 
@@ -473,14 +477,15 @@ def _run_clark_duality(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: E
     rec.at_most("k_invariance_masked", worst_masked, cfg["k_invariance_tol"])
     rec.at_most("k_invariance_all_angles", worst_all, cfg["k_invariance_all_angle_cap"])
     kb = generalized_entropy(wb, zs)
-    kbd = generalized_entropy(renormalized(clark_weight(wb, -1.0).w_alpha), zs)
-    rec.at_most("k_invariance_smooth", float(np.max(np.abs(kbd - kb))), 1e-10)
+    kbd = generalized_entropy(wdual, zs)
+    rec.at_most("k_invariance_smooth", float(np.max(np.abs(kbd - kb))),
+                cfg["k_invariance_smooth_tol"])
 
 
 def _run_projection_bound(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: ExperimentRecord):
     cfg = thr["projection_bound"]
     n_grid = list(spec.n_grid) or cfg["n_grid"]
-    beta = float(spec.params.get("beta", cfg["beta"]))
+    beta = float(cfg["beta"] if spec.beta is None else spec.beta)
     p = float((spec.p_grid or [cfg["p"]])[0])
 
     w, row = rec.cell("fisher_hartwig", grid, beta=beta)
@@ -548,13 +553,11 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec:
 
 
 def _run_opuc_diagnostics(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: ExperimentRecord):
-    nmax = int(spec.params.get("nmax", 64))
+    nmax = 64 if spec.nmax is None else int(spec.nmax)
     family = spec.family
-    params = {k: float(v) for k, v in spec.params.items() if k in ("beta", "a", "value")}
-    if family == "fisher_hartwig" and "beta" not in params:
-        params["beta"] = 0.3
-    if family == "bernstein_szego" and "a" not in params:
-        params["a"] = 0.5
+    # the family's own parameter only; a constant's value is divided out by normalizing
+    params = {"fisher_hartwig": {"beta": 0.3 if spec.beta is None else float(spec.beta)},
+              "bernstein_szego": {"a": 0.5 if spec.a is None else float(spec.a)}}.get(family, {})
 
     w, row = rec.cell(family, grid, **params)
     sys = system_from_weight(w, nmax)
@@ -579,18 +582,23 @@ def _run_opuc_diagnostics(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec
               ok, [lower, 1.0])
 
 
-_RUNNERS = {
-    "a2_scaling": _run_a2_scaling,
-    "fh_growth": _run_fh_growth,
-    "entropy_limit": _run_entropy_limit,
-    "strong_szego": _run_strong_szego,
-    "continuity": _run_continuity,
-    "clark_duality": _run_clark_duality,
-    "projection_bound": _run_projection_bound,
-    "pcr_upper_trend": _run_pcr_upper_trend,
-    "opuc_diagnostics": _run_opuc_diagnostics,
+class Experiment(NamedTuple):
+    runner: Callable
+    reads: tuple  # the spec inputs the runner reads besides grid_log2 and seed
+
+
+EXPERIMENTS = {
+    "a2_scaling": Experiment(_run_a2_scaling, ("arcs",)),
+    "fh_growth": Experiment(_run_fh_growth, ("beta", "p_grid", "n_grid")),
+    "entropy_limit": Experiment(_run_entropy_limit, ("beta", "n_grid")),
+    "strong_szego": Experiment(_run_strong_szego, ("beta", "n_grid")),
+    "continuity": Experiment(_run_continuity, ()),
+    "clark_duality": Experiment(_run_clark_duality, ()),
+    "projection_bound": Experiment(_run_projection_bound, ("beta", "p_grid", "n_grid")),
+    "pcr_upper_trend": Experiment(_run_pcr_upper_trend, ("p_grid", "n_grid")),
+    "opuc_diagnostics": Experiment(_run_opuc_diagnostics, ("family", "beta", "a", "nmax")),
 }
-EXPERIMENT_NAMES = tuple(_RUNNERS)
+EXPERIMENT_NAMES = tuple(EXPERIMENTS)
 
 
 def run(spec: ExperimentSpec) -> ExperimentRecord:
@@ -603,7 +611,7 @@ def run(spec: ExperimentSpec) -> ExperimentRecord:
     rec = ExperimentRecord(spec.name, spec.echo(), spec.seed, thr["fit_acceptance_r2"])
     t0 = time.perf_counter()
     try:
-        _RUNNERS[spec.name](spec, thr, CircleGrid(spec.grid_log2), rec)
+        EXPERIMENTS[spec.name].runner(spec, thr, CircleGrid(spec.grid_log2), rec)
     except Exception as exc:
         rec.fits, rec.checks = {}, {}
         rec.flags = [f"aborted after {len(rec.rows)} rows: {exc!r}"]

@@ -43,7 +43,7 @@ def test_spec_validation():
 def test_opuc_diagnostics_record(tmp_path):
     out = tmp_path / "diag.json"
     spec = ExperimentSpec(name="opuc_diagnostics", grid_log2=11,
-                          params={"beta": 0.3, "nmax": 24},
+                          beta=0.3, nmax=24,
                           out=str(out), fmt="json")
     rec = run(spec)
     assert rec.passed
@@ -61,10 +61,10 @@ def _strict_loads(text: str):
 
 
 def test_records_are_strict_json():
-    diag = run(ExperimentSpec(name="opuc_diagnostics", grid_log2=11, params={"nmax": 8}))
+    diag = run(ExperimentSpec(name="opuc_diagnostics", grid_log2=11, nmax=8))
     rows = _strict_loads(diag.to_json())["rows"]
     assert rows[-1]["abs_alpha"] is None and rows[0]["abs_alpha"] is not None
-    growth = run(ExperimentSpec(name="fh_growth", grid_log2=12, params={"beta": 0.3},
+    growth = run(ExperimentSpec(name="fh_growth", grid_log2=12, beta=0.3,
                                 p_grid=(6.0,), n_grid=(64, 128, 256)))
     ssr_rows = [r for r in _strict_loads(growth.to_json())["rows"] if r["n"] == -1]
     assert ssr_rows and all(r["norm"] is None for r in ssr_rows)
@@ -73,7 +73,7 @@ def test_records_are_strict_json():
 def test_fh_growth_record_schema(tmp_path):
     out = tmp_path / "growth.csv"
     spec = ExperimentSpec(name="fh_growth", grid_log2=12,
-                          params={"beta": 0.3}, p_grid=(6.0,),
+                          beta=0.3, p_grid=(6.0,),
                           n_grid=(64, 128, 256), out=str(out), fmt="csv")
     rec = run(spec)
     header = out.read_text().splitlines()[0].split(",")
@@ -93,7 +93,7 @@ def test_projection_bound_deterministic():
 
 
 def test_runner_adds_grid_log2_and_seed_to_every_row():
-    diag = run(ExperimentSpec(name="opuc_diagnostics", grid_log2=11, params={"nmax": 8}, seed=5))
+    diag = run(ExperimentSpec(name="opuc_diagnostics", grid_log2=11, nmax=8, seed=5))
     assert all(r["grid_log2"] == 11 and r["seed"] == 5 for r in diag.rows)
     proj = run(ExperimentSpec(name="projection_bound", grid_log2=10, n_grid=(16, 32), seed=5))
     assert [(r["grid_log2"], r["seed"]) for r in proj.rows] == [(10, 5), (10, 5)]
@@ -123,7 +123,7 @@ def test_aborted_record_rows_carry_shared_fields(tmp_path, monkeypatch):
 
 def test_entropy_runner_small():
     rec = run(ExperimentSpec(name="entropy_limit", grid_log2=11,
-                             params={"beta": 0.2}, n_grid=(32, 64, 128)))
+                             beta=0.2, n_grid=(32, 64, 128)))
     assert rec.checks["constant_zero"]["pass"]
     assert rec.checks["fh_gap[beta=0.2]"]["pass"]
 
@@ -158,7 +158,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_partial_record_on_cell_failure(tmp_path):
     out = tmp_path / "partial.json"
     spec = ExperimentSpec(name="projection_bound", grid_log2=10, n_grid=(16, 32),
-                          params={"beta": -0.5}, out=str(out), fmt="json")
+                          beta=-0.5, out=str(out), fmt="json")
     with pytest.raises(ValueError):
         run(spec)
     payload = json.loads(out.read_text())
@@ -342,6 +342,72 @@ def test_cli_option_outside_the_table_exits_4(monkeypatch, capsys):
             assert main([cmd, opt, value]) == 4, (cmd, opt)
             err = capsys.readouterr().err
             assert f"unrecognized arguments: {opt} {value}" in err, (cmd, opt, err)
+
+
+# the spec input each option sets: --nmax sets opuc's nmax and every other n-grid
+OPTION_INPUTS = {"--arcs": "arcs", "--family": "family", "--beta": "beta", "--a": "a",
+                 "--p": "p_grid", "--nmax": "n_grid"}
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("cmd", SUBCOMMAND_OPTIONS)
+def test_record_spec_echoes_only_the_inputs_read(cmd):
+    reads = {OPTION_INPUTS[opt] for opt in SUBCOMMAND_OPTIONS[cmd]}
+    if cmd == "opuc":
+        reads = reads - {"n_grid"} | {"nmax"}
+    want = {"name", "grid_log2", "seed"} | reads
+    spec = cli.spec_from_args(build_parser().parse_args([cmd]))
+    assert set(spec.echo()) == want
+    # the golden copy of the default record, which the acceptance tests compare
+    assert set(json.loads((GOLDEN / f"{spec.name}.json").read_text())["spec"]) == want
+
+
+def test_unread_input_is_accepted_and_not_echoed():
+    spec = ExperimentSpec(name="continuity", n_grid=(64, 91), beta=0.3)
+    assert spec.echo() == {"name": "continuity", "grid_log2": 14, "seed": 0}
+
+
+def test_misspelled_input_is_named():
+    with pytest.raises(TypeError, match="betta"):
+        ExperimentSpec(name="entropy_limit", betta=0.3)
+
+
+@pytest.mark.parametrize("family, params", [("constant", {}), ("fisher_hartwig", {"beta": 0.3}),
+                                            ("bernstein_szego", {"a": 0.5})])
+def test_opuc_rows_carry_only_their_family_parameter(family, params, tmp_path):
+    out = tmp_path / "diag.json"
+    assert main(["opuc", "--family", family, "--beta", "0.3", "--grid-log2", "10",
+                 "--nmax", "4", "--out", str(out)]) == 2
+    rows = json.loads(out.read_text())["rows"]
+    assert [{k: r[k] for k in r if k not in ("n", "abs_alpha", "kappa", "grid_log2", "seed")}
+            for r in rows] == [{"family": family, **params}] * 5
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["steklov", "--beta", "nan", "--p", "6", "--grid-log2", "10", "--nmax", "128"],
+     "beta must be finite (from the CLI: --beta), got beta = nan"),
+    (["opuc", "--a", "inf", "--grid-log2", "10"], "a must be finite (from the CLI: --a), got a = inf"),
+    (["opuc", "--nmax", "600", "--grid-log2", "10"],
+     "nmax must be an integer with 0 <= nmax < N/2 = 512 (from the CLI: --nmax), got nmax = 600"),
+    (["opuc", "--nmax", "-1", "--grid-log2", "10"], "got nmax = -1"),
+])
+def test_cli_bad_input_names_field_and_flag(argv, named, monkeypatch, capsys, tmp_path):
+    def no_run(spec):
+        raise AssertionError("a bad input must stop the CLI before any experiment")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    assert main([*argv, "--out", str(tmp_path / "rec.json")]) == 4
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "rec.json").exists()
+
+
+def test_spec_takes_nmax_below_half_the_grid_and_finite_beta_only():
+    ExperimentSpec(name="opuc_diagnostics", grid_log2=10, nmax=511)
+    for nmax in (512, 4.5, float("nan")):
+        with pytest.raises(SpecError, match=f"N/2 = 512 .*got nmax = {nmax}"):
+            ExperimentSpec(name="opuc_diagnostics", grid_log2=10, nmax=nmax)
+    with pytest.raises(SpecError, match="beta = -inf"):
+        ExperimentSpec(name="entropy_limit", beta=float("-inf"))
 
 
 def test_cli_projection_honours_p(tmp_path):
