@@ -11,6 +11,7 @@ Every experiment is deterministic: a record's seed is only echoed.
 import csv
 import io
 import json
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -67,7 +68,12 @@ class ExperimentSpec:
         if self.arcs not in ("dyadic", "full"):
             raise SpecError("arcs must be 'dyadic' or 'full'")
         for key, value in (("beta", self.beta), ("a", self.a)):
-            if value is not None and not np.isfinite(value):
+            if value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise SpecError(f"{key} must be a real number or None (from the CLI: --{key}), "
+                                f"got {key} = {value!r} of type {type(value).__name__}")
+            if not np.isfinite(value):
                 raise SpecError(f"{key} must be finite (from the CLI: --{key}), got {key} = {value}")
         n = CircleGrid(self.grid_log2).size
         if self.nmax is not None and not (0 <= self.nmax < n // 2 and self.nmax == int(self.nmax)):

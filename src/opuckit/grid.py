@@ -79,20 +79,23 @@ class CircleGrid:
         # e^{+i pi k / N}: undoes `_phase` on the way back to the nodes.
         return np.exp(1j * np.pi * self.freqs / self.size)
 
-    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+    def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse of `analyze`: samples at the grid nodes, shape (..., N).
 
         `coeffs` is a (..., k) stack, 1 <= k <= N, holding bins 0..k-1 in FFT
         order; the bins above are zero.  Only the k given bins are phased, and
         the inverse FFT zero-pads them to N and does the scaling, so a
         polynomial of degree k - 1 costs no full-length pass before the transform.
+        With `out`, a complex (..., N) array, the samples are written there and
+        `out` is returned: a caller that synthesizes many rows reuses one buffer.
         """
         coeffs = np.asarray(coeffs, dtype=complex)
         k = coeffs.shape[-1] if coeffs.ndim else 0
         if not 1 <= k <= self.size:
             raise GridSizeError(f"expected 1 to {self.size} coefficients along the last axis, "
                                 f"got shape {coeffs.shape}")
-        return np.fft.ifft(coeffs * self._unphase[:k], n=self.size, axis=-1, norm="forward")
+        return np.fft.ifft(coeffs * self._unphase[:k], n=self.size, axis=-1, norm="forward",
+                           out=out)
 
 
 @dataclass
@@ -176,18 +179,31 @@ def duality_map(values: np.ndarray, p: float) -> np.ndarray:
     return (ay / np.where(m > 0, m, 1.0)) ** (p - 1.0) * (num / den)
 
 
-def lp_norms(values: np.ndarray, p_grid, weight: np.ndarray | None = None) -> np.ndarray:
+def lp_norms(values: np.ndarray, p_grid, weight: np.ndarray | None = None,
+             work: tuple | None = None) -> np.ndarray:
     """Discrete L^p norms ((1/N) sum_j |y_j|^p w_j)^{1/p} of each row of a (..., N)
     stack for every p in p_grid, shape (len(p_grid), ...), w = 1 without a weight.
-    |y| and its row maxima are taken once; each row is rescaled by its max against
-    overflow at large p, and a zero row has norm 0."""
-    a = np.abs(values)
-    m = a.max(axis=-1, keepdims=True)
-    scaled = a / np.where(m > 0, m, 1.0)
+
+    Each row is rescaled by its max against overflow at large p.  log(|y|/max)
+    is taken once, and each p costs one exp(p log) in a second reused buffer,
+    so the whole call holds two float arrays of the stack's shape; `work`, a
+    pair of such arrays, lends them, for a caller that norms many stacks.  A
+    zero entry has log -inf and exp gives 0 back exactly, so a zero row has
+    norm 0."""
+    logs, terms = work or (None, None)
+    logs = np.abs(values, out=logs, dtype=float)  # float64 whatever the input type
+    m = logs.max(axis=-1, keepdims=True)
+    logs /= np.where(m > 0, m, 1.0)
+    with np.errstate(divide="ignore"):
+        np.log(logs, out=logs)
+    terms = np.empty_like(logs) if terms is None else terms
     out = np.empty((len(p_grid), *m.shape[:-1]))
     for i, p in enumerate(p_grid):
-        means = np.mean(scaled ** p if weight is None else scaled ** p * weight, axis=-1)
-        # scalar libm roots: numpy's SIMD power loop differs in the last bit by CPU
+        np.exp(np.multiply(logs, p, out=terms), out=terms)
+        if weight is not None:
+            terms *= weight
+        means = np.mean(terms, axis=-1)
+        # scalar libm roots: numpy's SIMD loops differ in the last bit by CPU
         out[i] = np.reshape([s ** (1.0 / p) for s in means.flat], means.shape)
     return out * m[..., 0]
 
@@ -322,12 +338,14 @@ def trig_moments(f: GridFunction, kmax: int) -> MomentSequence:
     Requires kmax < N/2.  For a positive weight these are exactly the moments
     of the discrete measure sum_j (f(theta_j)/N) delta_{theta_j}, which is what
     keeps quadrature inner products of the resulting polynomials consistent.
+    Real samples go through a real FFT, and only bins 0..kmax are phased.
     """
-    n = f.grid.size
+    grid, n = f.grid, f.grid.size
     if not 0 <= kmax < n // 2:
         raise MomentError(f"kmax must satisfy 0 <= kmax < N/2 = {n // 2}, got {kmax}")
-    coeffs = f.grid.analyze(f.values)
-    c = coeffs[: kmax + 1].copy()
-    if f.is_real:
-        c[0] = c[0].real
+    if not f.is_real:
+        return MomentSequence(grid.analyze(f.values)[: kmax + 1].copy())
+    # grid._phase[: kmax + 1], bitwise, without the other N - kmax - 1 bins
+    c = np.fft.rfft(f.values)[: kmax + 1] / n * np.exp(-1j * np.pi * np.arange(kmax + 1) / n)
+    c[0] = c[0].real
     return MomentSequence(c)

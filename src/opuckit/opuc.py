@@ -9,17 +9,21 @@ Phi_n and reversed polynomials Phi_n^* = z^n conj(Phi_n(1/conj(z))),
 where E_n = ||Phi_n||^2 and <f, g> = int f conj(g) dmu.  This is the
 Levinson-Durbin recursion on the Toeplitz moment matrix; each step costs
 one O(n) dot product, so a run to degree nmax is O(nmax^2) work.  The loop
-exists once, in `_monic_rows`, which keeps only the current Phi_n in two
-rolling buffers.  `szego_recursion` keeps the Verblunsky coefficients and
+exists once, in `_monic_rows`, which keeps only the current Phi_n in one
+buffer, right-aligned so that z Phi_n is the same coefficients one slot
+further left.  `szego_recursion` keeps the Verblunsky coefficients and
 E_n, O(nmax) memory, and hands each row to an optional `on_row` callback as
 the moment-driven pass makes it; `OPUCSystem.monic`, the O(nmax^2) table of
 every row, is rebuilt from the coefficients on first use.  `steklov_norms`
-evaluates its degrees inside that callback: one recursion pass per weight, in
-O(N + nmax) memory.
+evaluates its degrees inside that callback: one recursion pass per weight,
+every degree synthesized and normed in the same workspace, in O(N + nmax)
+memory.
 
 Because the moments come from grid samples, the polynomials are exactly
 orthonormal for the discrete node measure, and every quadrature inner
-product below inherits that exactness for degrees < N/2.
+product below inherits that exactness for degrees < N/2.  So `gram_matrix`
+needs no grid values: it is table G table^H with G the Toeplitz matrix of
+those moments.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +50,6 @@ class RecursionBreakdownError(RuntimeError):
 
 
 POSITIVITY_FLOOR = 1e-13
-_TABLE_BLOCK = 16  # rows per stacked synthesize in orthonormal_values_table
 
 
 @dataclass
@@ -98,19 +101,19 @@ def _monic_rows(nmax: int, alphas: np.ndarray, moments: MomentSequence | None = 
                 norms_sq: np.ndarray | None = None):
     """Yield (n, coefficients of Phi_n) for n = 0..nmax: the one Szego recursion loop.
 
-    Phi_n lives in one of two rolling buffers of length nmax + 1, so a
-    yielded view is valid only until the next step.  With `moments`, each
-    alpha_n comes from the Levinson-Durbin step and is written into
+    Phi_n lives in buf[nmax - n:] of one buffer of length nmax + 1, so a
+    yielded view is valid only until the next step, and z Phi_n is
+    buf[nmax - n - 1:] once its first slot is zeroed: no copy.  With `moments`,
+    each alpha_n comes from the Levinson-Durbin step and is written into
     `alphas`, and E_{n+1} into `norms_sq`; without, `alphas` is read.
     """
-    cur = np.zeros(nmax + 1, dtype=complex)
-    nxt = np.zeros(nmax + 1, dtype=complex)
-    cur[0] = 1.0
+    buf = np.zeros(nmax + 1, dtype=complex)
+    buf[nmax] = 1.0
     if moments is not None:
         cc = np.conj(moments.c)
         norms_sq[0] = moments.c[0].real
     for n in range(nmax + 1):
-        b = cur[: n + 1]
+        b = buf[nmax - n:]
         yield n, b
         if n == nmax:
             return
@@ -124,10 +127,11 @@ def _monic_rows(nmax: int, alphas: np.ndarray, moments: MomentSequence | None = 
                 raise RecursionBreakdownError(n, np.conj(abar))
             alphas[n] = np.conj(abar)
             norms_sq[n + 1] = norms_sq[n] * gap
-        nxt[0] = 0.0
-        nxt[1: n + 2] = b
-        nxt[: n + 1] -= abar * np.conj(b[::-1])
-        cur, nxt = nxt, cur
+        # Phi_{n+1} = z Phi_n - conj(alpha_n) Phi_n^*; the right side is formed
+        # before b is overwritten
+        zb = buf[nmax - n - 1:]
+        zb[0] = 0.0
+        zb[: n + 1] -= abar * np.conj(b[::-1])
 
 
 def szego_recursion(moments: MomentSequence, nmax: int, weight: Weight | None = None,
@@ -216,11 +220,12 @@ def psi_integral_form(system: OPUCSystem, w: Weight, n: int, z: complex) -> comp
 # evaluation
 # ---------------------------------------------------------------------------
 
-def poly_values(grid: CircleGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Values of sum_m coeffs[m] z^m at the grid nodes, by one zero-padded inverse FFT."""
+def poly_values(grid: CircleGrid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Values of sum_m coeffs[m] z^m at the grid nodes, by one zero-padded inverse FFT,
+    written into `out` (a complex N-array, returned) when given."""
     if len(coeffs) > grid.size // 2:
         raise ValueError("polynomial degree must stay below N/2")
-    return grid.synthesize(coeffs)
+    return grid.synthesize(coeffs, out=out)
 
 
 def poly_eval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -240,20 +245,6 @@ def phi_values(system: OPUCSystem, grid: CircleGrid, n: int, reverse: bool = Fal
     return poly_values(grid, coeffs)
 
 
-def orthonormal_values_table(system: OPUCSystem, grid: CircleGrid, n: int) -> np.ndarray:
-    """(n+1) x N matrix of phi_k(theta_j) values, from one stacked synthesize
-    per _TABLE_BLOCK rows (row k equals poly_values of phi_k bitwise)."""
-    table = system.orthonormal_table(n)
-    if n + 1 > grid.size // 2:
-        raise ValueError("polynomial degree must stay below N/2")
-    out = np.empty((n + 1, grid.size), dtype=complex)
-    for lo in range(0, n + 1, _TABLE_BLOCK):
-        block = np.zeros((min(_TABLE_BLOCK, n + 1 - lo), grid.size), dtype=complex)
-        block[:, : n + 1] = table[lo: lo + len(block)]
-        out[lo: lo + len(block)] = grid.synthesize(block)
-    return out
-
-
 def _weight_of(system: OPUCSystem, weight: Weight | None) -> Weight:
     w = weight or system.weight
     if w is None:
@@ -262,10 +253,13 @@ def _weight_of(system: OPUCSystem, weight: Weight | None) -> Weight:
 
 
 def gram_matrix(system: OPUCSystem, n: int, weight: Weight | None = None) -> np.ndarray:
-    """Gram matrix of phi_0..phi_n under (w/2pi) dtheta by quadrature."""
+    """Gram matrix of phi_0..phi_n under (w/2pi) dtheta, as table G table^H with
+    G[j, k] = <z^j, z^k>_w = c_{k-j} the Toeplitz matrix of the weight's grid
+    moments and table = orthonormal_table(n).  For n < N/2 this is the
+    quadrature Gram of the grid values, with no grid-sized array."""
     w = _weight_of(system, weight)
-    vals = orthonormal_values_table(system, w.grid, n)
-    return (vals * w.values) @ np.conj(vals.T) / w.grid.size
+    table = system.orthonormal_table(n)
+    return table @ w.moments(n).toeplitz_gram(n) @ np.conj(table.T)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +319,9 @@ def steklov_norms(w: Weight, n_grid, p_grid) -> np.ndarray:
 
     One moment-driven recursion to max(n_grid) evaluates each requested
     degree as its row is made, in O(N + nmax) memory: no table of rows is
-    built, and each degree costs one synthesize whatever the number of p.
+    built, and each degree costs one synthesize and one `lp_norms` call,
+    whatever the number of p, in one workspace of 4N floats that every degree
+    reuses.
     Every entry equals
     weighted_lp_norm(poly_values(w.grid, system_from_weight(w, nmax).monic_coeffs(n)), w, p)
     bitwise.
@@ -342,10 +338,16 @@ def steklov_norms(w: Weight, n_grid, p_grid) -> np.ndarray:
     if not p_grid or min(p_grid) < 1.0:
         raise ValueError(f"p_grid must be a non-empty list of exponents p >= 1, got {p_grid}")
     wanted, by_degree = set(n_grid), {}
+    # One workspace serves every degree: the N values and lp_norms' two buffers.  It is
+    # one block, not three, on purpose: freeing it lifts glibc's dynamic mmap threshold
+    # to its size, which for N <= 2^19 keeps the two N-point scratch blocks of every
+    # later complex ifft on the heap instead of in fresh pages (README)
+    work = np.empty((4, w.grid.size))
+    vals, bufs = work[:2].reshape(-1).view(complex), (work[2], work[3])
 
     def on_row(n, b):
         if n in wanted:
-            by_degree[n] = lp_norms(poly_values(w.grid, b), p_grid, w.values)
+            by_degree[n] = lp_norms(poly_values(w.grid, b, out=vals), p_grid, w.values, bufs)
 
     nmax = max(n_grid)
     szego_recursion(w.moments(nmax), nmax, on_row=on_row)

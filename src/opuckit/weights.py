@@ -212,14 +212,19 @@ class ApReport:
 
 
 def _circular_prefix(vals: np.ndarray) -> np.ndarray:
-    """Prefix sums of two laps of vals, so every circular window is one difference."""
-    return np.concatenate(([0.0], np.cumsum(np.concatenate([vals, vals]))))
+    """Prefix sums of two laps of vals, so every circular window is one difference;
+    built in one buffer."""
+    n = len(vals)
+    out = np.empty(2 * n + 1)
+    out[0], out[1: n + 1], out[n + 1:] = 0.0, vals, vals
+    np.cumsum(out[1:], out=out[1:])
+    return out
 
 
-def _window_sums(prefix: np.ndarray, length: int) -> np.ndarray:
+def _window_sums(prefix: np.ndarray, length: int, out: np.ndarray | None = None) -> np.ndarray:
     """Circular sums over windows of `length` consecutive nodes, all offsets."""
     n = (len(prefix) - 1) // 2
-    return prefix[length: length + n] - prefix[:n]
+    return np.subtract(prefix[length: length + n], prefix[:n], out=out)
 
 
 def _ap_inputs(vals: np.ndarray, p: float) -> tuple:
@@ -264,11 +269,16 @@ def ap_characteristic(w: Weight, p: float, arcs: ArcFamily | None = None) -> ApR
 
     vals, dual, shift = _ap_inputs(w.values, p)
     cw, cd = _circular_prefix(vals), _circular_prefix(dual)
+    prod, sd = np.empty(len(vals)), np.empty(len(vals))  # reused for every length
     best = -np.inf
     best_arc = (0, 1)
     for length in arcs.lengths:
-        prod = _window_sums(cw, int(length)) * _window_sums(cd, int(length)) ** (p - 1.0)
         # <w>_I <w^{1/(1-p)}>_I^{p-1} = (S_w / L) * (S_dual / L)^{p-1}
+        _window_sums(cw, int(length), out=prod)
+        _window_sums(cd, int(length), out=sd)
+        if p != 2.0:  # x ** 1.0 is x
+            np.power(sd, p - 1.0, out=sd)
+        prod *= sd
         prod /= float(length) ** p
         j = int(np.argmax(prod))
         if prod[j] > best:

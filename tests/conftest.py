@@ -3,6 +3,8 @@ import pytest
 
 import opuckit as ok
 
+_TABLE_BLOCK = 16  # rows per stacked synthesize in orthonormal_values_table
+
 
 def pytest_addoption(parser):
     parser.addoption("--update-goldens", action="store_true",
@@ -40,3 +42,24 @@ def random_bandlimited(grid, rng, kmax, real=False):
     if real:
         return ok.GridFunction(grid, vals.real)
     return ok.GridFunction(grid, vals)
+
+
+def orthonormal_values_table(system, grid, n):
+    """(n+1) x N matrix of phi_k(theta_j) values, from one stacked synthesize
+    per _TABLE_BLOCK rows (row k equals poly_values of phi_k bitwise)."""
+    table = system.orthonormal_table(n)
+    if n + 1 > grid.size // 2:
+        raise ValueError("polynomial degree must stay below N/2")
+    out = np.empty((n + 1, grid.size), dtype=complex)
+    for lo in range(0, n + 1, _TABLE_BLOCK):
+        block = np.zeros((min(_TABLE_BLOCK, n + 1 - lo), grid.size), dtype=complex)
+        block[:, : n + 1] = table[lo: lo + len(block)]
+        out[lo: lo + len(block)] = grid.synthesize(block)
+    return out
+
+
+def quadrature_gram(system, w, n):
+    """Gram matrix of phi_0..phi_n under (w/2pi) dtheta by quadrature of their grid
+    values: the oracle of the Toeplitz form in `opuc.gram_matrix`."""
+    vals = orthonormal_values_table(system, w.grid, n)
+    return (vals * w.values) @ np.conj(vals.T) / w.grid.size

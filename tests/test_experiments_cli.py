@@ -410,6 +410,20 @@ def test_spec_takes_nmax_below_half_the_grid_and_finite_beta_only():
         ExperimentSpec(name="entropy_limit", beta=float("-inf"))
 
 
+@pytest.mark.parametrize("key, value", [("beta", "0.2"), ("a", "0.5"), ("beta", "None"),
+                                        ("a", "nan"), ("beta", [0.2]), ("a", np.array(None)),
+                                        ("beta", True)])
+def test_spec_names_a_non_numeric_parameter(key, value):
+    # strings, None-like objects and bools stop at the field, before numpy's isfinite
+    with pytest.raises(SpecError, match=rf"^{key} must be a real number or None \(from the "
+                                        rf"CLI: --{key}\), got {key} = .* of type "
+                                        rf"{type(value).__name__}$"):
+        ExperimentSpec(name="entropy_limit", **{key: value})
+    # numpy scalars and integers are real numbers
+    ExperimentSpec(name="entropy_limit", **{key: np.float64(0.25)})
+    ExperimentSpec(name="entropy_limit", **{key: 0})
+
+
 def test_cli_projection_honours_p(tmp_path):
     out = tmp_path / "proj.json"
     main(["projection", "--grid-log2", "10", "--nmax", "91", "--p", "3", "--out", str(out)])

@@ -89,6 +89,20 @@ def test_trig_moments_squared_distance(grid12):
         assert_allclose(m.c[k], direct, atol=1e-13)
 
 
+@pytest.mark.parametrize("kmax", [0, 7, 2047])
+def test_trig_moments_equal_analyze_bins(grid12, kmax):
+    # real samples take the real FFT, complex ones analyze: both are analyze's bins
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal(grid12.size) + 2.0
+    m = ok.trig_moments(ok.GridFunction(grid12, x), kmax)
+    want = grid12.analyze(x)[: kmax + 1]
+    assert m.c[0].imag == 0.0
+    assert_allclose(m.c, want, rtol=0, atol=1e-15 * np.max(np.abs(want)))
+    z = x + 1j * np.sin(3.0 * grid12.nodes)  # complex, with a real c_0
+    assert np.array_equal(ok.trig_moments(ok.GridFunction(grid12, z), kmax).c,
+                          grid12.analyze(z)[: kmax + 1])
+
+
 def test_trig_moments_preconditions(grid12):
     f = ok.GridFunction(grid12, np.ones(grid12.size))
     with pytest.raises(MomentError):
@@ -325,21 +339,40 @@ def test_duality_map_rows_and_zero_row():
 def test_lp_norms_rows_equal_weighted_lp_norm_and_zero_row(grid12):
     w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
     rng = np.random.default_rng(8)
-    stack = rng.standard_normal((3, grid12.size)) + 1j * rng.standard_normal((3, grid12.size))
+    stack = rng.standard_normal((4, grid12.size)) + 1j * rng.standard_normal((4, grid12.size))
     stack[1] = 0.0
+    # moduli spanning 1e-300..1: exp(p log) must keep the tiny entries' terms, or drop
+    # them to 0 where pow does too
+    stack[3] = np.logspace(-300, 0, grid12.size) * np.exp(1j * rng.uniform(0, 6.3, grid12.size))
     p_grid = [1.0, 2.0, 3.5, 30.0]
     got = lp_norms(stack, p_grid, w.values)
     assert got.shape == (len(p_grid), len(stack))
     for i, p in enumerate(p_grid):
         for r in range(len(stack)):
             assert got[i, r] == ok.weighted_lp_norm(stack[r], w, p)
+            # the direct pow form, unscaled: no entry here overflows at p = 30
+            direct = np.mean(np.abs(stack[r]) ** p * w.values) ** (1.0 / p)
+            assert abs(got[i, r] - direct) <= 1e-13 * direct
     assert np.all(got[:, 1] == 0.0)
+    # lent buffers change nothing but where the work happens
+    work = (np.empty(stack.shape), np.empty(stack.shape))
+    assert np.array_equal(lp_norms(stack, p_grid, w.values, work), got)
     # no weight is the weight 1, bitwise, in any stack shape
-    plain = lp_norms(stack.reshape(3, 1, -1), p_grid)
-    assert plain.shape == (len(p_grid), 3, 1)
+    plain = lp_norms(stack.reshape(4, 1, -1), p_grid)
+    assert plain.shape == (len(p_grid), 4, 1)
     assert np.array_equal(plain[..., 0], lp_norms(stack, p_grid, np.ones(grid12.size)))
     expect = np.mean(np.abs(stack[0]) ** 3.5) ** (1.0 / 3.5)
     assert_allclose(plain[2, 0, 0], expect, rtol=1e-13)
+
+
+def test_poly_values_into_a_buffer_equals_fresh_call(grid12):
+    rng = np.random.default_rng(9)
+    buf = np.empty(grid12.size, dtype=complex)
+    for k in (1, 17, grid12.size // 2):
+        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        got = ok.poly_values(grid12, c, out=buf)
+        assert got is buf
+        assert np.array_equal(got, ok.poly_values(grid12, c))
 
 
 def test_poisson_probabilities_shared_by_both_callers(grid12):

@@ -8,6 +8,8 @@ from opuckit import opuc
 from opuckit.operators import materialize_full
 from opuckit.opuc import RecursionBreakdownError
 
+from conftest import orthonormal_values_table, quadrature_gram
+
 
 def test_lebesgue_system(grid12):
     w = ok.make_weight("constant", {}, grid12)
@@ -151,7 +153,7 @@ def test_cd_kernel_reproduces_monomials(fh02_system, grid14):
     w, sys = fh02_system
     n = 4
     table = sys.orthonormal_table(n)
-    vals = ok.opuc.orthonormal_values_table(sys, grid14, n)
+    vals = orthonormal_values_table(sys, grid14, n)
     for z in (0.3, 0.5j, -0.2 - 0.4j):
         pz = ok.opuc.poly_eval_table(table, z)
         kern = pz @ np.conj(vals)  # K_n(z, xi_j)
@@ -165,7 +167,7 @@ def test_cd_kernel_reproduces_monomials(fh02_system, grid14):
 def test_values_table_rows_equal_per_row_synthesis(fh02_system, grid14, n):
     _, sys = fh02_system
     table = sys.orthonormal_table(n)
-    vals = ok.opuc.orthonormal_values_table(sys, grid14, n)
+    vals = orthonormal_values_table(sys, grid14, n)
     for k in range(n + 1):
         assert np.array_equal(vals[k], ok.poly_values(grid14, table[k, : k + 1]))
 
@@ -268,6 +270,29 @@ def test_weighted_lp_norms(fh02_system, grid14):
     # rescaling keeps huge values finite at large p
     big = ok.weighted_lp_norm(1e150 * zn, w1, 30.0)
     assert np.isfinite(big) and abs(big - 1e150) / 1e150 < 1e-9
+
+
+def _clark_second_kind(grid, n):
+    """clark_duality's second-kind system of the smooth Bernstein-Szego weight,
+    with the renormalized alpha = -1 dual weight it is orthonormal for."""
+    wb = ok.make_weight("bernstein_szego", {"a": 0.5}, grid)
+    dual = ok.renormalized(ok.clark_weight(wb, -1.0).w_alpha)
+    return ok.second_kind(ok.system_from_weight(wb, n)), dual
+
+
+@pytest.mark.parametrize("case", ["fisher_hartwig", "bernstein_szego", "clark_second_kind"])
+def test_gram_matrix_equals_quadrature_gram(grid14, case):
+    # the Toeplitz form table G table^H against the quadrature of the grid values
+    n = 64
+    if case == "clark_second_kind":
+        sys, w = _clark_second_kind(grid14, n)
+    else:
+        w = ok.make_weight(case, {"fisher_hartwig": {"beta": 0.3},
+                                  "bernstein_szego": {"a": 0.5}}[case], grid14)
+        sys = ok.system_from_weight(w, n)
+    got = ok.gram_matrix(sys, n, weight=w)
+    assert got.shape == (n + 1, n + 1)
+    assert np.max(np.abs(got - quadrature_gram(sys, w, n))) <= 1e-14
 
 
 def test_gram_identity_all_families(grid12):
