@@ -12,6 +12,7 @@ a = -1 degenerates to F_{-1} = 1/F, i.e. w_dual = w/(w^2 + H(w)^2).
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,11 +29,21 @@ class DegenerateInputError(ValueError):
 
 @dataclass
 class ClarkData:
+    """The Clark weight of `base` at `alpha`; the boundary traces F and f of
+    `base` are derived from it on first access, not kept."""
+
     alpha: complex
-    F_boundary: GridFunction = field(repr=False)
-    f_boundary: GridFunction = field(repr=False)
     w_alpha: Weight
     mass: float  # quadrature(w_alpha)/2pi, a probability/absolute-continuity diagnostic
+    base: Weight = field(repr=False)
+
+    @cached_property
+    def F_boundary(self) -> GridFunction:
+        return caratheodory_boundary(self.base)
+
+    @cached_property
+    def f_boundary(self) -> GridFunction:
+        return schur_from_caratheodory(self.F_boundary)
 
 
 def caratheodory_boundary(w: Weight) -> GridFunction:
@@ -91,7 +102,8 @@ def clark_weight(w: Weight, alpha: complex) -> ClarkData:
                 f"|F|^2 below floor at {n_guarded} nodes; dual weight degenerate")
         vals = w.values / np.maximum(denom, DENOM_FLOOR)
     else:
-        vals = _moebius_clark(F.values, complex(alpha)).real
+        # a contiguous copy: the real view would keep the complex result alive
+        vals = _moebius_clark(F.values, complex(alpha)).real.copy()
         if np.any(vals <= 0.0):
             raise DegenerateInputError("Clark weight lost positivity on the grid")
 
@@ -100,8 +112,7 @@ def clark_weight(w: Weight, alpha: complex) -> ClarkData:
     w_alpha = Weight(wf, normalized=abs(mass - 1.0) <= 1e-12, family="user",
                      params={"values": vals, "clark_alpha": complex(alpha),
                              "clark_base": w.family})
-    return ClarkData(alpha=complex(alpha), F_boundary=F, f_boundary=f,
-                     w_alpha=w_alpha, mass=mass)
+    return ClarkData(alpha=complex(alpha), w_alpha=w_alpha, mass=mass, base=w)
 
 
 def generalized_entropy(w: Weight, z_samples) -> np.ndarray:

@@ -518,8 +518,7 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec:
     rec.fit("calibration", {"exponent": cal_slope, "intercept": cal_icpt, "r2": cal_r2})
     c_cal = float(np.exp(cal_icpt))
 
-    def empirical_pstar(beta: float) -> tuple:
-        w, row = rec.cell("fisher_hartwig", grid, beta=beta)
+    def empirical_pstar(beta: float, w, row) -> tuple:
         p_pred = 2.0 + 1.0 / beta
         p_grid = list(spec.p_grid) or [p_pred * f for f in cfg["p_grid_factors"]]
         es = []
@@ -536,9 +535,11 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec:
     pstars, ts = [], []
     for t in cfg["t_grid"]:
         beta = float(((t - 1.0) / c_cal) ** (1.0 / cal_slope))
-        w, row = rec.cell("fisher_hartwig", grid, normalize=False, beta=beta)
+        # one sampling for both: [w]_{A_2} is scale invariant, so the normalized
+        # weight gives t as well (to rounding)
+        w, row = rec.cell("fisher_hartwig", grid, beta=beta)
         t_meas = ap_characteristic(w, 2.0).value
-        pstar, p_pred = empirical_pstar(beta)
+        pstar, p_pred = empirical_pstar(beta, w, row)
         pstars.append(pstar)
         ts.append(t_meas)
         row(t_target=float(t), t_measured=t_meas, p_star=pstar, p_predicted=p_pred)
@@ -553,7 +554,8 @@ def _run_pcr_upper_trend(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec:
             cfg["slope_tol"], "pstar_exponent")
 
     for spot in cfg["spot_checks"]:
-        pstar, _ = empirical_pstar(float(spot["beta"]))
+        beta = float(spot["beta"])
+        pstar, _ = empirical_pstar(beta, *rec.cell("fisher_hartwig", grid, beta=beta))
         rec.check(f"spot[beta={spot['beta']}]", pstar, spot["lo"] < pstar < spot["hi"],
                   [spot["lo"], spot["hi"]])
 

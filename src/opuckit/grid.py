@@ -74,11 +74,6 @@ class CircleGrid:
             raise GridSizeError(f"expected {self.size} samples, got shape {values.shape}")
         return np.fft.fft(values, axis=-1) / self.size * self._phase
 
-    @cached_property
-    def _unphase(self) -> np.ndarray:
-        # e^{+i pi k / N}: undoes `_phase` on the way back to the nodes.
-        return np.exp(1j * np.pi * self.freqs / self.size)
-
     def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse of `analyze`: samples at the grid nodes, shape (..., N).
 
@@ -94,8 +89,9 @@ class CircleGrid:
         if not 1 <= k <= self.size:
             raise GridSizeError(f"expected 1 to {self.size} coefficients along the last axis, "
                                 f"got shape {coeffs.shape}")
-        return np.fft.ifft(coeffs * self._unphase[:k], n=self.size, axis=-1, norm="forward",
-                           out=out)
+        # e^{+i pi k / N} undoes `_phase` on the way back to the nodes
+        unphase = np.exp(1j * np.pi * self.freqs[:k] / self.size)
+        return np.fft.ifft(coeffs * unphase, n=self.size, axis=-1, norm="forward", out=out)
 
 
 @dataclass

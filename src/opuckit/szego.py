@@ -10,6 +10,7 @@ D0 = exp(mean(log w)/2) = exp((1/4pi) int log w dtheta).
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -20,28 +21,32 @@ from .weights import Weight, resample
 
 @dataclass
 class SzegoData:
+    """The boundary trace D of the Szego function of `weight` and D0 = D(0);
+    log w, H((1/2) log w) and 1/D are derived on first access, not kept."""
+
     weight: Weight
-    logw: GridFunction = field(repr=False)
-    conj_half_logw: GridFunction = field(repr=False)
     D: GridFunction = field(repr=False)
-    Dinv: GridFunction = field(repr=False)
     D0: float
+
+    @cached_property
+    def logw(self) -> GridFunction:
+        return GridFunction(self.weight.grid, np.log(self.weight.values))
+
+    @cached_property
+    def conj_half_logw(self) -> GridFunction:
+        return conjugate_function(GridFunction(self.weight.grid, 0.5 * self.logw.values))
+
+    @cached_property
+    def Dinv(self) -> GridFunction:
+        return GridFunction(self.weight.grid, 1.0 / self.D.values)
 
 
 def szego_function(w: Weight) -> SzegoData:
     """Boundary Szego data; |D|^2 = w holds pointwise by construction."""
     logw = np.log(w.values)
-    half = GridFunction(w.grid, 0.5 * logw)
-    conj_half = conjugate_function(half)
-    d = np.exp(half.values + 1j * conj_half.values)
-    return SzegoData(
-        weight=w,
-        logw=GridFunction(w.grid, logw),
-        conj_half_logw=conj_half,
-        D=GridFunction(w.grid, d),
-        Dinv=GridFunction(w.grid, 1.0 / d),
-        D0=float(np.exp(0.5 * np.mean(logw))),
-    )
+    half = 0.5 * logw
+    d = np.exp(half + 1j * conjugate_function(GridFunction(w.grid, half)).values)
+    return SzegoData(weight=w, D=GridFunction(w.grid, d), D0=float(np.exp(0.5 * np.mean(logw))))
 
 
 def _require_normalized(w: Weight, what: str):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -192,3 +194,39 @@ def test_generalized_entropy_rejects_outside_disk(grid12):
     w = ok.make_weight("constant", {}, grid12)
     with pytest.raises(ValueError):
         ok.generalized_entropy(w, [0.5, 1.5])
+
+
+@pytest.mark.parametrize("family, params", [("fisher_hartwig", {"beta": 0.3}),
+                                            ("bernstein_szego", {"a": 0.5})])
+def test_clark_derived_traces_equal_eager_formulas_bitwise(grid12, family, params):
+    w = ok.make_weight(family, params, grid12)
+    F = w.values + 1j * ok.conjugate_function(w.samples).values
+    f = (F - 1.0) / (grid12.points * (F + 1.0))
+    for alpha in ALPHAS:
+        cd = ok.clark_weight(w, alpha)
+        assert cd.base is w
+        assert np.array_equal(cd.F_boundary.values, F)
+        assert np.array_equal(cd.f_boundary.values, f)
+        if alpha == -1.0:
+            vals = w.values / (w.values ** 2 + F.imag ** 2)
+        else:
+            zeta = (1.0 - alpha) / (1.0 + alpha)
+            vals = ((zeta + F) / (1.0 + zeta * F)).real
+        assert np.array_equal(cd.w_alpha.values, vals)
+        assert cd.F_boundary is cd.F_boundary  # built once, then cached
+
+
+def test_clark_results_keep_no_boundary_traces():
+    # three results hold their three real Clark weights and no copy of F or f
+    grid = ok.CircleGrid(14)
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid)
+    ok.clark_weight(w, 1j)  # the grid's cached frequencies are not the results' memory
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [ok.clark_weight(w, alpha) for alpha in ALPHAS]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 3
+    assert held <= (3 + 0.25) * 8 * grid.size

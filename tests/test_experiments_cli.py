@@ -40,6 +40,30 @@ def test_spec_validation():
         ExperimentSpec(name="pcr_upper_trend", n_grid=(64, 91, 91))
 
 
+def test_pcr_upper_trend_samples_each_weight_once(monkeypatch):
+    sampled = []
+
+    def counting(family, params, grid, normalize=True):
+        sampled.append((params["beta"], normalize))
+        return ok.make_weight(family, params, grid, normalize)
+
+    monkeypatch.setattr(experiments, "make_weight", counting)
+    rec = run(ExperimentSpec(name="pcr_upper_trend", grid_log2=10, n_grid=(16, 32, 64)))
+    cfg = load_thresholds()["pcr_upper_trend"]
+    # the calibration betas raw, then one normalized weight per t and per spot check
+    assert len(sampled) == len(set(sampled)) == (len(cfg["calibration_betas"])
+                                                 + len(cfg["t_grid"]) + len(cfg["spot_checks"]))
+    assert sum(not normalize for _, normalize in sampled) == len(cfg["calibration_betas"])
+    t_rows = [r for r in rec.rows if "t_measured" in r]
+    assert [list(r) for r in t_rows] == [["family", "beta", "t_target", "t_measured", "p_star",
+                                          "p_predicted", "grid_log2", "seed"]] * len(cfg["t_grid"])
+    # [w]_{A_2} is scale invariant: the normalized weight gives the raw weight's t
+    for r in t_rows:
+        raw = ok.make_weight("fisher_hartwig", {"beta": r["beta"]}, ok.CircleGrid(10),
+                             normalize=False)
+        assert abs(r["t_measured"] / ok.ap_characteristic(raw, 2.0).value - 1.0) < 1e-12
+
+
 def test_opuc_diagnostics_record(tmp_path):
     out = tmp_path / "diag.json"
     spec = ExperimentSpec(name="opuc_diagnostics", grid_log2=11,

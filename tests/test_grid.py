@@ -294,6 +294,16 @@ def test_synthesize_prefix_equals_padded_call(k):
     assert g.synthesize(prefix).shape == (4, g.size)
 
 
+@pytest.mark.parametrize("k", [1, 7, 129, 2048, 4096])
+def test_synthesize_phases_equal_full_frequency_table(grid12, k):
+    # synthesize phases only its k bins; the N-bin table's first k entries are bitwise the same
+    rng = np.random.default_rng(k)
+    coeffs = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+    unphase = np.exp(1j * np.pi * grid12.freqs / grid12.size)
+    want = np.fft.ifft(coeffs * unphase[:k], n=grid12.size, axis=-1, norm="forward")
+    assert np.array_equal(grid12.synthesize(coeffs), want)
+
+
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (257,), (2, 257), ()])
 def test_synthesize_rejects_bad_prefix_naming_shape(shape):
     g = ok.CircleGrid(8)

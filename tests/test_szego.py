@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -38,6 +40,37 @@ def test_szego_d0_matches_sandwich_bound(fh02_system):
     assert_allclose(sz.D0, np.exp(0.5 * np.mean(np.log(w.values))), rtol=1e-13)
     # D0 is the lower end of the 1/k_n sandwich
     assert np.min(1.0 / sys.kappa) >= sz.D0 - 1e-12
+
+
+@pytest.mark.parametrize("family, params", [("fisher_hartwig", {"beta": 0.3}),
+                                            ("bernstein_szego", {"a": 0.5})])
+def test_szego_derived_traces_equal_eager_formulas_bitwise(grid12, family, params):
+    w = ok.make_weight(family, params, grid12)
+    logw = np.log(w.values)
+    conj = ok.conjugate_function(ok.GridFunction(grid12, 0.5 * logw)).values
+    d = np.exp(0.5 * logw + 1j * conj)
+    sz = ok.szego_function(w)
+    assert np.array_equal(sz.D.values, d)
+    assert sz.D0 == float(np.exp(0.5 * np.mean(logw)))
+    assert np.array_equal(sz.logw.values, logw)
+    assert np.array_equal(sz.conj_half_logw.values, conj)
+    assert np.array_equal(sz.Dinv.values, 1.0 / d)
+    assert sz.Dinv is sz.Dinv  # built once, then cached
+
+
+def test_szego_function_keeps_only_its_trace():
+    grid = ok.CircleGrid(14)
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid)
+    ok.szego_function(w)  # the grid's cached frequencies are not the result's memory
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sz = ok.szego_function(w)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sz.D.values.dtype == complex
+    assert held <= (1 + 0.25) * 16 * grid.size
 
 
 def test_estimate_qcr_fisher_hartwig(grid14):
