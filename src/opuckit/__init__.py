@@ -21,7 +21,6 @@ from .grid import (
 from .weights import (
     ApReport,
     ArcFamily,
-    FisherHartwigParams,
     Weight,
     ap_characteristic,
     ap_refinement_curve,
@@ -36,7 +35,6 @@ from .weights import (
     resample,
 )
 from .opuc import (
-    CDKernelHandle,
     OPUCSystem,
     RecursionBreakdownError,
     cd_kernel,

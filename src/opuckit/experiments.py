@@ -81,8 +81,9 @@ class ExperimentSpec:
                             f"(from the CLI: --nmax), got nmax = {self.nmax}")
         if self.n_grid and max(self.n_grid) >= n // 4:
             raise SpecError(f"n-grid max must stay below N/4 = {n // 4}")
-        if self.p_grid and not min(self.p_grid) > 1.0:
-            raise SpecError(f"all p must exceed 1, got p_grid = {tuple(self.p_grid)}")
+        if not all(1.0 < p < np.inf for p in self.p_grid):
+            raise SpecError(f"all p must be finite and exceed 1 (from the CLI: --p), "
+                            f"got p_grid = {tuple(self.p_grid)}")
         if self.name == "pcr_upper_trend" and self.n_grid and len(set(self.n_grid)) < 3:
             raise SpecError(f"pcr_upper_trend fits c1 + c2 n^e and needs three distinct degrees "
                             f"in n_grid, got {tuple(self.n_grid)} (from the CLI: --nmax >= 128)")

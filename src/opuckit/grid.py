@@ -204,39 +204,34 @@ def lp_norms(values: np.ndarray, p_grid, weight: np.ndarray | None = None,
     return out * m[..., 0]
 
 
-def apply_multiplier(f: GridFunction, multiplier) -> GridFunction:
-    """Apply a Fourier multiplier: an array m(k) in FFT order, or a band (lo, hi)."""
-    return GridFunction(f.grid, fourier_multiplier(f.values, multiplier))
-
-
 def conjugate_function(f: GridFunction) -> GridFunction:
     """Boundary harmonic conjugate: multiplier -i*sgn(k), constants -> 0.
 
     The Nyquist bin (k = -N/2) is zeroed so that real input maps to real
     output and the conjugate of a conjugate is -f + mean(f) on the
-    |k| < N/2 band.
+    |k| < N/2 band.  By real FFT: bins k = 1..N/2-1 times -i, bins 0 and N/2 zeroed, so the
+    result is a float array of its own, not the real part of a complex one.
     """
-    vals = f.real_values()
-    grid = f.grid
-    k = grid.freqs
-    mult = -1j * np.sign(k).astype(complex)
-    mult[k == -(grid.size // 2)] = 0.0
-    return GridFunction(grid, fourier_multiplier(vals, mult).real)
+    spec = np.fft.rfft(f.real_values())
+    spec *= -1j
+    spec[0] = spec[-1] = 0.0
+    return GridFunction(f.grid, np.fft.irfft(spec, f.grid.size))
 
 
 def riesz_project(f: GridFunction) -> GridFunction:
     """Riesz projection: keep frequencies k >= 0, kill k < 0. Idempotent."""
-    return apply_multiplier(f, (0, f.grid.size // 2 - 1))
+    return band_project(f, 0, f.grid.size // 2 - 1)
 
 
 def band_project(f: GridFunction, lo: int, hi: int) -> GridFunction:
     """Keep frequencies lo <= k <= hi (signed), zero the rest."""
-    return apply_multiplier(f, (lo, hi))
+    return GridFunction(f.grid, fourier_multiplier(f.values, (lo, hi)))
 
 
 def _check_in_disk(z: complex):
-    if abs(z) >= 1.0:
-        raise ValueError(f"point must lie strictly inside the unit disk, got z = {z}")
+    """The one disk check: |z| < 1, which NaN fails."""
+    if not abs(z) < 1.0:
+        raise ValueError(f"point must lie strictly inside the unit disk, got z = {complex(z)}")
 
 
 def poisson_extend(f: GridFunction, z: complex) -> complex:

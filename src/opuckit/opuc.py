@@ -32,7 +32,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import blas, eigh
 
-from .grid import CircleGrid, GridFunction, MomentSequence, lp_norms, trig_moments
+from .grid import CircleGrid, GridFunction, MomentSequence, _check_in_disk, lp_norms, trig_moments
 from .operators import NormEstimate, OperatorProbe, check_exponent, operator_norm
 from .weights import Weight
 
@@ -205,12 +205,11 @@ def psi_integral_form(system: OPUCSystem, w: Weight, n: int, z: complex) -> comp
     """
     if n < 1:
         raise ValueError("the integral form applies for n >= 1")
-    if abs(z) >= 1.0:
-        raise ValueError("z must lie strictly inside the disk")
+    _check_in_disk(z)
     grid = w.grid
     coeffs = system.orthonormal_coeffs(n)
     phi_vals = poly_values(grid, coeffs)
-    phi_at_z = poly_eval(coeffs, np.array([z]))[0]
+    phi_at_z = poly_eval(coeffs, z)
     zeta_bar = np.conj(grid.points)
     kern = (1.0 + z * zeta_bar) / (1.0 - z * zeta_bar)
     return complex(np.sum(kern * (phi_vals - phi_at_z) * w.values) / grid.size)
@@ -228,12 +227,15 @@ def poly_values(grid: CircleGrid, coeffs: np.ndarray, out: np.ndarray | None = N
     return grid.synthesize(coeffs, out=out)
 
 
-def poly_eval(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Horner evaluation at arbitrary complex points (off the grid)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.zeros_like(z)
-    for c in np.asarray(coeffs, dtype=complex)[::-1]:
-        out = out * z + c
+def poly_eval(coeffs: np.ndarray, z) -> np.ndarray:
+    """Values at arbitrary complex points (off the grid) of each row polynomial
+    sum_m coeffs[..., m] z^m of a (..., k) coefficient table, by Horner along the
+    last axis; z broadcasts against the leading axes, so a 1-D table takes an
+    array of points and a table takes one point.  Row r is the call on row r alone."""
+    coeffs, z = np.asarray(coeffs, dtype=complex), np.asarray(z, dtype=complex)
+    out = np.zeros(np.broadcast_shapes(coeffs.shape[:-1], z.shape), dtype=complex)
+    for m in range(coeffs.shape[-1] - 1, -1, -1):
+        out = out * z + coeffs[..., m]
     return out
 
 
@@ -266,27 +268,10 @@ def gram_matrix(system: OPUCSystem, n: int, weight: Weight | None = None) -> np.
 # CD kernel and projections
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CDKernelHandle:
-    system: OPUCSystem
-    n: int
-
-    def __post_init__(self):
-        self.system._check_degree(self.n)
-
-
-def cd_kernel(handle: CDKernelHandle, z: complex, zeta: complex) -> complex:
+def cd_kernel(system: OPUCSystem, n: int, z: complex, zeta: complex) -> complex:
     """K_n(z, zeta) = sum_{k<=n} phi_k(z) conj(phi_k(zeta)); Hermitian in (z, zeta)."""
-    table = handle.system.orthonormal_table(handle.n)
-    pz = poly_eval_table(table, complex(z))
-    pzeta = poly_eval_table(table, complex(zeta))
-    return complex(np.dot(pz, np.conj(pzeta)))
-
-
-def poly_eval_table(table: np.ndarray, z: complex) -> np.ndarray:
-    """Evaluate every row polynomial of a triangular coefficient table at z."""
-    powers = z ** np.arange(table.shape[1])
-    return table @ powers
+    table = system.orthonormal_table(n)
+    return complex(np.dot(poly_eval(table, z), np.conj(poly_eval(table, zeta))))
 
 
 def project(system: OPUCSystem, f: GridFunction, n: int, weight: Weight | None = None) -> GridFunction:
@@ -308,8 +293,8 @@ def _project_values(table: np.ndarray, w: Weight, values: np.ndarray) -> np.ndar
 
 def weighted_lp_norm(f: GridFunction | np.ndarray, w: Weight, p: float) -> float:
     """((1/2pi) int |f|^p w dtheta)^{1/p}, rescaled to avoid overflow at large p."""
-    if not p >= 1.0:
-        raise ValueError(f"p >= 1 required, got p = {p}")
+    if not 1.0 <= p < np.inf:
+        raise ValueError(f"finite p >= 1 required, got p = {p}")
     vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
     return float(lp_norms(vals, (p,), w.values)[0])
 
@@ -335,8 +320,8 @@ def steklov_norms(w: Weight, n_grid, p_grid) -> np.ndarray:
         raise ValueError(f"n_grid must be a non-empty list of degrees in [0, {top}] "
                          f"(N/2 = {w.grid.size // 2}), got {n_grid}")
     p_grid = [float(p) for p in p_grid]
-    if not p_grid or min(p_grid) < 1.0:
-        raise ValueError(f"p_grid must be a non-empty list of exponents p >= 1, got {p_grid}")
+    if not p_grid or not all(1.0 <= p < np.inf for p in p_grid):
+        raise ValueError(f"p_grid must be a non-empty list of finite p >= 1, got {p_grid}")
     wanted, by_degree = set(n_grid), {}
     # One workspace serves every degree: the N values and lp_norms' two buffers.  It is
     # one block, not three, on purpose: freeing it lifts glibc's dynamic mmap threshold

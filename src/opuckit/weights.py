@@ -29,21 +29,6 @@ _BMO_CHUNK = 1 << 20  # elements per (offsets, L) temporary in bmo_norm: 8 MB of
 _SUBARC_NODES = 32  # Gauss-Jacobi nodes per sub-arc average: 12 already reach roundoff at a = pi
 
 
-@dataclass(frozen=True)
-class FisherHartwigParams:
-    """Exponent of the model weight |z - 1|^{2 beta}.
-
-    beta < 1/2 is required for the A_2 statements; larger beta is allowed
-    for moment generation only.
-    """
-
-    beta: float
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError("beta must be nonnegative")
-
-
 @dataclass
 class Weight:
     samples: GridFunction
@@ -108,16 +93,19 @@ def make_weight(family: str, params: dict | None = None, grid: CircleGrid | None
 
     if family == "constant":
         c = float(params.setdefault("value", 1.0))
-        if c <= 0:
-            raise ValueError("constant weight must be positive")
+        if not c > 0:
+            raise ValueError(f"weight family 'constant' needs value > 0, got value = {c}")
         vals = np.full(grid.size, c)
     elif family == "fisher_hartwig":
-        fh = FisherHartwigParams(float(params["beta"]))
-        vals = fisher_hartwig_values(theta, fh.beta)
+        # beta < 1/2 is required for the A_2 statements; larger beta serves moments only
+        beta = float(params["beta"])
+        if not beta >= 0:
+            raise ValueError(f"weight family 'fisher_hartwig' needs beta >= 0, got beta = {beta}")
+        vals = fisher_hartwig_values(theta, beta)
     elif family == "bernstein_szego":
         a = float(params["a"])
         if not -1.0 < a < 1.0:
-            raise ValueError("bernstein_szego parameter must satisfy |a| < 1")
+            raise ValueError(f"weight family 'bernstein_szego' needs |a| < 1, got a = {a}")
         vals = bernstein_szego_values(theta, a)
     elif family == "perturbed":
         base = params["base"]
@@ -127,7 +115,10 @@ def make_weight(family: str, params: dict | None = None, grid: CircleGrid | None
             raise ValueError("base weight lives on a different grid")
         f = params["f"]
         fvals = f(theta) if callable(f) else np.asarray(f)
-        scaled = float(params["delta"]) * fvals
+        delta = float(params["delta"])
+        if not np.isfinite(delta):
+            raise ValueError(f"weight family 'perturbed' needs a finite delta, got delta = {delta}")
+        scaled = delta * fvals
         if np.max(scaled) > 300.0 or np.min(scaled) < -300.0:
             raise ValueError("exp(delta f) overflows or underflows; shrink delta or f")
         vals = base.values * np.exp(scaled)
@@ -200,9 +191,6 @@ class ArcFamily:
             return np.array([1 << k for k in range(self.grid.log2_size + 1)])
         return np.arange(1, self.grid.size + 1)
 
-    def __len__(self) -> int:
-        return int(len(self.lengths)) * self.grid.size
-
 
 @dataclass(frozen=True)
 class ApReport:
@@ -260,7 +248,7 @@ def ap_characteristic(w: Weight, p: float, arcs: ArcFamily | None = None) -> ApR
     >= 1 by the discrete Jensen inequality.  Cost is O(N) per arc length via
     one circular prefix sum per input.
     """
-    if p <= 1.0:
+    if not p > 1.0:
         raise ValueError(f"A_p requires p > 1, got p = {p}")
     arcs = arcs or ArcFamily(w.grid)
     if arcs.grid.log2_size != w.grid.log2_size:

@@ -282,6 +282,11 @@ def _continuity12(deltas, band=16):
     (lambda: ok.projection_norm_probe(ok.system_from_weight(_W12, 4), 4, float("nan")),
      "p = nan"),
     (lambda: ExperimentSpec(name="fh_growth", p_grid=(3.0, 0.75)), "p_grid = (3.0, 0.75)"),
+    (lambda: ExperimentSpec(name="fh_growth", p_grid=(3.0, float("nan"))), "p_grid = (3.0, nan)"),
+    (lambda: ok.ap_characteristic(_W12, float("nan")), "A_p requires p > 1, got p = nan"),
+    (lambda: ok.weighted_lp_norm(_W12.values, _W12, float("inf")),
+     "finite p >= 1 required, got p = inf"),
+    (lambda: ExperimentSpec(name="fh_growth", p_grid=(float("inf"),)), "p_grid = (inf,)"),
     # a user-built probe
     (lambda: ok.OperatorProbe(_W12.grid, lambda x: x, lambda x: x, 8, 1.0, "identity"),
      "probe 'identity' needs p in (1, inf), got p = 1.0"),
@@ -414,6 +419,8 @@ def test_opuc_rows_carry_only_their_family_parameter(family, params, tmp_path):
     (["opuc", "--nmax", "600", "--grid-log2", "10"],
      "nmax must be an integer with 0 <= nmax < N/2 = 512 (from the CLI: --nmax), got nmax = 600"),
     (["opuc", "--nmax", "-1", "--grid-log2", "10"], "got nmax = -1"),
+    (["steklov", "--beta", "0.3", "--p", "3,nan", "--grid-log2", "10", "--nmax", "128"],
+     "all p must be finite and exceed 1 (from the CLI: --p), got p_grid = (3.0, nan)"),
 ])
 def test_cli_bad_input_names_field_and_flag(argv, named, monkeypatch, capsys, tmp_path):
     def no_run(spec):

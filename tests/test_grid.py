@@ -127,6 +127,19 @@ def test_conjugate_function_multiplier(grid12):
     assert np.max(np.abs(ok.conjugate_function(const).values)) < 1e-13
 
 
+@pytest.mark.parametrize("family, params", [("fisher_hartwig", {"beta": 0.3}),
+                                            ("bernstein_szego", {"a": 0.5})])
+def test_conjugate_function_owns_a_float_array(grid12, family, params):
+    f = ok.GridFunction(grid12, np.log(ok.make_weight(family, params, grid12).values))
+    got = ok.conjugate_function(f).values
+    assert got.dtype == float and got.flags.c_contiguous and got.flags.owndata
+    # the complex-FFT form: multiplier -i sgn(k), Nyquist bin zeroed
+    mult = -1j * np.sign(grid12.freqs)
+    mult[grid12.size // 2] = 0.0
+    expected = np.fft.ifft(np.fft.fft(f.values) * mult).real
+    assert np.max(np.abs(got - expected)) <= 4e-15 * np.max(np.abs(f.values))
+
+
 def test_conjugate_function_rejects_complex(grid12):
     f = ok.GridFunction(grid12, np.exp(1j * grid12.nodes))
     with pytest.raises(ValueError):
@@ -403,8 +416,16 @@ def test_poisson_probabilities_shared_by_both_callers(grid12):
     with pytest.raises(ValueError, match=r"z = \(0\.3\+1\.1j\)"):
         poisson_probabilities(grid12, [0.5, 0.3 + 1.1j])
     for caller in (ok.poisson_characteristics, ok.generalized_entropy):
-        with pytest.raises(ValueError, match=r"z = \(1\+0j\)"):
-            caller(w, [0.2j, 1.0])
+        for bad, named in ((1.0, r"z = \(1\+0j\)"), (np.nan, r"z = \(nan\+0j\)")):
+            with pytest.raises(ValueError, match=named):
+                caller(w, [0.2j, bad])
+    # the single-point callers share the check, NaN included
+    system = ok.system_from_weight(w, 4)
+    for call in (lambda z: ok.poisson_extend(w.samples, z), lambda z: ok.cauchy_integral(w.samples, z),
+                 lambda z: ok.psi_integral_form(system, w, 2, z)):
+        for bad, named in ((1.0, r"z = \(1\+0j\)"), (np.nan, r"z = \(nan\+0j\)")):
+            with pytest.raises(ValueError, match=named):
+                call(bad)
     # no points at all is an error naming the argument, in both callers
     with pytest.raises(ValueError, match="z_samples"):
         poisson_probabilities(grid12, [])

@@ -129,23 +129,46 @@ def test_second_kind_integral_definition_fh(fh02_system):
 def test_cd_kernel_lebesgue(grid12):
     w = ok.make_weight("constant", {}, grid12)
     sys = ok.system_from_weight(w, 8)
-    handle = ok.CDKernelHandle(sys, 5)
-    assert_allclose(ok.cd_kernel(handle, 0.0, 0.0), 1.0, atol=1e-14)
+    assert_allclose(ok.cd_kernel(sys, 5, 0.0, 0.0), 1.0, atol=1e-14)
     z, zeta = 0.3 + 0.1j, -0.2 + 0.5j
     expected = sum((z * np.conj(zeta)) ** k for k in range(6))
-    assert_allclose(ok.cd_kernel(handle, z, zeta), expected, rtol=1e-12)
+    assert_allclose(ok.cd_kernel(sys, 5, z, zeta), expected, rtol=1e-12)
+    with pytest.raises(ValueError, match=r"degree 9 out of range \[0, 8\]"):
+        ok.cd_kernel(sys, 9, z, zeta)
 
 
 def test_cd_kernel_hermitian_and_positive(fh02_system):
     w, sys = fh02_system
-    handle = ok.CDKernelHandle(sys, 12)
     pts = [0.0, 0.5, 0.3 - 0.6j, 0.9j]
     for z in pts:
         for zeta in pts:
-            k1 = ok.cd_kernel(handle, z, zeta)
-            k2 = ok.cd_kernel(handle, zeta, z)
+            k1 = ok.cd_kernel(sys, 12, z, zeta)
+            k2 = ok.cd_kernel(sys, 12, zeta, z)
             assert_allclose(k1, np.conj(k2), rtol=1e-10, atol=1e-12)
-        assert ok.cd_kernel(handle, z, z).real > 0
+        assert ok.cd_kernel(sys, 12, z, z).real > 0
+
+
+def test_cd_kernel_is_the_defining_sum(fh02_system):
+    _, sys = fh02_system
+    for n in (0, 3, 12, 40):
+        for z, zeta in ((0.3 + 0.1j, -0.2 + 0.5j), (0.9j, 0.9j), (0.0, -0.7)):
+            direct = sum(ok.poly_eval(sys.orthonormal_coeffs(k), z)
+                         * np.conj(ok.poly_eval(sys.orthonormal_coeffs(k), zeta))
+                         for k in range(n + 1))
+            assert_allclose(ok.cd_kernel(sys, n, z, zeta), direct, rtol=1e-12, atol=1e-14)
+
+
+def test_poly_eval_table_rows_equal_row_calls(fh02_system):
+    _, sys = fh02_system
+    table = sys.orthonormal_table(40)
+    zs = np.array([0.0, 0.3 + 0.1j, -0.95j, 1.2])
+    for z in zs:
+        rows = ok.poly_eval(table, z)
+        assert rows.shape == (41,)
+        for k in range(41):
+            assert np.array_equal(rows[k], ok.poly_eval(table[k], z))
+    # a 1-D table at an array of points: one value per point
+    assert np.array_equal(ok.poly_eval(table[7], zs), [ok.poly_eval(table[7], z) for z in zs])
 
 
 def test_cd_kernel_reproduces_monomials(fh02_system, grid14):
@@ -155,7 +178,7 @@ def test_cd_kernel_reproduces_monomials(fh02_system, grid14):
     table = sys.orthonormal_table(n)
     vals = orthonormal_values_table(sys, grid14, n)
     for z in (0.3, 0.5j, -0.2 - 0.4j):
-        pz = ok.opuc.poly_eval_table(table, z)
+        pz = ok.poly_eval(table, z)
         kern = pz @ np.conj(vals)  # K_n(z, xi_j)
         for deg in (0, 1, 2):
             q = np.exp(1j * deg * grid14.nodes)
@@ -447,7 +470,7 @@ def test_steklov_norms_rejects_degrees_beyond_half_grid():
         ok.steklov_norms(coarse, [8, 32], [4.0])
 
 
-@pytest.mark.parametrize("p_grid", [[], [0.5, 4.0]])
+@pytest.mark.parametrize("p_grid", [[], [0.5, 4.0], [3.0, float("nan")], [3.0, float("inf")]])
 def test_steklov_norms_rejects_bad_p_grid(grid12, p_grid):
     w = ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12)
     with pytest.raises(ValueError, match="p_grid"):

@@ -21,6 +21,20 @@ def test_make_weight_constant(grid12):
         ok.make_weight("constant", {"value": -1.0}, grid12)
 
 
+@pytest.mark.parametrize("family, params, named", [
+    ("fisher_hartwig", {"beta": float("nan")}, "'fisher_hartwig' needs beta >= 0, got beta = nan"),
+    ("fisher_hartwig", {"beta": -0.1}, "'fisher_hartwig' needs beta >= 0, got beta = -0.1"),
+    ("constant", {"value": float("nan")}, "'constant' needs value > 0, got value = nan"),
+    ("bernstein_szego", {"a": float("nan")}, "'bernstein_szego' needs |a| < 1, got a = nan"),
+    ("perturbed", {"f": np.cos, "delta": float("nan")},
+     "'perturbed' needs a finite delta, got delta = nan")])
+def test_bad_family_parameter_is_named(grid12, family, params, named):
+    if family == "perturbed":
+        params = {**params, "base": ok.make_weight("constant", {}, grid12)}
+    with pytest.raises(ValueError, match=re.escape(named)):
+        ok.make_weight(family, params, grid12)
+
+
 def test_bernstein_szego_already_normalized(grid12):
     w = ok.make_weight("bernstein_szego", {"a": 0.5}, grid12, normalize=False)
     assert w.normalized  # Poisson-kernel mass
