@@ -19,11 +19,12 @@ from .grid import (
     trig_moments,
 )
 from .weights import (
+    ARC_KINDS,
     ApReport,
-    ArcFamily,
     Weight,
     ap_characteristic,
     ap_refinement_curve,
+    arc_lengths,
     bmo_norm,
     bmo_norm_bruteforce,
     dyadic_approximant,

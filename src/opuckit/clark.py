@@ -50,7 +50,7 @@ def caratheodory_boundary(w: Weight) -> GridFunction:
     """F = w + i H(w) on the boundary; H kills constants so mean(Im F) = 0."""
     if not w.normalized:
         raise ValueError("caratheodory_boundary requires a normalized weight")
-    wt = conjugate_function(w.samples)
+    wt = conjugate_function(w)
     return GridFunction(w.grid, w.values + 1j * wt.values)
 
 
@@ -89,10 +89,6 @@ def clark_weight(w: Weight, alpha: complex) -> ClarkData:
                          " at working precision: the mean of 1/w overflows")
 
     F = caratheodory_boundary(w)
-    f = schur_from_caratheodory(F)
-    if np.max(np.abs(f.values)) > 1.0 + 1e-8:
-        warnings.warn("Schur function exceeds modulus 1 beyond tolerance", stacklevel=2)
-
     if abs(alpha + 1.0) <= 1e-12:
         wt = F.values.imag
         denom = w.values ** 2 + wt ** 2
@@ -107,12 +103,9 @@ def clark_weight(w: Weight, alpha: complex) -> ClarkData:
         if np.any(vals <= 0.0):
             raise DegenerateInputError("Clark weight lost positivity on the grid")
 
-    wf = GridFunction(w.grid, vals)
-    mass = float(mean(wf))
-    w_alpha = Weight(wf, normalized=abs(mass - 1.0) <= 1e-12, family="user",
-                     params={"values": vals, "clark_alpha": complex(alpha),
-                             "clark_base": w.family})
-    return ClarkData(alpha=complex(alpha), w_alpha=w_alpha, mass=mass, base=w)
+    w_alpha = Weight(w.grid, vals, "user",
+                     {"values": vals, "clark_alpha": complex(alpha), "clark_base": w.family})
+    return ClarkData(alpha=complex(alpha), w_alpha=w_alpha, mass=float(mean(w_alpha)), base=w)
 
 
 def generalized_entropy(w: Weight, z_samples) -> np.ndarray:

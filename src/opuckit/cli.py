@@ -20,6 +20,7 @@ import argparse
 import sys
 
 from .experiments import EXPERIMENTS, ExperimentSpec, SpecError, run
+from .weights import ARC_KINDS
 
 # subcommand -> experiment; each takes --grid-log2, --seed, --out, --format and the
 # option of each input its experiment reads (EXPERIMENTS); any other option exits 4
@@ -60,7 +61,7 @@ _INPUT_OPTIONS = {
     "n_grid": ("--nmax", _NMAX),
     "p_grid": ("--p", dict(type=_parse_p_list, metavar="FLOAT[,FLOAT...]",
                            help="exponent or comma list of exponents")),
-    "arcs": ("--arcs", dict(choices=("dyadic", "full"), default="dyadic")),
+    "arcs": ("--arcs", dict(choices=ARC_KINDS, default="dyadic")),
 }
 
 

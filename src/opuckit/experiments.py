@@ -29,7 +29,7 @@ from .opuc import (gram_matrix, gram_schmidt_monic, projection_norm_probe,
 from .opuc import poly_values  # noqa: F401 - bench/test_bench.py traces this re-bound name
 from .operators import continuity_experiment
 from .szego import entropy, entropy_limit_target, strong_szego_error, szego_function
-from .weights import (ArcFamily, ap_characteristic, fh_a2_exact, fh_subarc_product,
+from .weights import (ARC_KINDS, ap_characteristic, fh_a2_exact, fh_subarc_product,
                       make_weight, renormalized)
 
 
@@ -65,8 +65,8 @@ class ExperimentSpec:
             raise SpecError(f"unknown experiment {self.name!r}; expected one of {EXPERIMENT_NAMES}")
         if self.fmt not in ("csv", "json"):
             raise SpecError("format must be 'csv' or 'json'")
-        if self.arcs not in ("dyadic", "full"):
-            raise SpecError("arcs must be 'dyadic' or 'full'")
+        if self.arcs not in ARC_KINDS:
+            raise SpecError(f"arcs must be one of {ARC_KINDS}, got {self.arcs!r}")
         for key, value in (("beta", self.beta), ("a", self.a)):
             if value is None:
                 continue
@@ -79,6 +79,9 @@ class ExperimentSpec:
         if self.nmax is not None and not (0 <= self.nmax < n // 2 and self.nmax == int(self.nmax)):
             raise SpecError(f"nmax must be an integer with 0 <= nmax < N/2 = {n // 2} "
                             f"(from the CLI: --nmax), got nmax = {self.nmax}")
+        if not all(isinstance(k, numbers.Real) and float(k).is_integer() for k in self.n_grid):
+            raise SpecError(f"n_grid must hold integer degrees (from the CLI: --nmax), "
+                            f"got n_grid = {tuple(self.n_grid)}")
         if self.n_grid and max(self.n_grid) >= n // 4:
             raise SpecError(f"n-grid max must stay below N/4 = {n // 4}")
         if not all(1.0 < p < np.inf for p in self.p_grid):
@@ -230,12 +233,10 @@ def _strict_json(obj):
 
 def _run_a2_scaling(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: ExperimentRecord):
     cfg = thr["a2_scaling"]
-    arcs = ArcFamily(grid, spec.arcs)
-
     vals = []
     for b in cfg["slope_betas"]:
         w, row = rec.cell("fisher_hartwig", grid, normalize=False, beta=float(b))
-        rep = ap_characteristic(w, 2.0, arcs)
+        rep = ap_characteristic(w, 2.0, spec.arcs)
         vals.append(rep.value)
         row(p=2.0, a2=rep.value, argmax_offset=rep.argmax_arc[0],
             argmax_len=rep.argmax_arc[1], kind="slope")
@@ -247,7 +248,7 @@ def _run_a2_scaling(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: Expe
     prods = []
     for b in cfg["band_betas"]:
         w, row = rec.cell("fisher_hartwig", grid, normalize=False, beta=float(b))
-        v = ap_characteristic(w, 2.0, arcs).value
+        v = ap_characteristic(w, 2.0, spec.arcs).value
         prods.append(v * (1.0 - 2.0 * b))
         row(p=2.0, a2=v, product=v * (1.0 - 2.0 * b), kind="blowup_band")
     in_band = cfg["band_lo"] <= min(prods) and max(prods) <= cfg["band_hi"]

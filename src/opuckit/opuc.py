@@ -314,11 +314,11 @@ def steklov_norms(w: Weight, n_grid, p_grid) -> np.ndarray:
     if not isinstance(w, Weight):
         hint = "; pass system.weight" if isinstance(w, OPUCSystem) else ""
         raise TypeError(f"steklov_norms: w must be a Weight, got {type(w).__name__}{hint}")
-    n_grid = [int(n) for n in n_grid]
-    top = w.grid.size // 2 - 1
-    if not n_grid or min(n_grid) < 0 or max(n_grid) > top:
-        raise ValueError(f"n_grid must be a non-empty list of degrees in [0, {top}] "
+    n_grid, top = list(n_grid), w.grid.size // 2 - 1
+    if not n_grid or not all(float(n).is_integer() and 0 <= n <= top for n in n_grid):
+        raise ValueError(f"n_grid must be a non-empty list of integer degrees in [0, {top}] "
                          f"(N/2 = {w.grid.size // 2}), got {n_grid}")
+    n_grid = [int(n) for n in n_grid]
     p_grid = [float(p) for p in p_grid]
     if not p_grid or not all(1.0 <= p < np.inf for p in p_grid):
         raise ValueError(f"p_grid must be a non-empty list of finite p >= 1, got {p_grid}")

@@ -1,7 +1,8 @@
 """Weight families on the circle, Muckenhoupt characteristics, and BMO norms.
 
-A Weight is a strictly positive grid function with a normalization flag
-(||w/2pi||_1 = 1) and family metadata.  The arc machinery evaluates
+A Weight is a strictly positive grid function with family metadata that
+reads off its samples whether it is normalized (||w/2pi||_1 = 1).  The arc
+machinery evaluates
 
     [w]_{A_p} = sup_I <w>_I <w^{1/(1-p)}>_I^{p-1},   <w>_I = (1/|I|) int_I w,
 
@@ -19,10 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (CircleGrid, GridFunction, mean, poisson_extend_circles, poisson_probabilities,
+from .grid import (CircleGrid, GridFunction, poisson_extend_circles, poisson_probabilities,
                    trig_moments)
 
 FAMILIES = ("constant", "fisher_hartwig", "bernstein_szego", "perturbed", "user")
+ARC_KINDS = ("dyadic", "full")
 _REQUIRED = {"fisher_hartwig": ("beta",), "bernstein_szego": ("a",),
              "perturbed": ("base", "f", "delta"), "user": ("values",)}
 _BMO_CHUNK = 1 << 20  # elements per (offsets, L) temporary in bmo_norm: 8 MB of float64
@@ -30,27 +32,19 @@ _SUBARC_NODES = 32  # Gauss-Jacobi nodes per sub-arc average: 12 already reach r
 
 
 @dataclass
-class Weight:
-    samples: GridFunction
-    normalized: bool
+class Weight(GridFunction):
+    """Strictly positive real samples; `normalized` is derived from them."""
+
     family: str = "user"
     params: dict = field(default_factory=dict)
+    normalized: bool = field(init=False)
 
     def __post_init__(self):
-        vals = self.samples.real_values()
-        if np.any(vals <= 0.0):
+        super().__post_init__()
+        self.values = self.real_values()
+        if np.any(self.values <= 0.0):
             raise ValueError("weight samples must be strictly positive")
-        self.samples = GridFunction(self.samples.grid, vals)
-        if self.normalized and abs(mean(self.samples) - 1.0) > 1e-12:
-            raise ValueError("normalized flag set but ||w/2pi||_1 != 1")
-
-    @property
-    def grid(self) -> CircleGrid:
-        return self.samples.grid
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.samples.values
+        self.normalized = bool(abs(_sample_mean(self.values) - 1.0) <= 1e-12)
 
     @property
     def a2_ok(self) -> bool:
@@ -60,7 +54,7 @@ class Weight:
         return True
 
     def moments(self, kmax: int):
-        return trig_moments(self.samples, kmax)
+        return trig_moments(self, kmax)
 
 
 def _warn_outside_a2(w: Weight, where: str):
@@ -129,29 +123,29 @@ def make_weight(family: str, params: dict | None = None, grid: CircleGrid | None
     else:
         raise ValueError(f"unknown weight family {family!r}; expected one of {FAMILIES}")
 
-    mean = _sample_mean(vals, family, normalize)
-    if normalize:
-        vals = vals / mean
-    normalized = normalize or bool(abs(mean - 1.0) <= 1e-12)
-    return Weight(GridFunction(grid, vals), normalized, family, params)
+    return Weight(grid, _rescaled(vals, family) if normalize else vals, family, params)
 
 
-def _sample_mean(vals: np.ndarray, family: str, rescale: bool) -> float:
-    """The mean of the samples; one that overflows is an error when the samples
-    are to be divided by it (the quotient would be 0), otherwise it is not 1."""
+def _sample_mean(vals: np.ndarray) -> float:
+    """The mean of the samples, inf where it overflows."""
     with np.errstate(over="ignore"):
-        mean = vals.mean()
-    if rescale and np.isinf(mean):
+        return vals.mean()
+
+
+def _rescaled(vals: np.ndarray, family: str) -> np.ndarray:
+    """The samples divided by their mean; a mean that overflows is an error (the
+    quotient would be 0)."""
+    mean = _sample_mean(vals)
+    if np.isinf(mean):
         raise ValueError(f"cannot normalize the {family!r} weight: its sample mean overflows")
-    return mean
+    return vals / mean
 
 
 def renormalized(w: Weight) -> Weight:
-    """Copy of w rescaled to ||w/2pi||_1 = 1 (no-op when already flagged)."""
+    """Copy of w rescaled to ||w/2pi||_1 = 1 (w itself when already normalized)."""
     if w.normalized:
         return w
-    vals = w.values / _sample_mean(w.values, w.family, True)
-    return Weight(GridFunction(w.grid, vals), True, w.family, dict(w.params))
+    return Weight(w.grid, _rescaled(w.values, w.family), w.family, dict(w.params))
 
 
 def resample(w: Weight, grid: CircleGrid) -> Weight:
@@ -170,26 +164,17 @@ def resample(w: Weight, grid: CircleGrid) -> Weight:
 # arc families and Muckenhoupt characteristics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ArcFamily:
-    """All grid offsets x a set of arc lengths (node counts).
+def arc_lengths(grid: CircleGrid, kind: str) -> np.ndarray:
+    """The arc lengths in nodes of an arc family, whose arcs start at every node.
 
     kind='dyadic' uses lengths 2^k, k = 0..m (N(m+1) arcs); kind='full' uses
     every length 1..N (O(N^2) arcs, for validation at small N).
     """
-
-    grid: CircleGrid
-    kind: str = "dyadic"
-
-    def __post_init__(self):
-        if self.kind not in ("dyadic", "full"):
-            raise ValueError("arc family kind must be 'dyadic' or 'full'")
-
-    @property
-    def lengths(self) -> np.ndarray:
-        if self.kind == "dyadic":
-            return np.array([1 << k for k in range(self.grid.log2_size + 1)])
-        return np.arange(1, self.grid.size + 1)
+    if kind not in ARC_KINDS:
+        raise ValueError(f"arc kind must be one of {ARC_KINDS}, got {kind!r}")
+    if kind == "dyadic":
+        return np.array([1 << k for k in range(grid.log2_size + 1)])
+    return np.arange(1, grid.size + 1)
 
 
 @dataclass(frozen=True)
@@ -241,7 +226,7 @@ def _ap_inputs(vals: np.ndarray, p: float) -> tuple:
     return vals, np.ldexp(dual, e), e * (p - 1.0)
 
 
-def ap_characteristic(w: Weight, p: float, arcs: ArcFamily | None = None) -> ApReport:
+def ap_characteristic(w: Weight, p: float, arcs: str = "dyadic") -> ApReport:
     """Muckenhoupt characteristic over the arc family (a monotone lower bound).
 
     Scale invariant in w, also where sums of w or of its dual would overflow;
@@ -250,9 +235,7 @@ def ap_characteristic(w: Weight, p: float, arcs: ArcFamily | None = None) -> ApR
     """
     if not p > 1.0:
         raise ValueError(f"A_p requires p > 1, got p = {p}")
-    arcs = arcs or ArcFamily(w.grid)
-    if arcs.grid.log2_size != w.grid.log2_size:
-        raise ValueError("arc family grid does not match weight grid")
+    lengths = arc_lengths(w.grid, arcs)
     _warn_outside_a2(w, "ap_characteristic")
 
     vals, dual, shift = _ap_inputs(w.values, p)
@@ -260,7 +243,7 @@ def ap_characteristic(w: Weight, p: float, arcs: ArcFamily | None = None) -> ApR
     prod, sd = np.empty(len(vals)), np.empty(len(vals))  # reused for every length
     best = -np.inf
     best_arc = (0, 1)
-    for length in arcs.lengths:
+    for length in lengths:
         # <w>_I <w^{1/(1-p)}>_I^{p-1} = (S_w / L) * (S_dual / L)^{p-1}
         _window_sums(cw, int(length), out=prod)
         _window_sums(cd, int(length), out=sd)
@@ -404,7 +387,7 @@ def _window_deviations(doubled: np.ndarray, length: int, means: np.ndarray,
     return rows.mean(axis=1)
 
 
-def bmo_norm(f: GridFunction, arcs: ArcFamily | None = None) -> float:
+def bmo_norm(f: GridFunction, arcs: str = "dyadic") -> float:
     """sup over arcs of <|f - <f>_I|>_I, exactly per arc.
 
     Only windows that can still win are averaged.  Each window has an O(1)
@@ -418,7 +401,6 @@ def bmo_norm(f: GridFunction, arcs: ArcFamily | None = None) -> float:
     A constant, whose averages are all roundoff, is scanned in full.
     """
     vals = f.real_values()
-    arcs = arcs or ArcFamily(f.grid)
     n = f.grid.size
     with np.errstate(over="ignore"):
         total = 2.0 * float(np.abs(vals).sum())
@@ -427,7 +409,7 @@ def bmo_norm(f: GridFunction, arcs: ArcFamily | None = None) -> float:
                          f" (max |f| = {np.max(np.abs(vals)):.3g})")
     doubled = np.concatenate([vals, vals])
     bound = _bmo_bound(vals, total)
-    lengths = [int(length) for length in arcs.lengths if length > 1]  # one node: zero
+    lengths = [int(length) for length in arc_lengths(f.grid, arcs) if length > 1]  # one node: zero
     best = 0.0
     for length in lengths:
         means, b = bound(length)
@@ -468,5 +450,4 @@ def dyadic_approximant(w: Weight, level: int) -> Weight:
     block = n >> level
     means = w.values.reshape(1 << level, block).mean(axis=1)
     vals = np.repeat(means, block)
-    return Weight(GridFunction(w.grid, vals), w.normalized,
-                  family="user", params={"values": vals, "approximant_of": w.family, "level": level})
+    return Weight(w.grid, vals, "user", {"values": vals, "approximant_of": w.family, "level": level})

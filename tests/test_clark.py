@@ -200,7 +200,7 @@ def test_generalized_entropy_rejects_outside_disk(grid12):
                                             ("bernstein_szego", {"a": 0.5})])
 def test_clark_derived_traces_equal_eager_formulas_bitwise(grid12, family, params):
     w = ok.make_weight(family, params, grid12)
-    F = w.values + 1j * ok.conjugate_function(w.samples).values
+    F = w.values + 1j * ok.conjugate_function(w).values
     f = (F - 1.0) / (grid12.points * (F + 1.0))
     for alpha in ALPHAS:
         cd = ok.clark_weight(w, alpha)

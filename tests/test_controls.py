@@ -59,6 +59,6 @@ def test_continuity_u_equals_w_is_a_blind_spot_the_oracle_sees(monkeypatch):
     assert all(abs(e) <= 5e-11 for e in _first_order_defects())
     riesz = opuckit.operators.weighted_riesz
     monkeypatch.setattr(opuckit.operators, "weighted_riesz", lambda w, p, band=None: riesz(
-        Weight(GridFunction(w.grid, w.values ** p), False, w.family), p, band=band))
+        Weight(w.grid, w.values ** p, w.family), p, band=band))
     assert run(ExperimentSpec(name="continuity")).passed  # the blind spot
     assert all(abs(e - 1.0) < 1e-4 for e in _first_order_defects())

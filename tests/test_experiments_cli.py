@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,6 +39,34 @@ def test_spec_validation():
                                 "pcr_upper_trend", "opuc_diagnostics")
     with pytest.raises(SpecError, match=r"n_grid.*--nmax >= 128"):
         ExperimentSpec(name="pcr_upper_trend", n_grid=(64, 91, 91))
+
+
+@pytest.mark.parametrize("n_grid", [(8.5, 16.2, 30.9), (8, float("nan"), 30),
+                                    (8, float("inf"), 30), ("64", "91", "128")])
+def test_spec_names_a_degree_that_is_no_integer(n_grid):
+    with pytest.raises(SpecError, match=r"n_grid must hold integer degrees \(from the CLI: "
+                                        rf"--nmax\), got n_grid = {re.escape(repr(n_grid))}$"):
+        ExperimentSpec(name="fh_growth", n_grid=n_grid)
+    with pytest.raises(SpecError, match=r"arcs must be one of \('dyadic', 'full'\), got 'sparse'"):
+        ExperimentSpec(name="a2_scaling", arcs="sparse")
+
+
+def test_cli_degree_ladder_is_the_frozen_n_grid():
+    thr = load_thresholds()
+    assert list(cli._degree_ladder(512)) == thr["fh_growth"]["n_grid"]
+    assert list(cli._degree_ladder(512)) == thr["pcr_upper_trend"]["n_grid"]
+
+
+@pytest.mark.parametrize("cmd, k", [("pcr", 128), ("projection", 91), ("steklov", 1),
+                                    ("entropy", 2), ("szego", 1)])
+def test_cli_nmax_hint_is_the_boundary(cmd, k):
+    # the spec's "(from the CLI: --nmax >= K)" holds exactly: K builds a spec, K - 1 does not
+    def spec(nmax):
+        return cli.spec_from_args(build_parser().parse_args([cmd, "--nmax", str(nmax)]))
+
+    assert spec(k).n_grid == cli._degree_ladder(k)
+    with pytest.raises(SpecError, match=rf"\(from the CLI: --nmax >= {k}\)"):
+        spec(k - 1)
 
 
 def test_pcr_upper_trend_samples_each_weight_once(monkeypatch):

@@ -425,6 +425,16 @@ def test_steklov_norms_name_a_non_weight(grid12):
         ok.steklov_norms(w.values, [8], [4.0])
 
 
+@pytest.mark.parametrize("n_grid", [[8.5], [8, float("nan")], [float("inf")], [-1], [2048]])
+def test_steklov_norms_name_a_degree_that_is_no_integer_in_range(grid12, n_grid):
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    with pytest.raises(ValueError, match=r"n_grid must be a non-empty list of integer degrees "
+                                         r"in \[0, 2047\]"):
+        ok.steklov_norms(w, n_grid, [3.0])
+    # a float that is an integer is that degree
+    assert ok.steklov_norms(w, [8.0], [3.0]) == ok.steklov_norms(w, [8], [3.0])
+
+
 def test_second_kind_matches_explicit_loop(grid12):
     # oracle: the recursion with alpha_n -> -alpha_n, written out
     w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)

@@ -81,6 +81,17 @@ def test_user_weight_rejects_nonpositive(grid12):
         ok.make_weight("user", {"values": vals}, grid12)
 
 
+def test_weight_is_a_grid_function_that_reads_its_normalization(grid12):
+    w = ok.Weight(grid12, np.full(grid12.size, 1.0 + 1e-13))
+    assert isinstance(w, ok.GridFunction) and w.normalized and w.family == "user"
+    assert not ok.Weight(grid12, np.full(grid12.size, 1.0 + 1e-11)).normalized
+    # an overflowing mean is not 1, and a real-valued complex array is stored real
+    assert not ok.Weight(grid12, np.full(grid12.size, 1e305)).normalized
+    assert ok.Weight(grid12, np.ones(grid12.size, dtype=complex)).is_real
+    with pytest.raises(ValueError, match="strictly positive"):
+        ok.Weight(grid12, -np.ones(grid12.size))
+
+
 def test_unknown_family(grid12):
     with pytest.raises(ValueError):
         ok.make_weight("jacobi", {}, grid12)
@@ -156,10 +167,21 @@ def test_ap_refinement_monotone():
 def test_full_arc_family_dominates_dyadic():
     g = ok.CircleGrid(8)
     w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, g, normalize=False)
-    dy = ok.ap_characteristic(w, 2.0, ok.ArcFamily(g, "dyadic")).value
-    full = ok.ap_characteristic(w, 2.0, ok.ArcFamily(g, "full")).value
+    dy = ok.ap_characteristic(w, 2.0, "dyadic").value
+    full = ok.ap_characteristic(w, 2.0, "full").value
     assert full >= dy - 1e-12
     assert full <= 4.0 * dy  # doubling heuristic for A_2-type averages
+
+
+def test_arc_kinds(grid12):
+    assert ok.arc_lengths(grid12, "dyadic").tolist() == [1 << k for k in range(13)]
+    assert ok.arc_lengths(grid12, "full").tolist() == list(range(1, grid12.size + 1))
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    named = r"arc kind must be one of \('dyadic', 'full'\), got 'sparse'"
+    for call in (ok.arc_lengths, lambda g, kind: ok.ap_characteristic(w, 2.0, kind),
+                 lambda g, kind: ok.bmo_norm(w, kind)):
+        with pytest.raises(ValueError, match=named):
+            call(grid12, "sparse")
 
 
 def test_argmax_arc_is_reported(grid12):
@@ -184,7 +206,7 @@ def test_ap_matches_per_length_prefix_sums(grid12, p):
         return cs[length: length + n] - cs[:n]
 
     best, best_arc = -np.inf, None
-    for length in ok.ArcFamily(grid12).lengths:
+    for length in ok.arc_lengths(grid12, "dyadic"):
         prod = window_sums(vals, length) * window_sums(dual, length) ** (p - 1.0)
         prod /= float(length) ** p
         j = int(np.argmax(prod))
@@ -331,22 +353,21 @@ def test_bmo_full_family_peak_memory_is_bounded():
     f = ok.GridFunction(g, np.log(ok.make_weight("fisher_hartwig", {"beta": 0.3}, g).values))
     tracemalloc.start()
     try:
-        ok.bmo_norm(f, ok.ArcFamily(g, "full"))
+        ok.bmo_norm(f, "full")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6
 
 
-def _bmo_full_scan(f, arcs=None):
+def _bmo_full_scan(f, arcs="dyadic"):
     """Reference: <|f - <f>_I|>_I averaged over every window of every length."""
     vals = f.real_values()
-    arcs = arcs or ok.ArcFamily(f.grid)
     n = f.grid.size
     doubled = np.concatenate([vals, vals])
     prefix = np.concatenate(([0.0], np.cumsum(doubled)))
     best = 0.0
-    for length in arcs.lengths:
+    for length in ok.arc_lengths(f.grid, arcs):
         length = int(length)
         if length == 1:
             continue
@@ -383,10 +404,9 @@ def test_pruned_bmo_equals_full_scan(m):
 @pytest.mark.parametrize("m", [6, 7, 8])
 def test_pruned_bmo_equals_full_scan_on_full_family(m):
     g = ok.CircleGrid(m)
-    arcs = ok.ArcFamily(g, "full")
     for name, vals in _bmo_inputs(g).items():
         f = ok.GridFunction(g, vals)
-        assert ok.bmo_norm(f, arcs) == _bmo_full_scan(f, arcs), name
+        assert ok.bmo_norm(f, "full") == _bmo_full_scan(f, "full"), name
 
 
 def test_pruned_bmo_averages_a_sixth_of_the_windows(grid12, monkeypatch):
@@ -401,7 +421,7 @@ def test_pruned_bmo_averages_a_sixth_of_the_windows(grid12, monkeypatch):
     monkeypatch.setattr(ok.weights, "_window_deviations", counting)
     f = ok.GridFunction(grid12, _bmo_inputs(grid12)["log fisher_hartwig 0.1"])
     ok.bmo_norm(f)
-    full = sum(grid12.size * int(length) for length in ok.ArcFamily(grid12).lengths[1:])
+    full = sum(grid12.size * int(length) for length in ok.arc_lengths(grid12, "dyadic")[1:])
     assert sum(averaged) < 0.2 * full
 
 
