@@ -11,7 +11,6 @@ Every experiment is deterministic: a record's seed is only echoed.
 import csv
 import io
 import json
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -23,7 +22,7 @@ from . import __version__
 from .clark import clark_weight, generalized_entropy
 from .fits import (classify_growth, fit_loglog, growth_exponent,
                    regression_ssr, threshold_intercept)
-from .grid import CircleGrid, GridFunction
+from .grid import CircleGrid, GridFunction, _is_degree, _is_real
 from .opuc import (gram_matrix, gram_schmidt_monic, projection_norm_probe,
                    second_kind, steklov_norms, system_from_weight)
 from .opuc import poly_values  # noqa: F401 - bench/test_bench.py traces this re-bound name
@@ -70,21 +69,22 @@ class ExperimentSpec:
         for key, value in (("beta", self.beta), ("a", self.a)):
             if value is None:
                 continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if not _is_real(value):
                 raise SpecError(f"{key} must be a real number or None (from the CLI: --{key}), "
                                 f"got {key} = {value!r} of type {type(value).__name__}")
             if not np.isfinite(value):
                 raise SpecError(f"{key} must be finite (from the CLI: --{key}), got {key} = {value}")
         n = CircleGrid(self.grid_log2).size
-        if self.nmax is not None and not (0 <= self.nmax < n // 2 and self.nmax == int(self.nmax)):
+        if self.nmax is not None and not (_is_degree(self.nmax) and 0 <= self.nmax < n // 2):
             raise SpecError(f"nmax must be an integer with 0 <= nmax < N/2 = {n // 2} "
-                            f"(from the CLI: --nmax), got nmax = {self.nmax}")
-        if not all(isinstance(k, numbers.Real) and float(k).is_integer() for k in self.n_grid):
+                            f"(from the CLI: --nmax), got nmax = {self.nmax!r}")
+        if not all(_is_degree(k) for k in self.n_grid):
             raise SpecError(f"n_grid must hold integer degrees (from the CLI: --nmax), "
                             f"got n_grid = {tuple(self.n_grid)}")
         if self.n_grid and max(self.n_grid) >= n // 4:
-            raise SpecError(f"n-grid max must stay below N/4 = {n // 4}")
-        if not all(1.0 < p < np.inf for p in self.p_grid):
+            raise SpecError(f"n-grid max must stay below N/4 = {n // 4} (from the CLI: --nmax), "
+                            f"got max(n_grid) = {max(self.n_grid)}")
+        if not all(_is_real(p) and 1.0 < p < np.inf for p in self.p_grid):
             raise SpecError(f"all p must be finite and exceed 1 (from the CLI: --p), "
                             f"got p_grid = {tuple(self.p_grid)}")
         if self.name == "pcr_upper_trend" and self.n_grid and len(set(self.n_grid)) < 3:

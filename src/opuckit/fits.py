@@ -1,9 +1,29 @@
-"""Regression helpers shared by the experiment runner: log-log exponent
-fits with R^2, the constant-plus-power model for Steklov quantities,
-growth-class classification by residual comparison, and the x-intercept
-estimate for empirical boundedness thresholds."""
+"""Regression helpers shared by the experiment runner: log-log exponent fits with R^2,
+the constant-plus-power model for Steklov quantities, growth-class classification by
+residual comparison, and the x-intercept estimate for empirical boundedness
+thresholds; every fit is one least-squares line y ~ c1 + c2 x (`_line_fit`)."""
 
 import numpy as np
+
+
+def _line_fit(x, y) -> tuple:
+    """(c1, c2, ssr), each of shape (...), of the least-squares line y ~ c1 + c2 x for each
+    row of a (..., m) stack of regressors x against one y (m,): the SSR of the explicit
+    residuals of the centered fit, and the mean fit (c2 = 0) for a row of one distinct x."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    xc, yc = x - x.mean(axis=-1, keepdims=True), y - y.mean()
+    flat = np.ptp(x, axis=-1) == 0
+    sxx = np.where(flat, 1.0, np.einsum("...i,...i->...", xc, xc))
+    c2 = np.where(flat, 0.0, (xc @ yc) / sxx)
+    resid = yc - c2[..., None] * xc
+    return y.mean() - c2 * x.mean(axis=-1), c2, np.einsum("...i,...i->...", resid, resid)
+
+
+def _r2(y: np.ndarray, ssr: float) -> float:
+    """1 - ssr / sum (y - mean y)^2, or 1 when y is constant."""
+    total = y - y.mean()
+    denom = float(total @ total)
+    return 1.0 - ssr / denom if denom > 0 else 1.0
 
 
 def fit_loglog(x, y) -> tuple:
@@ -12,35 +32,19 @@ def fit_loglog(x, y) -> tuple:
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if np.unique(x).size < 2 or not np.all(y > 0):
         return float("nan"), float("nan"), float("nan")
-    lx, ly = np.log(x), np.log(y)
-    a, b = np.polyfit(lx, ly, 1)
-    resid = ly - (a * lx + b)
-    total = ly - ly.mean()
-    denom = float(total @ total)
-    r2 = 1.0 - float(resid @ resid) / denom if denom > 0 else 1.0
-    return float(a), float(b), float(r2)
-
-
-def _linear_ssr(design: np.ndarray, y: np.ndarray) -> tuple:
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    return float(resid @ resid), coef
+    ly = np.log(y)
+    b, a, ssr = _line_fit(np.log(x), ly)
+    return float(a), float(b), _r2(ly, float(ssr))
 
 
 def regression_ssr(n, y, regressor: str, eps: float = 0.0) -> float:
     """SSR of y against {1} (bounded), {1, log n} (log) or {1, n^eps} (power-eps)."""
-    n = np.asarray(n, dtype=float)
-    y = np.asarray(y, dtype=float)
-    ones = np.ones_like(n)
-    if regressor == "bounded":
-        design = ones[:, None]
-    elif regressor == "log":
-        design = np.column_stack([ones, np.log(n)])
-    elif regressor == "power":
-        design = np.column_stack([ones, n ** eps])
-    else:
+    if regressor not in ("bounded", "log", "power"):
         raise ValueError(f"unknown regressor {regressor!r}")
-    return _linear_ssr(design, y)[0]
+    n = np.asarray(n, dtype=float)
+    # {1} is {1, n^0}, whose constant regressor the kernel fits by the mean
+    x = np.log(n) if regressor == "log" else n ** (eps if regressor == "power" else 0.0)
+    return float(_line_fit(x, y)[2])
 
 
 def fit_const_plus_power(n, y) -> tuple:
@@ -60,35 +64,20 @@ def fit_const_plus_power(n, y) -> tuple:
     best_ssr, best_e = np.inf, 0.0
     for _ in range(3):
         grid = np.linspace(lo, hi, steps)
-        ssr = _power_ssr(n, y, grid)
+        ssr = _line_fit(n ** grid[:, None], y)[2]
+        ssr[np.abs(grid) < 1e-12] = np.inf  # n^0 is the constant: e = 0 is no exponent
         j = int(np.argmin(ssr))  # first minimum, as a scan with strict < keeps
         if ssr[j] < best_ssr:
             best_ssr, best_e = ssr[j], float(grid[j])
         step = (hi - lo) / (steps - 1)
         lo, hi, steps = best_e - step, best_e + step, 41
 
-    ssr, coef = _linear_ssr(np.column_stack([np.ones_like(n), n ** best_e]), y)
-    total = y - y.mean()
-    denom = float(total @ total)
-    r2 = 1.0 - ssr / denom if denom > 0 else 1.0
-    return best_e, (float(coef[0]), float(coef[1])), ssr, float(r2)
-
-
-def _power_ssr(n: np.ndarray, y: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """SSR of y against {1, n^e} for every e at once (inf at e = 0, where the
-    design is singular), from the explicit residuals of the centered fit."""
-    yc = y - y.mean()
-    singular = np.abs(exponents) < 1e-12
-    if np.ptp(n) == 0:  # one distinct n: every design has rank one, the mean fit
-        return np.where(singular, np.inf, float(yc @ yc))
-    x = n[None, :] ** exponents[:, None]
-    xc = x - x.mean(axis=1, keepdims=True)
-    sxx = np.einsum("ij,ij->i", xc, xc)
-    sxx[singular] = 1.0
-    resid = yc - ((xc @ yc) / sxx)[:, None] * xc
-    ssr = np.einsum("ij,ij->i", resid, resid)
-    ssr[singular] = np.inf
-    return ssr
+    # lstsq, not the kernel: an exact fit reports SSR 0, not the residuals' roundoff
+    design = np.column_stack([np.ones_like(n), n ** best_e])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    ssr = float(resid @ resid)
+    return best_e, (float(coef[0]), float(coef[1])), ssr, _r2(y, ssr)
 
 
 def growth_exponent(n, norms, p: float) -> dict:
@@ -116,11 +105,11 @@ def classify_growth(n, norms, p: float) -> str:
     n = np.asarray(n, dtype=float)
     y = np.asarray(norms, dtype=float) ** p
     e, _, ssr_power, _ = fit_const_plus_power(n, y)
-    ssr_log, coef_log = _linear_ssr(np.column_stack([np.ones_like(n), np.log(n)]), y)
-    ssr_const, _ = _linear_ssr(np.ones_like(n)[:, None], y)
+    # the log fit {1, log n} and the constant fit {1}, as two rows of one stack
+    _, (slope_log, _), (ssr_log, ssr_const) = _line_fit(np.stack([np.log(n), np.ones_like(n)]), y)
     if e > 0.04 and ssr_power < ssr_log:
         return "power"
-    rel_span = abs(coef_log[1]) * (np.log(n.max()) - np.log(n.min())) / max(abs(y.mean()), 1e-300)
+    rel_span = abs(slope_log) * (np.log(n.max()) - np.log(n.min())) / max(abs(y.mean()), 1e-300)
     if ssr_log < 0.5 * ssr_const and rel_span > 0.1:
         return "log"
     return "bounded"
@@ -138,7 +127,7 @@ def threshold_intercept(p_grid, slopes, floor: float = 0.03) -> float:
     grow = slopes > floor
     if np.sum(grow) < 2:
         raise ValueError("not enough growing points to locate the threshold")
-    a, b = np.polyfit(p_grid[grow], slopes[grow], 1)
+    b, a, _ = _line_fit(p_grid[grow], slopes[grow])
     if a <= 0:
         raise ValueError("growing branch has nonpositive slope; classification ambiguous")
     return float(-b / a)

@@ -21,6 +21,7 @@ the rest zero: the coefficients of polynomials of degree < k, valued at the node
 without building the padded spectrum.
 """
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -226,6 +227,16 @@ def riesz_project(f: GridFunction) -> GridFunction:
 def band_project(f: GridFunction, lo: int, hi: int) -> GridFunction:
     """Keep frequencies lo <= k <= hi (signed), zero the rest."""
     return GridFunction(f.grid, fourier_multiplier(f.values, (lo, hi)))
+
+
+def _is_real(x) -> bool:
+    """A real number given as one: not a bool, a string or an array."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_degree(n) -> bool:
+    """The one degree test: an integer-valued real number, so no bool, string or NaN."""
+    return _is_real(n) and float(n).is_integer()
 
 
 def _check_in_disk(z: complex):

@@ -32,7 +32,8 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import blas, eigh
 
-from .grid import CircleGrid, GridFunction, MomentSequence, _check_in_disk, lp_norms, trig_moments
+from .grid import (CircleGrid, GridFunction, MomentSequence, _check_in_disk, _is_degree,
+                   _is_real, lp_norms, trig_moments)
 from .operators import NormEstimate, OperatorProbe, check_exponent, operator_norm
 from .weights import Weight
 
@@ -315,13 +316,13 @@ def steklov_norms(w: Weight, n_grid, p_grid) -> np.ndarray:
         hint = "; pass system.weight" if isinstance(w, OPUCSystem) else ""
         raise TypeError(f"steklov_norms: w must be a Weight, got {type(w).__name__}{hint}")
     n_grid, top = list(n_grid), w.grid.size // 2 - 1
-    if not n_grid or not all(float(n).is_integer() and 0 <= n <= top for n in n_grid):
+    if not n_grid or not all(_is_degree(n) and 0 <= n <= top for n in n_grid):
         raise ValueError(f"n_grid must be a non-empty list of integer degrees in [0, {top}] "
                          f"(N/2 = {w.grid.size // 2}), got {n_grid}")
-    n_grid = [int(n) for n in n_grid]
-    p_grid = [float(p) for p in p_grid]
-    if not p_grid or not all(1.0 <= p < np.inf for p in p_grid):
+    n_grid, p_grid = [int(n) for n in n_grid], list(p_grid)
+    if not p_grid or not all(_is_real(p) and 1.0 <= p < np.inf for p in p_grid):
         raise ValueError(f"p_grid must be a non-empty list of finite p >= 1, got {p_grid}")
+    p_grid = [float(p) for p in p_grid]
     wanted, by_degree = set(n_grid), {}
     # One workspace serves every degree: the N values and lp_norms' two buffers.  It is
     # one block, not three, on purpose: freeing it lifts glibc's dynamic mmap threshold

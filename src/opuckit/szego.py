@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import GridFunction, conjugate_function, mean
+from .grid import CircleGrid, GridFunction, conjugate_function, mean
 from .opuc import OPUCSystem, phi_values, weighted_lp_norm
 from .weights import Weight, resample
 
@@ -65,8 +65,6 @@ def estimate_qcr(w: Weight) -> float:
     m = w.grid.log2_size
     if m < 8:
         raise ValueError("q_cr scan needs log2_size >= 8")
-    from .grid import CircleGrid
-
     samples = [resample(w, CircleGrid(mm)).values for mm in (m - 2, m - 1, m)]
     best = 0.0
     for q in np.geomspace(0.25, 64.0, 33):

@@ -42,7 +42,8 @@ def test_spec_validation():
 
 
 @pytest.mark.parametrize("n_grid", [(8.5, 16.2, 30.9), (8, float("nan"), 30),
-                                    (8, float("inf"), 30), ("64", "91", "128")])
+                                    (8, float("inf"), 30), ("64", "91", "128"), (True, 2, 3),
+                                    (64, "128", 256)])
 def test_spec_names_a_degree_that_is_no_integer(n_grid):
     with pytest.raises(SpecError, match=r"n_grid must hold integer degrees \(from the CLI: "
                                         rf"--nmax\), got n_grid = {re.escape(repr(n_grid))}$"):
@@ -463,11 +464,19 @@ def test_cli_bad_input_names_field_and_flag(argv, named, monkeypatch, capsys, tm
 
 def test_spec_takes_nmax_below_half_the_grid_and_finite_beta_only():
     ExperimentSpec(name="opuc_diagnostics", grid_log2=10, nmax=511)
-    for nmax in (512, 4.5, float("nan")):
-        with pytest.raises(SpecError, match=f"N/2 = 512 .*got nmax = {nmax}"):
+    for nmax in (512, 4.5, float("nan"), True, "8"):
+        with pytest.raises(SpecError, match=f"N/2 = 512 .*got nmax = {re.escape(repr(nmax))}$"):
             ExperimentSpec(name="opuc_diagnostics", grid_log2=10, nmax=nmax)
     with pytest.raises(SpecError, match="beta = -inf"):
         ExperimentSpec(name="entropy_limit", beta=float("-inf"))
+
+
+def test_spec_names_p_grid_and_the_n_grid_bound():
+    with pytest.raises(SpecError, match=re.escape("(from the CLI: --p), got p_grid = ('3',)")):
+        ExperimentSpec(name="fh_growth", beta=0.3, p_grid=("3",))
+    with pytest.raises(SpecError, match=re.escape("n-grid max must stay below N/4 = 256 (from the "
+                                                  "CLI: --nmax), got max(n_grid) = 300")):
+        ExperimentSpec(name="fh_growth", grid_log2=10, n_grid=(8, 300))
 
 
 @pytest.mark.parametrize("key, value", [("beta", "0.2"), ("a", "0.5"), ("beta", "None"),

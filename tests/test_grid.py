@@ -109,6 +109,15 @@ def test_trig_moments_preconditions(grid12):
         ok.trig_moments(f, grid12.size // 2)
     with pytest.raises(MomentError):
         ok.MomentSequence(np.array([-1.0, 0.3]))
+    for c in (np.array([]), np.ones((2, 2))):
+        with pytest.raises(MomentError, match="one-dimensional and non-empty"):
+            ok.MomentSequence(c)
+    m = ok.MomentSequence(np.array([1.0, 0.5j]))
+    for k in (2, -2):
+        with pytest.raises(MomentError, match=rf"moment index {k} out of range \(kmax = 1\)"):
+            m.at(k)
+    with pytest.raises(MomentError, match="need moments up to 2, have 1"):
+        m.toeplitz_gram(2)
 
 
 def test_moment_hermitian_extension(grid12):

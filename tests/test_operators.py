@@ -62,6 +62,16 @@ def test_operator_norm_rank_one_exact():
     assert_allclose(est.value, nu * nv, rtol=1e-10)
 
 
+def test_power_method_stops_at_an_iterate_of_norm_zero():
+    # the adjoint maps everything to 0, so the first dual step has norm 0
+    probe = OperatorProbe(None, lambda x: 2.0 * x, lambda x: 0.0 * x,
+                          band=None, p=3.0, description="zero adjoint")
+    # iteration 0 returns: the stop on no gain would come one step later
+    ratio, converged, iters = power_method_lp(probe, np.array([1.0, -2.0, 0.5]))
+    assert_allclose(ratio, 2.0, rtol=1e-15)
+    assert converged and iters == 0
+
+
 def test_power_method_against_bruteforce_sphere():
     # dense sphere sample on a small matrix; both sides are lower bounds
     rng = np.random.default_rng(11)

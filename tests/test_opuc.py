@@ -66,6 +66,21 @@ def test_recursion_needs_enough_moments(grid12):
     w = ok.make_weight("constant", {}, grid12)
     with pytest.raises(ValueError):
         ok.szego_recursion(w.moments(4), 8)
+    with pytest.raises(ValueError, match="nmax must be nonnegative"):
+        ok.szego_recursion(w.moments(4), -1)
+
+
+def test_evaluation_preconditions_are_named(grid12):
+    w = ok.make_weight("bernstein_szego", {"a": 0.5}, grid12)
+    sys = ok.system_from_weight(w, 4)
+    with pytest.raises(ValueError, match="the integral form applies for n >= 1"):
+        ok.psi_integral_form(sys, w, 0, 0.3)
+    for k in (grid12.size // 2 + 1, grid12.size):
+        with pytest.raises(ValueError, match="polynomial degree must stay below N/2"):
+            ok.poly_values(grid12, np.ones(k))
+    # the second-kind system carries no weight of its own
+    with pytest.raises(ValueError, match="no weight attached to the system; pass one explicitly"):
+        ok.gram_matrix(ok.second_kind(sys), 2)
 
 
 def test_kappa_product_identity(fh02_system):
@@ -425,7 +440,8 @@ def test_steklov_norms_name_a_non_weight(grid12):
         ok.steklov_norms(w.values, [8], [4.0])
 
 
-@pytest.mark.parametrize("n_grid", [[8.5], [8, float("nan")], [float("inf")], [-1], [2048]])
+@pytest.mark.parametrize("n_grid", [[8.5], [8, float("nan")], [float("inf")], [-1], [2048],
+                                    [True], [8, False], ["8"], [np.array(8)]])
 def test_steklov_norms_name_a_degree_that_is_no_integer_in_range(grid12, n_grid):
     w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
     with pytest.raises(ValueError, match=r"n_grid must be a non-empty list of integer degrees "
@@ -480,7 +496,8 @@ def test_steklov_norms_rejects_degrees_beyond_half_grid():
         ok.steklov_norms(coarse, [8, 32], [4.0])
 
 
-@pytest.mark.parametrize("p_grid", [[], [0.5, 4.0], [3.0, float("nan")], [3.0, float("inf")]])
+@pytest.mark.parametrize("p_grid", [[], [0.5, 4.0], [3.0, float("nan")], [3.0, float("inf")],
+                                    ["3"], [3.0, True]])
 def test_steklov_norms_rejects_bad_p_grid(grid12, p_grid):
     w = ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12)
     with pytest.raises(ValueError, match="p_grid"):

@@ -492,3 +492,31 @@ def test_resample(grid12):
     user = ok.make_weight("user", {"values": np.ones(grid12.size)}, grid12)
     with pytest.raises(ValueError):
         ok.resample(user, ok.CircleGrid(8))
+    # a perturbed weight moves with its base when f is a rule, not when it is samples
+    moved = ok.make_weight("perturbed", {"base": w, "f": np.cos, "delta": 0.2}, grid12)
+    m8 = ok.resample(moved, ok.CircleGrid(8))
+    assert m8.params["base"].grid.size == 256 and m8.params["f"] is np.cos
+    assert_allclose(m8.values, ok.make_weight("perturbed", {"base": w8, "f": np.cos, "delta": 0.2},
+                                              ok.CircleGrid(8)).values, rtol=1e-15)
+    sampled = ok.make_weight("perturbed", {"base": w, "f": np.cos(grid12.nodes), "delta": 0.2}, grid12)
+    with pytest.raises(ValueError, match="array-valued f cannot be resampled"):
+        ok.resample(sampled, ok.CircleGrid(8))
+
+
+@pytest.mark.parametrize("base, error, named", [
+    (np.ones(4096), TypeError, "perturbed weight needs a base Weight"),
+    ("coarse", ValueError, "base weight lives on a different grid")])
+def test_perturbed_base_must_be_a_weight_on_the_grid(grid12, base, error, named):
+    if isinstance(base, str):
+        base = ok.make_weight("constant", {}, ok.CircleGrid(8))
+    with pytest.raises(error, match=named):
+        ok.make_weight("perturbed", {"base": base, "f": np.cos, "delta": 0.1}, grid12)
+
+
+def test_ap_characteristic_names_a_dual_power_that_overflows(grid12):
+    # w^(1/(1-p)) = w^-2 at p = 1.5 reaches 1e600, even after w is scaled to max 1
+    vals = np.geomspace(1e-300, 1.0, grid12.size)
+    w = ok.make_weight("user", {"values": vals}, grid12, normalize=False)
+    with pytest.raises(ValueError, match=r"w\^\(1/\(1-p\)\) overflows for p = 1.5; "
+                                         "weight dynamic range too large"):
+        ok.ap_characteristic(w, 1.5)
