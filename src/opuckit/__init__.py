@@ -46,7 +46,6 @@ from .opuc import (
     poly_values,
     project,
     projection_norm_probe,
-    psi_integral_form,
     reversed_poly,
     second_kind,
     steklov_norms,

@@ -288,6 +288,7 @@ def _run_fh_growth(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: Exper
 
     cb, cp = cfg["critical_pair"]
     all_norms = _steklov_norms(rec, grid, [*pairs, (cb, cp)], n_grid)
+    few = f"needs three distinct degrees, got {tuple(sorted(set(n_grid)))}"
     for beta, p in pairs:
         norms, row = all_norms[float(beta), float(p)]
         for n, nv in zip(n_grid, norms):
@@ -295,8 +296,7 @@ def _run_fh_growth(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: Exper
         g = growth_exponent(n_grid, norms, float(p))
         key = f"beta={beta},p={p}"
         if len(set(n_grid)) < 3:
-            rec.flags.append(f"{key}: the c1 + c2 n^e fit needs three distinct degrees, "
-                             f"got {tuple(sorted(set(n_grid)))}; its exponent is undetermined")
+            rec.flags.append(f"{key}: the c1 + c2 n^e fit {few}; its exponent is undetermined")
         rec.fit(key, {"exponent": g["exponent"], "e_model": g["e_model"], "r2": g["r2"],
                       "loglog_slope": g["loglog_slope"],
                       "predicted_exponent": max(0.0, float(p) * beta - 2.0 * beta - 1.0)},
@@ -312,6 +312,8 @@ def _run_fh_growth(spec: ExperimentSpec, thr: dict, grid: CircleGrid, rec: Exper
         row(p=float(cp), n=-1, norm=float("nan"), ssr_log=ssr_log, ssr_power_eps=ssr_pow,
             eps=float(eps))
     label = classify_growth(n_grid, norms, float(cp))
+    if len(set(n_grid)) < 3:
+        rec.flags.append(f"beta={cb},p={cp}: the log/n^eps comparison {few}; it compares roundoff")
     rec.check("critical_log_class", label, log_wins and label == "log",
               "log beats n^eps regressions")
 

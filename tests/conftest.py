@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import opuckit as ok
+from opuckit.grid import _check_in_disk
 
 _TABLE_BLOCK = 16  # rows per stacked synthesize in orthonormal_values_table
 
@@ -63,3 +64,21 @@ def quadrature_gram(system, w, n):
     values: the oracle of the Toeplitz form in `opuc.gram_matrix`."""
     vals = orthonormal_values_table(system, w.grid, n)
     return (vals * w.values) @ np.conj(vals.T) / w.grid.size
+
+
+def psi_integral_form(system, w, n, z):
+    """Quadrature of the defining integral of the second-kind polynomial,
+
+        psi_n(z) = int (1 + z conj(xi)) / (1 - z conj(xi)) (phi_n(xi) - phi_n(z)) dmu,
+
+    for n >= 1 and z strictly inside the disk: the oracle of `opuc.second_kind`."""
+    if n < 1:
+        raise ValueError("the integral form applies for n >= 1")
+    _check_in_disk(z)
+    grid = w.grid
+    coeffs = system.orthonormal_coeffs(n)
+    phi_vals = ok.poly_values(grid, coeffs)
+    phi_at_z = ok.poly_eval(coeffs, z)
+    zeta_bar = np.conj(grid.points)
+    kern = (1.0 + z * zeta_bar) / (1.0 - z * zeta_bar)
+    return complex(np.sum(kern * (phi_vals - phi_at_z) * w.values) / grid.size)

@@ -512,11 +512,16 @@ def test_cli_steklov_needs_beta_and_p_together(argv, capsys):
 
 def test_fh_growth_flags_fits_on_fewer_than_three_degrees():
     rec = run(ExperimentSpec(name="fh_growth", grid_log2=10, n_grid=(64, 91)))
-    pairs = load_thresholds()["fh_growth"]["pairs"]
+    cfg = load_thresholds()["fh_growth"]
+    pairs, (cb, cp) = cfg["pairs"], cfg["critical_pair"]
     undetermined = [f for f in rec.flags if "three distinct degrees" in f]
-    assert len(undetermined) == len(pairs)
+    # one flag per fitted pair, then one for the critical pair's log/n^eps comparison,
+    # whose two-point SSRs are all roundoff
+    assert len(undetermined) == len(pairs) + 1
     for (beta, p), flag in zip(pairs, undetermined):
-        assert flag.startswith(f"beta={beta},p={p}:") and "(64, 91)" in flag
+        assert flag.startswith(f"beta={beta},p={p}: the c1 + c2 n^e fit") and "(64, 91)" in flag
+    assert undetermined[-1].startswith(f"beta={cb},p={cp}: the log/n^eps comparison")
+    assert "(64, 91)" in undetermined[-1]
     full = run(ExperimentSpec(name="fh_growth", grid_log2=10, n_grid=(64, 91, 128)))
     assert not any("three distinct degrees" in f for f in full.flags)
 

@@ -429,9 +429,7 @@ def test_poisson_probabilities_shared_by_both_callers(grid12):
             with pytest.raises(ValueError, match=named):
                 caller(w, [0.2j, bad])
     # the single-point callers share the check, NaN included
-    system = ok.system_from_weight(w, 4)
-    for call in (lambda z: ok.poisson_extend(w, z), lambda z: ok.cauchy_integral(w, z),
-                 lambda z: ok.psi_integral_form(system, w, 2, z)):
+    for call in (lambda z: ok.poisson_extend(w, z), lambda z: ok.cauchy_integral(w, z)):
         for bad, named in ((1.0, r"z = \(1\+0j\)"), (np.nan, r"z = \(nan\+0j\)")):
             with pytest.raises(ValueError, match=named):
                 call(bad)

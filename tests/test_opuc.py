@@ -1,3 +1,8 @@
+import sys
+import threading
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +13,7 @@ from opuckit import opuc
 from opuckit.operators import materialize_full
 from opuckit.opuc import RecursionBreakdownError
 
-from conftest import orthonormal_values_table, quadrature_gram
+from conftest import orthonormal_values_table, psi_integral_form, quadrature_gram
 
 
 def test_lebesgue_system(grid12):
@@ -74,7 +79,7 @@ def test_evaluation_preconditions_are_named(grid12):
     w = ok.make_weight("bernstein_szego", {"a": 0.5}, grid12)
     sys = ok.system_from_weight(w, 4)
     with pytest.raises(ValueError, match="the integral form applies for n >= 1"):
-        ok.psi_integral_form(sys, w, 0, 0.3)
+        psi_integral_form(sys, w, 0, 0.3)
     for k in (grid12.size // 2 + 1, grid12.size):
         with pytest.raises(ValueError, match="polynomial degree must stay below N/2"):
             ok.poly_values(grid12, np.ones(k))
@@ -126,7 +131,7 @@ def test_second_kind_integral_definition_bs(grid14, z):
     w = ok.make_weight("bernstein_szego", {"a": 0.5}, grid14)
     sys = ok.system_from_weight(w, 4)
     psi = ok.second_kind(sys)
-    via_integral = ok.psi_integral_form(sys, w, 1, z)
+    via_integral = psi_integral_form(sys, w, 1, z)
     direct = ok.poly_eval(psi.orthonormal_coeffs(1), np.array([z]))[0]
     assert abs(via_integral - direct) < 1e-6
 
@@ -136,7 +141,7 @@ def test_second_kind_integral_definition_fh(fh02_system):
     psi = ok.second_kind(sys)
     for n in (1, 2, 5):
         for z in (0.2, 0.4j, -0.3 + 0.1j):
-            via = ok.psi_integral_form(sys, w, n, z)
+            via = psi_integral_form(sys, w, n, z)
             direct = ok.poly_eval(psi.orthonormal_coeffs(n), np.array([z]))[0]
             assert abs(via - direct) < 1e-6
 
@@ -518,3 +523,74 @@ def test_steklov_norms_memory_stays_below_table(grid14):
         tracemalloc.stop()
     # O(N + nmax): a few grid-sized arrays, against the 67 MB table
     assert peak < table_bytes / 20
+
+
+def _two_point_weight(grid):
+    # nearly a two-point measure: Phi_2 has (almost) zero norm, so the recursion breaks at 1
+    vals = np.full(grid.size, 1e-200)
+    vals[[0, grid.size // 4]] = 1.0
+    return ok.make_weight("user", {"values": vals}, grid)
+
+
+def test_steklov_norms_reraise_a_breakdown_in_the_worker(grid12):
+    threads = threading.active_count()
+    with pytest.raises(RecursionBreakdownError) as err:
+        ok.steklov_norms(_two_point_weight(grid12), [1, 8], [3.0])
+    assert err.value.index == 1
+    assert threading.active_count() == threads
+
+
+def test_steklov_norms_reraise_an_evaluation_error_and_leave_no_thread(grid12, monkeypatch):
+    # the evaluation fails on its second degree while the worker still has rows to hand over
+    w, lp_norms, calls = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12), opuc.lp_norms, []
+
+    def failing(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise FloatingPointError("planted in the evaluation")
+        return lp_norms(*args, **kwargs)
+
+    monkeypatch.setattr(opuc, "lp_norms", failing)
+    threads = threading.active_count()
+    with pytest.raises(FloatingPointError, match="planted in the evaluation"):
+        ok.steklov_norms(w, range(0, 2048, 8), [3.0])
+    assert len(calls) == 2
+    assert threading.active_count() == threads
+
+
+def test_steklov_norms_hand_off_stays_bounded_for_every_degree(grid14):
+    # every degree 0..nmax wanted: the rows cross between the threads two at a time,
+    # not queued up, so memory stays O(N + nmax) against the 67 MB table
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid14)
+    nmax = 2048
+    table_bytes = (nmax + 1) ** 2 * 16
+    tracemalloc.start()
+    try:
+        got = ok.steklov_norms(w, range(0, nmax + 1), [3.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (1, nmax + 1)
+    assert peak < table_bytes / 20
+
+
+def test_steklov_norms_from_threads_at_once_equal_the_serial_answer(grid12):
+    # three callers at once, each with its own worker, on two cores and with frequent
+    # thread switches: a queue or workspace shared between calls would mix their rows
+    weights = [ok.make_weight(family, params, grid12) for family, params in STREAM_CASES[1:]]
+    n_grid, p_grid = list(range(0, 2048, 31)), [2.0, 3.5]
+    serial = [ok.steklov_norms(w, n_grid, p_grid) for w in weights]
+    start, interval = threading.Barrier(len(weights)), sys.getswitchinterval()
+
+    def call(w):
+        start.wait(timeout=60)
+        return ok.steklov_norms(w, n_grid, p_grid)
+
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=len(weights)) as pool:
+            concurrent = list(pool.map(call, weights, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for got, expected in zip(concurrent, serial):
+        assert np.array_equal(got, expected)
