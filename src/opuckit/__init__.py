@@ -9,12 +9,8 @@ from .grid import (
     GridFunction,
     MomentSequence,
     band_project,
-    cauchy_integral,
     conjugate_function,
-    harmonic_extension_on_circle,
     mean,
-    poisson_extend,
-    quadrature,
     riesz_project,
     trig_moments,
 )
@@ -23,11 +19,9 @@ from .weights import (
     ApReport,
     Weight,
     ap_characteristic,
-    ap_refinement_curve,
     arc_lengths,
     bmo_norm,
     bmo_norm_bruteforce,
-    dyadic_approximant,
     fh_a2_exact,
     fh_subarc_product,
     make_weight,
@@ -44,9 +38,7 @@ from .opuc import (
     phi_values,
     poly_eval,
     poly_values,
-    project,
     projection_norm_probe,
-    reversed_poly,
     second_kind,
     steklov_norms,
     system_from_weight,

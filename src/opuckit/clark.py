@@ -29,21 +29,17 @@ class DegenerateInputError(ValueError):
 
 @dataclass
 class ClarkData:
-    """The Clark weight of `base` at `alpha`; the boundary traces F and f of
-    `base` are derived from it on first access, not kept."""
+    """The Clark weight of `base` at `alpha`; the boundary trace F of `base`
+    is derived from it on first access, not kept."""
 
     alpha: complex
     w_alpha: Weight
-    mass: float  # quadrature(w_alpha)/2pi, a probability/absolute-continuity diagnostic
+    mass: float  # mean(w_alpha), a probability/absolute-continuity diagnostic
     base: Weight = field(repr=False)
 
     @cached_property
     def F_boundary(self) -> GridFunction:
         return caratheodory_boundary(self.base)
-
-    @cached_property
-    def f_boundary(self) -> GridFunction:
-        return schur_from_caratheodory(self.F_boundary)
 
 
 def caratheodory_boundary(w: Weight) -> GridFunction:

@@ -41,8 +41,9 @@ class CircleGrid:
     log2_size: int = 14
 
     def __post_init__(self):
-        if not 6 <= self.log2_size <= 24:
-            raise GridSizeError(f"log2_size must be in [6, 24], got {self.log2_size}")
+        m = self.log2_size  # numpy integers pass; floats, even integral ones, and bools do not
+        if not (isinstance(m, numbers.Integral) and not isinstance(m, bool) and 6 <= m <= 24):
+            raise GridSizeError(f"log2_size must be an integer in [6, 24], got {m!r}")
 
     @property
     def size(self) -> int:
@@ -123,15 +124,6 @@ class GridFunction:
         if np.max(np.abs(self.values.imag)) > 1e-10 * scale:
             raise ValueError("expected a real-valued grid function")
         return self.values.real
-
-
-def quadrature(f: GridFunction) -> complex:
-    """Equal-weight quadrature: (2 pi / N) * sum f(theta_j) ~ int_T f dtheta.
-
-    Exact (to roundoff) for trigonometric polynomials of degree < N.
-    """
-    out = TWO_PI * np.sum(f.values) / f.grid.size
-    return float(out) if f.is_real else complex(out)
 
 
 def mean(f: GridFunction) -> complex:
@@ -245,14 +237,6 @@ def _check_in_disk(z: complex):
         raise ValueError(f"point must lie strictly inside the unit disk, got z = {complex(z)}")
 
 
-def poisson_extend(f: GridFunction, z: complex) -> complex:
-    """Poisson integral P(f, z) = (1/2pi) int (1-|z|^2)/|1 - conj(zeta) z|^2 f dtheta."""
-    _check_in_disk(z)
-    kern = (1.0 - abs(z) ** 2) / np.abs(1.0 - np.conj(f.grid.points) * z) ** 2
-    out = np.sum(kern * f.values) / f.grid.size
-    return float(out.real) if f.is_real else complex(out)
-
-
 def poisson_probabilities(grid: CircleGrid, z_samples):
     """Check every disk point z, then yield for each the normalized Poisson kernel
     (1-|z|^2)/|1 - conj(zeta_j) z|^2 at the nodes: exact probability weights."""
@@ -275,26 +259,6 @@ def poisson_extend_circles(values: np.ndarray, radii):
         yield np.fft.irfft(spec * r ** k, values.shape[-1], axis=-1)
 
 
-def cauchy_integral(f: GridFunction, z: complex) -> complex:
-    """Cauchy integral C(f, z) = (1/2pi) int f(zeta)/(1 - conj(zeta) z) dtheta."""
-    _check_in_disk(z)
-    return complex(np.sum(f.values / (1.0 - np.conj(f.grid.points) * z)) / f.grid.size)
-
-
-def harmonic_extension_on_circle(f: GridFunction, r: float) -> GridFunction:
-    """P(f, r e^{i theta_j}) for all nodes at once, via the r^{|k|} multiplier of
-    `poisson_extend_circles` (on the real and imaginary parts of a complex f).
-
-    This is the exact harmonic extension of the band-limited interpolant,
-    so P(1, z) = 1 identically.
-    """
-    if not 0.0 <= r < 1.0:
-        raise ValueError(f"radius must lie in [0, 1), got r = {r}")
-    parts = f.values if f.is_real else np.stack([f.values.real, f.values.imag])
-    out = next(poisson_extend_circles(parts, [r]))
-    return GridFunction(f.grid, out if f.is_real else out[0] + 1j * out[1])
-
-
 class MomentError(ValueError):
     pass
 
@@ -303,7 +267,7 @@ class MomentError(ValueError):
 class MomentSequence:
     """Trigonometric moments c_k = (1/2pi) int e^{-ik theta} w dtheta, k = 0..kmax.
 
-    Negative indices are implied by the Hermitian extension c_{-k} = conj(c_k).
+    Negative indices follow from c_{-k} = conj(c_k), which `toeplitz_gram` applies.
     """
 
     c: np.ndarray
@@ -318,12 +282,6 @@ class MomentSequence:
     @property
     def kmax(self) -> int:
         return len(self.c) - 1
-
-    def at(self, k: int) -> complex:
-        """c_k for any |k| <= kmax, using the Hermitian extension."""
-        if abs(k) > self.kmax:
-            raise MomentError(f"moment index {k} out of range (kmax = {self.kmax})")
-        return complex(self.c[k]) if k >= 0 else complex(np.conj(self.c[-k]))
 
     def toeplitz_gram(self, n: int) -> np.ndarray:
         """Gram matrix G[j, k] = <z^j, z^k> = c_{k-j}, size (n+1) x (n+1)."""

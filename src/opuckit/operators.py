@@ -67,17 +67,6 @@ class OperatorProbe:
         if self.band is not None:
             check_band(self.band, self.grid.size, f"probe '{self.description}'")
 
-    def check_linearity(self) -> bool:
-        """apply(a f + b g) = a apply(f) + b apply(g) to 1e-10 relative, on two chirps
-        that fill the whole spectrum."""
-        t = self.grid.nodes
-        f, g = np.exp(1j * t * t), (1.0 + t) * np.exp(-3j * t * t)
-        a, b = 0.7 - 0.3j, -1.2 + 0.4j
-        lhs = self.apply(a * f + b * g)
-        rhs = a * self.apply(f) + b * self.apply(g)
-        scale = max(np.max(np.abs(lhs)), 1.0)
-        return bool(np.max(np.abs(lhs - rhs)) < 1e-10 * scale)
-
 
 @dataclass(frozen=True)
 class NormEstimate:

@@ -136,6 +136,13 @@ def _monic_rows(nmax: int, alphas: np.ndarray, moments: MomentSequence | None = 
         zb[: n + 1] -= abar * np.conj(b[::-1])
 
 
+def _check_nmax(nmax) -> int:
+    """nmax as an int, if it is an integer degree >= 0."""
+    if not (_is_degree(nmax) and nmax >= 0):
+        raise ValueError(f"nmax must be nonnegative and an integer, got nmax = {nmax!r}")
+    return int(nmax)
+
+
 def szego_recursion(moments: MomentSequence, nmax: int, weight: Weight | None = None,
                     on_row=None) -> OPUCSystem:
     """Run the moment-driven recursion up to degree nmax (needs kmax >= nmax).
@@ -143,8 +150,7 @@ def szego_recursion(moments: MomentSequence, nmax: int, weight: Weight | None = 
     `on_row(n, b)` is called with the coefficients b of each Phi_n, n = 0..nmax,
     as they are made; b is a view, valid only during the call.
     """
-    if nmax < 0:
-        raise ValueError("nmax must be nonnegative")
+    nmax = _check_nmax(nmax)
     if moments.kmax < nmax:
         raise ValueError(f"need moments up to order {nmax}, have kmax = {moments.kmax}")
     alphas = np.zeros(nmax, dtype=complex)
@@ -156,6 +162,7 @@ def szego_recursion(moments: MomentSequence, nmax: int, weight: Weight | None = 
 
 
 def system_from_weight(w: Weight, nmax: int) -> OPUCSystem:
+    nmax = _check_nmax(nmax)
     return szego_recursion(w.moments(nmax), nmax, weight=w)
 
 
@@ -174,18 +181,6 @@ def gram_schmidt_monic(moments: MomentSequence, nmax: int) -> np.ndarray:
         out[n, :n] = np.linalg.solve(g[:n, :n], rhs)
         out[n, n] = 1.0
     return out
-
-
-def reversed_poly(coeffs: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Q*(z) = z^n conj(Q(1/conj(z))): conjugate and reverse, padding to degree n."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    deg = len(coeffs) - 1
-    if n is None:
-        n = deg
-    if n < deg:
-        raise ValueError(f"cannot reverse a degree-{deg} polynomial at degree {n}")
-    padded = np.concatenate([coeffs, np.zeros(n - deg, dtype=complex)])
-    return np.conj(padded[::-1])
 
 
 def second_kind(system: OPUCSystem) -> OPUCSystem:
@@ -226,7 +221,7 @@ def phi_values(system: OPUCSystem, grid: CircleGrid, n: int, reverse: bool = Fal
     """Grid values of phi_n (or phi_n^* with reverse=True)."""
     coeffs = system.orthonormal_coeffs(n)
     if reverse:
-        coeffs = reversed_poly(coeffs, n)
+        coeffs = np.conj(coeffs[::-1])
     return poly_values(grid, coeffs)
 
 
@@ -255,12 +250,6 @@ def cd_kernel(system: OPUCSystem, n: int, z: complex, zeta: complex) -> complex:
     """K_n(z, zeta) = sum_{k<=n} phi_k(z) conj(phi_k(zeta)); Hermitian in (z, zeta)."""
     table = system.orthonormal_table(n)
     return complex(np.dot(poly_eval(table, z), np.conj(poly_eval(table, zeta))))
-
-
-def project(system: OPUCSystem, f: GridFunction, n: int, weight: Weight | None = None) -> GridFunction:
-    """Orthogonal projection onto span{phi_0..phi_n} in L^2_w, by quadrature."""
-    w = _weight_of(system, weight)
-    return GridFunction(w.grid, _project_values(system.orthonormal_table(n), w, f.values))
 
 
 def _project_values(table: np.ndarray, w: Weight, values: np.ndarray) -> np.ndarray:

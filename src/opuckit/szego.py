@@ -22,19 +22,11 @@ from .weights import Weight, resample
 @dataclass
 class SzegoData:
     """The boundary trace D of the Szego function of `weight` and D0 = D(0);
-    log w, H((1/2) log w) and 1/D are derived on first access, not kept."""
+    1/D is derived on first access, not kept."""
 
     weight: Weight
     D: GridFunction = field(repr=False)
     D0: float
-
-    @cached_property
-    def logw(self) -> GridFunction:
-        return GridFunction(self.weight.grid, np.log(self.weight.values))
-
-    @cached_property
-    def conj_half_logw(self) -> GridFunction:
-        return conjugate_function(GridFunction(self.weight.grid, 0.5 * self.logw.values))
 
     @cached_property
     def Dinv(self) -> GridFunction:

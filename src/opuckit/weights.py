@@ -235,6 +235,8 @@ def ap_characteristic(w: Weight, p: float, arcs: str = "dyadic") -> ApReport:
     """
     if not p > 1.0:
         raise ValueError(f"A_p requires p > 1, got p = {p}")
+    if p == np.inf:
+        raise ValueError(f"A_p requires a finite p, got p = {p}")
     lengths = arc_lengths(w.grid, arcs)
     _warn_outside_a2(w, "ap_characteristic")
 
@@ -256,16 +258,6 @@ def ap_characteristic(w: Weight, p: float, arcs: str = "dyadic") -> ApReport:
             best = float(prod[j])
             best_arc = (j, int(length))
     return ApReport(p=p, value=best * 2.0 ** -shift, argmax_arc=best_arc)
-
-
-def ap_refinement_curve(family: str, params: dict, p: float, log2_sizes) -> list:
-    """[ (m, ap value) ] across grid resolutions; the values are lower bounds
-    that should be non-decreasing toward the true supremum."""
-    out = []
-    for m in log2_sizes:
-        w = make_weight(family, params, CircleGrid(m), normalize=False)
-        out.append((int(m), ap_characteristic(w, p).value))
-    return out
 
 
 def fh_a2_exact(beta: float) -> float:
@@ -336,7 +328,7 @@ def poisson_characteristics(w: Weight, z_samples=None) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# BMO norm and dyadic approximants
+# BMO norm
 # ---------------------------------------------------------------------------
 
 _U = np.finfo(float).eps / 2.0  # unit roundoff
@@ -439,15 +431,3 @@ def bmo_norm_bruteforce(f: GridFunction) -> float:
             window = vals[idx]
             best = max(best, float(np.abs(window - window.mean()).mean()))
     return best
-
-
-def dyadic_approximant(w: Weight, level: int) -> Weight:
-    """Piecewise-constant weight equal to <w>_I on each of the 2^level arcs
-    I_j = 2^{-level} (2 pi) [j, j+1).  Preserves c_0 exactly."""
-    if not 0 <= level <= w.grid.log2_size:
-        raise ValueError(f"level must be in [0, {w.grid.log2_size}], got {level}")
-    n = w.grid.size
-    block = n >> level
-    means = w.values.reshape(1 << level, block).mean(axis=1)
-    vals = np.repeat(means, block)
-    return Weight(w.grid, vals, "user", {"values": vals, "approximant_of": w.family, "level": level})

@@ -82,3 +82,15 @@ def psi_integral_form(system, w, n, z):
     zeta_bar = np.conj(grid.points)
     kern = (1.0 + z * zeta_bar) / (1.0 - z * zeta_bar)
     return complex(np.sum(kern * (phi_vals - phi_at_z) * w.values) / grid.size)
+
+
+def check_linearity(probe):
+    """apply(a f + b g) = a apply(f) + b apply(g) to 1e-10 relative, on two chirps
+    that fill the whole spectrum."""
+    t = probe.grid.nodes
+    f, g = np.exp(1j * t * t), (1.0 + t) * np.exp(-3j * t * t)
+    a, b = 0.7 - 0.3j, -1.2 + 0.4j
+    lhs = probe.apply(a * f + b * g)
+    rhs = a * probe.apply(f) + b * probe.apply(g)
+    scale = max(np.max(np.abs(lhs)), 1.0)
+    return bool(np.max(np.abs(lhs - rhs)) < 1e-10 * scale)

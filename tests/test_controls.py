@@ -10,6 +10,8 @@ the bugs that have no control yet.
 import numpy as np
 import pytest
 
+import opuckit.clark
+import opuckit.experiments
 import opuckit.operators
 import opuckit.szego
 import opuckit.weights
@@ -23,6 +25,10 @@ CONTROLS = {
     "strong_szego": (opuckit.szego, "conjugate_function",
                      lambda conj: lambda f: GridFunction(f.grid, -conj(f).values),
                      {"fh_decreasing", "fh_final", "bs_exact"}),
+    # criterion 5: the entropy limit without the 1/2 of |D|^2 = w, -(1/2pi) int log w
+    "entropy_limit": (opuckit.experiments, "entropy_limit_target",
+                      lambda target: lambda w: 2.0 * target(w),
+                      {"bs_gap", "fh_gap[beta=0.3]"}),
     # criterion 4: Fisher-Hartwig weights sampled as |1 - z|^(2.1 beta), not |1 - z|^(2 beta)
     "fh_growth": (opuckit.weights, "fisher_hartwig_values",
                   lambda fh: lambda theta, beta: fh(theta, 1.05 * beta),
@@ -62,3 +68,25 @@ def test_continuity_u_equals_w_is_a_blind_spot_the_oracle_sees(monkeypatch):
         Weight(w.grid, w.values ** p, w.family), p, band=band))
     assert run(ExperimentSpec(name="continuity")).passed  # the blind spot
     assert all(abs(e - 1.0) < 1e-4 for e in _first_order_defects())
+
+
+def _caratheodory_cosine_defect():
+    """max |F - (1 + z)| for w = 1 + cos, whose Caratheodory trace is 1 + z (m = 12):
+    the reading of test_caratheodory_cosine."""
+    g = CircleGrid(12)
+    w = opuckit.weights.make_weight("user", {"values": 1.0 + np.cos(g.nodes)}, g,
+                                    normalize=False)
+    return float(np.max(np.abs(opuckit.clark.caratheodory_boundary(w).values - (1.0 + g.points))))
+
+
+def test_clark_negated_conjugate_is_a_blind_spot_the_oracle_sees(monkeypatch):
+    # criterion 10: F = w - iH(w) instead of w + iH(w) maps the Clark parameter alpha
+    # to conj(alpha), so each mass is another unimodular alpha's, and the dual
+    # alpha = -1 is unchanged; the cosine Caratheodory oracle reads F itself
+    assert run(ExperimentSpec(name="clark_duality")).passed
+    assert _caratheodory_cosine_defect() <= 1e-12
+    conj = opuckit.clark.conjugate_function
+    monkeypatch.setattr(opuckit.clark, "conjugate_function",
+                        lambda f: GridFunction(f.grid, -conj(f).values))
+    assert run(ExperimentSpec(name="clark_duality")).passed  # the blind spot
+    assert _caratheodory_cosine_defect() > 1.9  # 2 max |sin theta_j|

@@ -275,7 +275,7 @@ def test_cli_rejects_single_degree_projection_before_work(monkeypatch, capsys):
 
 def test_cli_bad_grid_log2_names_the_value(capsys):
     assert main(["a2", "--grid-log2", "-1"]) == 4
-    assert "log2_size must be in [6, 24], got -1" in capsys.readouterr().err
+    assert "log2_size must be an integer in [6, 24], got -1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, needs", [
@@ -314,6 +314,18 @@ def _continuity12(deltas, band=16):
     (lambda: ExperimentSpec(name="fh_growth", p_grid=(3.0, 0.75)), "p_grid = (3.0, 0.75)"),
     (lambda: ExperimentSpec(name="fh_growth", p_grid=(3.0, float("nan"))), "p_grid = (3.0, nan)"),
     (lambda: ok.ap_characteristic(_W12, float("nan")), "A_p requires p > 1, got p = nan"),
+    (lambda: ok.ap_characteristic(_W12, float("inf")), "A_p requires a finite p, got p = inf"),
+    # a grid size or a degree must be an integer: a float, even an integral one, is named
+    (lambda: ok.CircleGrid(10.5), "log2_size must be an integer in [6, 24], got 10.5"),
+    (lambda: ok.CircleGrid(10.0), "log2_size must be an integer in [6, 24], got 10.0"),
+    (lambda: ok.CircleGrid(np.float64(10)),
+     "log2_size must be an integer in [6, 24], got np.float64(10.0)"),
+    (lambda: ok.CircleGrid(True), "log2_size must be an integer in [6, 24], got True"),
+    (lambda: ExperimentSpec(name="a2_scaling", grid_log2=10.5),
+     "log2_size must be an integer in [6, 24], got 10.5"),
+    (lambda: ok.system_from_weight(_W12, 1.5),
+     "nmax must be nonnegative and an integer, got nmax = 1.5"),
+    (lambda: ok.szego_recursion(_W12.moments(4), 2.5), "got nmax = 2.5"),
     (lambda: ok.weighted_lp_norm(_W12.values, _W12, float("inf")),
      "finite p >= 1 required, got p = inf"),
     (lambda: ExperimentSpec(name="fh_growth", p_grid=(float("inf"),)), "p_grid = (inf,)"),

@@ -27,6 +27,9 @@ def test_grid_size_bounds():
         ok.CircleGrid(5)
     with pytest.raises(GridSizeError):
         ok.CircleGrid(25)
+    # numpy integers are integers
+    assert ok.CircleGrid(np.int64(10)) == ok.CircleGrid(10)
+    assert ok.CircleGrid(np.int32(10)).size == 1024
 
 
 def test_gridfunction_validation(grid12):
@@ -47,16 +50,16 @@ def test_analyze_synthesize_roundtrip(seed):
 
 def test_quadrature_constants_and_frequencies(grid12):
     one = ok.GridFunction(grid12, np.ones(grid12.size))
-    assert_allclose(ok.quadrature(one), 2 * np.pi, rtol=1e-14)
+    assert_allclose(ok.mean(one), 1.0, rtol=1e-14)
     cosine = ok.GridFunction(grid12, np.cos(grid12.nodes))
-    assert abs(ok.quadrature(cosine)) < 1e-12
+    assert abs(ok.mean(cosine)) < 1e-12 / (2 * np.pi)
 
 
 def test_quadrature_exact_for_all_resolved_frequencies():
     g = ok.CircleGrid(8)
     for k in (1, 7, 100, g.size - 1, -(g.size - 1)):
         f = ok.GridFunction(g, np.exp(1j * k * g.nodes))
-        assert abs(ok.quadrature(f)) < 1e-12
+        assert abs(ok.mean(f)) < 1e-12 / (2 * np.pi)
 
 
 def test_quadrature_against_adaptive_oracle():
@@ -65,7 +68,7 @@ def test_quadrature_against_adaptive_oracle():
     f = ok.GridFunction(g, np.abs(1.0 - np.exp(1j * g.nodes)))
     oracle = quad(lambda t: 2.0 * np.sin(t / 2.0), 0.0, 2.0 * np.pi)[0]
     assert_allclose(oracle, 8.0, atol=1e-10)
-    assert abs(ok.quadrature(f) - oracle) < 1e-6
+    assert abs(ok.mean(f) - oracle / (2 * np.pi)) < 1e-6 / (2 * np.pi)
 
 
 def test_trig_moments_trivial(grid12):
@@ -113,9 +116,6 @@ def test_trig_moments_preconditions(grid12):
         with pytest.raises(MomentError, match="one-dimensional and non-empty"):
             ok.MomentSequence(c)
     m = ok.MomentSequence(np.array([1.0, 0.5j]))
-    for k in (2, -2):
-        with pytest.raises(MomentError, match=rf"moment index {k} out of range \(kmax = 1\)"):
-            m.at(k)
     with pytest.raises(MomentError, match="need moments up to 2, have 1"):
         m.toeplitz_gram(2)
 
@@ -123,7 +123,6 @@ def test_trig_moments_preconditions(grid12):
 def test_moment_hermitian_extension(grid12):
     w = ok.GridFunction(grid12, np.exp(np.cos(grid12.nodes) + 0.3 * np.sin(grid12.nodes)))
     m = ok.trig_moments(w, 8)
-    assert m.at(-3) == np.conj(m.at(3))
     g = m.toeplitz_gram(5)
     assert_allclose(g, g.conj().T, atol=1e-15)
     assert np.all(np.linalg.eigvalsh(g) > 0)
@@ -174,16 +173,17 @@ def test_double_conjugation_involution(seed):
 
 
 def test_poisson_extend(grid12):
-    one = ok.GridFunction(grid12, np.ones(grid12.size))
-    for z in (0.0, 0.5, 0.3 + 0.4j):
-        assert_allclose(ok.poisson_extend(one, z), 1.0, atol=1e-12)
+    # P(f, z) = lambda_z @ f with the Poisson probabilities lambda_z
+    zs = (0.0, 0.5, 0.3 + 0.4j)
+    for lam in poisson_probabilities(grid12, zs):
+        assert_allclose(lam @ np.ones(grid12.size), 1.0, atol=1e-12)
     f = ok.GridFunction(grid12, np.cos(grid12.nodes) + 2.0)
-    assert_allclose(ok.poisson_extend(f, 0.0), ok.mean(f), atol=1e-12)
-    cosine = ok.GridFunction(grid12, np.cos(grid12.nodes))
-    for r in (0.1, 0.5, 0.9):
-        assert_allclose(ok.poisson_extend(cosine, r), r, atol=1e-10)
+    assert_allclose(next(poisson_probabilities(grid12, [0.0])) @ f.values, ok.mean(f), atol=1e-12)
+    rs = (0.1, 0.5, 0.9)
+    for r, lam in zip(rs, poisson_probabilities(grid12, rs)):
+        assert_allclose(lam @ np.cos(grid12.nodes), r, atol=1e-10)
     with pytest.raises(ValueError):
-        ok.poisson_extend(one, 1.0)
+        poisson_probabilities(grid12, [1.0])
 
 
 def test_poisson_boundary_limit(grid14):
@@ -191,14 +191,13 @@ def test_poisson_boundary_limit(grid14):
     n = grid14.size
     f = ok.GridFunction(grid14, np.cos(3.0 * grid14.nodes))
     r = 1.0 - 2.0 * np.pi / n
-    ext = ok.harmonic_extension_on_circle(f, r)
-    assert np.max(np.abs(ext.values - f.values)) < 200.0 / n
+    ext = next(poisson_extend_circles(f.values, [r]))
+    assert np.max(np.abs(ext - f.values)) < 200.0 / n
 
 
 def test_harmonic_extension_multiplier_is_exact_on_constants(grid12):
-    one = ok.GridFunction(grid12, np.ones(grid12.size))
-    ext = ok.harmonic_extension_on_circle(one, 1.0 - 2.0 ** -10)
-    assert_allclose(ext.values, 1.0, atol=1e-14)
+    ext = next(poisson_extend_circles(np.ones(grid12.size), [1.0 - 2.0 ** -10]))
+    assert_allclose(ext, 1.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("family, params, radii", [
@@ -225,33 +224,12 @@ def test_harmonic_extension_on_circle_uses_the_real_kernel(grid12):
     f = random_bandlimited(grid12, rng, 40, real=True)
     g = random_bandlimited(grid12, rng, 40, real=True)
     for r in (0.0, 0.5, 0.99):
-        ext = ok.harmonic_extension_on_circle(f, r)
-        assert ext.is_real
-        assert np.array_equal(ext.values, next(poisson_extend_circles(f.values, [r])))
-        # complex f goes through the kernel part by part; it matches the complex multiplier
-        both = ok.harmonic_extension_on_circle(ok.GridFunction(grid12, f.values + 1j * g.values), r)
+        ext = next(poisson_extend_circles(np.stack([f.values, g.values]), [r]))
+        assert not np.iscomplexobj(ext)
+        # the real kernel on the real and imaginary parts is the complex multiplier r^|k|
         mult = r ** np.abs(grid12.freqs).astype(float)
-        assert_allclose(both.values, fourier_multiplier(f.values + 1j * g.values, mult),
+        assert_allclose(ext[0] + 1j * ext[1], fourier_multiplier(f.values + 1j * g.values, mult),
                         rtol=0, atol=1e-13)
-
-
-@pytest.mark.parametrize("r", [1.5, 1.0, -0.25, float("nan")])
-def test_harmonic_extension_on_circle_names_bad_radius(grid12, r):
-    one = ok.GridFunction(grid12, np.ones(grid12.size))
-    with pytest.raises(ValueError, match=rf"radius must lie in \[0, 1\), got r = {r}"):
-        ok.harmonic_extension_on_circle(one, r)
-
-
-def test_cauchy_integral(grid12):
-    one = ok.GridFunction(grid12, np.ones(grid12.size))
-    assert_allclose(ok.cauchy_integral(one, 0.3 + 0.1j), 1.0, atol=1e-12)
-    e_plus = ok.GridFunction(grid12, np.exp(1j * grid12.nodes))
-    e_minus = ok.GridFunction(grid12, np.exp(-1j * grid12.nodes))
-    for z in (0.0, 0.4, 0.2 - 0.6j):
-        assert_allclose(ok.cauchy_integral(e_plus, z), z, atol=1e-12)
-        assert abs(ok.cauchy_integral(e_minus, z)) < 1e-12
-    with pytest.raises(ValueError):
-        ok.cauchy_integral(one, 1.2)
 
 
 def test_riesz_projection(grid12):
@@ -428,11 +406,6 @@ def test_poisson_probabilities_shared_by_both_callers(grid12):
         for bad, named in ((1.0, r"z = \(1\+0j\)"), (np.nan, r"z = \(nan\+0j\)")):
             with pytest.raises(ValueError, match=named):
                 caller(w, [0.2j, bad])
-    # the single-point callers share the check, NaN included
-    for call in (lambda z: ok.poisson_extend(w, z), lambda z: ok.cauchy_integral(w, z)):
-        for bad, named in ((1.0, r"z = \(1\+0j\)"), (np.nan, r"z = \(nan\+0j\)")):
-            with pytest.raises(ValueError, match=named):
-                call(bad)
     # no points at all is an error naming the argument, in both callers
     with pytest.raises(ValueError, match="z_samples"):
         poisson_probabilities(grid12, [])

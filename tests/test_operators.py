@@ -9,6 +9,8 @@ from opuckit.grid import fourier_multiplier
 from opuckit.operators import (OperatorProbe, _commutator_pair, _top_eigenpair, materialize_full,
                                power_method_lp)
 
+from conftest import check_linearity
+
 
 def _inner(grid, f, g):
     return np.mean(f * np.conj(g))
@@ -17,7 +19,7 @@ def _inner(grid, f, g):
 def test_weighted_riesz_linearity_and_adjoint(grid12):
     w = ok.make_weight("fisher_hartwig", {"beta": 0.1}, grid12)
     probe = ok.weighted_riesz(w, 2.5, band=32)
-    assert probe.check_linearity()
+    assert check_linearity(probe)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(grid12.size) + 1j * rng.standard_normal(grid12.size)
     g = rng.standard_normal(grid12.size) + 1j * rng.standard_normal(grid12.size)
@@ -39,6 +41,27 @@ def test_weighted_riesz_norm_fh(grid12):
     est = ok.operator_norm(ok.weighted_riesz(w, 2.0, band=48))
     assert np.isfinite(est.value)
     assert est.value >= 1.0 - 1e-10
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9, -0.7])
+def test_weighted_riesz_norm_bernstein_szego_exact(a):
+    # w_a = (1 - a^2)/|1 - a e^{i theta}|^2 = |D|^2 with conj(D)/D = (1 - a z)/(1 - a conj z),
+    # whose Hankel operator is rank one of norm |a|: by Helson-Szego the norm of P+ on
+    # L^2(w_a) is (1 - a^2)^{-1/2} exactly, at a weight that is not constant
+    exact = 1.0 / np.sqrt(1.0 - a * a)
+    w = ok.make_weight("bernstein_szego", {"a": a}, ok.CircleGrid(9))
+    full = ok.operator_norm(ok.weighted_riesz(w, 2.0)).value  # the full node basis
+    assert abs(full - exact) <= 1e-14 * exact
+
+
+@pytest.mark.parametrize("a", [0.5, 0.9])
+def test_weighted_riesz_band_norms_approach_the_exact_value_from_below(grid14, a):
+    # a band restricts the inputs, so its norm is a lower bound that grows with the band
+    # (at a = 0.9 band 16 is 1.9e-4 low and band 64 2.2e-9 low)
+    exact = 1.0 / np.sqrt(1.0 - a * a)
+    w = ok.make_weight("bernstein_szego", {"a": a}, grid14)
+    b16, b64 = (ok.operator_norm(ok.weighted_riesz(w, 2.0, band=band)).value for band in (16, 64))
+    assert b16 <= b64 <= exact * (1.0 + 1e-14)
 
 
 def test_operator_norm_identity_all_p(grid12):

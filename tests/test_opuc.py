@@ -13,7 +13,8 @@ from opuckit import opuc
 from opuckit.operators import materialize_full
 from opuckit.opuc import RecursionBreakdownError
 
-from conftest import orthonormal_values_table, psi_integral_form, quadrature_gram
+from conftest import (check_linearity, orthonormal_values_table, psi_integral_form,
+                      quadrature_gram)
 
 
 def test_lebesgue_system(grid12):
@@ -44,6 +45,23 @@ def test_fisher_hartwig_moments_closed_form(grid14):
     # difference is the N^{-1-2 beta} aliasing of the grid moments
     assert np.max(np.abs(m.c.real - exact)) < 1e-6
     assert np.max(np.abs(m.c.imag)) < 1e-14
+
+
+def test_fisher_hartwig_verblunsky_closed_form():
+    # w = |1 - e^{i theta}|^{2 beta} has alpha_n = -beta/(n + beta + 1) (Simon, OPUC 1,
+    # 2005): an oracle at every degree.  The grid moments alias at the singularity, so
+    # the recursion's relative error grows as (n/N)^{1 + 2 beta}; measured at beta = 0.3:
+    # 1.70e-4 (m = 14) and 1.85e-5 (m = 16) over n < 64, 4.71e-3 and 5.12e-4 at n = 511.
+    # Bounds: the measured levels plus 25%, and the ratio within 1% of 4^{1 + 2 beta}
+    beta, n = 0.3, np.arange(512)
+    exact = -beta / (n + beta + 1.0)
+    rel = {}
+    for m in (14, 16):
+        w = ok.make_weight("fisher_hartwig", {"beta": beta}, ok.CircleGrid(m))
+        rel[m] = np.abs(ok.system_from_weight(w, 512).verblunsky - exact) / -exact
+    assert np.max(rel[14][:64]) <= 1.25 * 1.70e-4 and np.max(rel[16][:64]) <= 1.25 * 1.85e-5
+    assert rel[14][511] <= 1.25 * 4.71e-3 and rel[16][511] <= 1.25 * 5.12e-4
+    assert_allclose(rel[14][511] / rel[16][511], 4.0 ** (1.0 + 2.0 * beta), rtol=0.01)
 
 
 @pytest.mark.parametrize("family,params", [
@@ -96,16 +114,6 @@ def test_kappa_product_identity(fh02_system):
     expected = np.cumprod(gaps) ** -0.5 / np.sqrt(c0)
     assert_allclose(sys.kappa, expected, rtol=1e-12)
     assert np.all(np.diff(sys.kappa) >= -1e-12)
-
-
-def test_reversed_poly():
-    assert_allclose(ok.reversed_poly([0, 0, 0, 1.0]), [1.0, 0, 0, 0])
-    a = 0.3 + 0.4j
-    assert_allclose(ok.reversed_poly([-a, 1.0]), [1.0, -np.conj(a)])
-    # degree must be explicit when padding
-    assert_allclose(ok.reversed_poly([2.0], n=2), [0.0, 0.0, 2.0])
-    with pytest.raises(ValueError):
-        ok.reversed_poly([1.0, 2.0], n=0)
 
 
 def test_reversed_same_modulus_on_circle(fh02_system, grid14):
@@ -217,20 +225,20 @@ def test_values_table_rows_equal_per_row_synthesis(fh02_system, grid14, n):
 
 def test_projection_on_basis(fh02_system, grid14):
     w, sys = fh02_system
-    phi3 = ok.GridFunction(grid14, ok.phi_values(sys, grid14, 3))
-    proj = ok.project(sys, phi3, 5)
-    assert np.max(np.abs(proj.values - phi3.values)) < 1e-8
-    phi5 = ok.GridFunction(grid14, ok.phi_values(sys, grid14, 5))
-    proj3 = ok.project(sys, phi5, 3)
-    assert np.max(np.abs(proj3.values)) < 1e-8
+    phi3 = ok.phi_values(sys, grid14, 3)
+    proj = opuc._project_values(sys.orthonormal_table(5), w, phi3)
+    assert np.max(np.abs(proj - phi3)) < 1e-8
+    phi5 = ok.phi_values(sys, grid14, 5)
+    proj3 = opuc._project_values(sys.orthonormal_table(3), w, phi5)
+    assert np.max(np.abs(proj3)) < 1e-8
 
 
 def test_projection_kills_antianalytic(grid12):
     w = ok.make_weight("constant", {}, grid12)
     sys = ok.system_from_weight(w, 8)
-    f = ok.GridFunction(grid12, np.exp(-1j * grid12.nodes))
+    f = np.exp(-1j * grid12.nodes)
     for n in (0, 3, 8):
-        assert np.max(np.abs(ok.project(sys, f, n).values)) < 1e-12
+        assert np.max(np.abs(opuc._project_values(sys.orthonormal_table(n), w, f))) < 1e-12
 
 
 def test_projection_norm_probe_lebesgue(grid14):
@@ -298,7 +306,7 @@ def test_projection_probe_stacks_and_adjoint(grid12, monkeypatch):
     lhs = np.sum(probe.apply(x) * np.conj(y), axis=-1)
     rhs = np.sum(x * np.conj(probe.adjoint(y)), axis=-1)
     assert_allclose(lhs, rhs, rtol=1e-12)
-    assert probe.check_linearity()
+    assert check_linearity(probe)
 
 
 def test_weighted_lp_norms(fh02_system, grid14):

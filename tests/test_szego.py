@@ -52,8 +52,6 @@ def test_szego_derived_traces_equal_eager_formulas_bitwise(grid12, family, param
     sz = ok.szego_function(w)
     assert np.array_equal(sz.D.values, d)
     assert sz.D0 == float(np.exp(0.5 * np.mean(logw)))
-    assert np.array_equal(sz.logw.values, logw)
-    assert np.array_equal(sz.conj_half_logw.values, conj)
     assert np.array_equal(sz.Dinv.values, 1.0 / d)
     assert sz.Dinv is sz.Dinv  # built once, then cached
 

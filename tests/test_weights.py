@@ -159,8 +159,9 @@ def test_ap_rejects_bad_exponent(grid12):
 
 
 def test_ap_refinement_monotone():
-    curve = ok.ap_refinement_curve("fisher_hartwig", {"beta": 0.3}, 2.0, [8, 10, 12])
-    vals = [v for _, v in curve]
+    vals = [ok.ap_characteristic(ok.make_weight("fisher_hartwig", {"beta": 0.3}, ok.CircleGrid(m),
+                                                normalize=False), 2.0).value
+            for m in (8, 10, 12)]
     assert all(vals[i + 1] >= vals[i] - 1e-9 for i in range(len(vals) - 1))
 
 
@@ -448,33 +449,6 @@ def test_bmo_sqrt_tau_trend(grid12):
         tau = ok.ap_characteristic(w, 2.0).value - 1.0
         bmo = ok.bmo_norm(ok.GridFunction(grid12, np.log(w.values)))
         assert bmo <= 2.0 * np.sqrt(tau)
-
-
-def test_dyadic_approximant(grid12):
-    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12, normalize=False)
-    a2 = ok.ap_characteristic(w, 2.0).value
-    for level in (3, 6, 9):
-        wl = ok.dyadic_approximant(w, level)
-        # global mean (c_0) preserved exactly
-        assert_allclose(np.mean(wl.values), np.mean(w.values), rtol=1e-14)
-        # characteristic stays controlled by the original
-        assert ok.ap_characteristic(wl, 2.0).value <= 1.05 * a2
-    const = ok.make_weight("constant", {}, grid12)
-    assert_allclose(ok.dyadic_approximant(const, 4).values, const.values, rtol=1e-15)
-    with pytest.raises(ValueError):
-        ok.dyadic_approximant(w, grid12.log2_size + 1)
-
-
-def test_dyadic_approximant_moment_convergence(grid12):
-    # the simple functions converge weakly-*: low moments converge
-    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12, normalize=False)
-    target = w.moments(4).c
-    errs = []
-    for level in (4, 6, 8, 10):
-        wl = ok.dyadic_approximant(w, level)
-        errs.append(np.max(np.abs(wl.moments(4).c - target)))
-    assert errs[-1] < errs[0]
-    assert errs[-1] < 1e-3
 
 
 def test_renormalized(grid12):
