@@ -18,7 +18,8 @@ and `poisson_extend_circles` act on (..., N) stacks along the last axis: k vecto
 go through one call as a (k, N) stack, and row r of the result is the call on row r
 alone.  `synthesize` also takes a (..., k) prefix, 1 <= k <= N, of bins 0..k-1 with
 the rest zero: the coefficients of polynomials of degree < k, valued at the nodes
-without building the padded spectrum.
+without building the padded spectrum.  `analyze(values, k)` returns that prefix,
+scaling and phasing bins 0..k-1 only.
 """
 
 import numbers
@@ -69,12 +70,20 @@ class CircleGrid:
         # e^{-i pi k / N}: carries the half-step offset through the FFT.
         return np.exp(-1j * np.pi * self.freqs / self.size)
 
-    def analyze(self, values: np.ndarray) -> np.ndarray:
-        """Fourier coefficients (FFT order) of samples on this grid, shape (..., N)."""
+    def analyze(self, values: np.ndarray, k: int | None = None) -> np.ndarray:
+        """Fourier coefficients (FFT order) of samples on this grid, shape (..., N).
+
+        With k, 1 <= k <= N, only bins 0..k-1 are scaled and phased and returned,
+        shape (..., k): bitwise the slice [..., :k] of the full call.
+        """
         values = np.asarray(values)
         if values.shape[-1:] != (self.size,):
             raise GridSizeError(f"expected {self.size} samples, got shape {values.shape}")
-        return np.fft.fft(values, axis=-1) / self.size * self._phase
+        k = self.size if k is None else k
+        if not (_is_degree(k) and 1 <= k <= self.size):
+            raise GridSizeError(f"expected 1 to {self.size} bins, got k = {k!r}")
+        k = int(k)
+        return np.fft.fft(values, axis=-1)[..., :k] / self.size * self._phase[:k]
 
     def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Inverse of `analyze`: samples at the grid nodes, shape (..., N).
@@ -285,8 +294,10 @@ class MomentSequence:
 
     def toeplitz_gram(self, n: int) -> np.ndarray:
         """Gram matrix G[j, k] = <z^j, z^k> = c_{k-j}, size (n+1) x (n+1)."""
-        if n > self.kmax:
-            raise MomentError(f"need moments up to {n}, have {self.kmax}")
+        if not (_is_degree(n) and 0 <= n <= self.kmax):
+            raise MomentError(f"need moments up to {n!r}, have {self.kmax}; n must be an "
+                              f"integer in [0, {self.kmax}]")
+        n = int(n)
         from scipy.linalg import toeplitz
 
         return toeplitz(np.conj(self.c[: n + 1]), self.c[: n + 1])
@@ -301,10 +312,12 @@ def trig_moments(f: GridFunction, kmax: int) -> MomentSequence:
     Real samples go through a real FFT, and only bins 0..kmax are phased.
     """
     grid, n = f.grid, f.grid.size
-    if not 0 <= kmax < n // 2:
-        raise MomentError(f"kmax must satisfy 0 <= kmax < N/2 = {n // 2}, got {kmax}")
+    if not (_is_degree(kmax) and 0 <= kmax < n // 2):
+        raise MomentError(f"kmax must be an integer with 0 <= kmax < N/2 = {n // 2}, "
+                          f"got kmax = {kmax!r}")
+    kmax = int(kmax)
     if not f.is_real:
-        return MomentSequence(grid.analyze(f.values)[: kmax + 1].copy())
+        return MomentSequence(grid.analyze(f.values, kmax + 1))
     # grid._phase[: kmax + 1], bitwise, without the other N - kmax - 1 bins
     c = np.fft.rfft(f.values)[: kmax + 1] / n * np.exp(-1j * np.pi * np.arange(kmax + 1) / n)
     c[0] = c[0].real

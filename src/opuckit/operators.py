@@ -11,9 +11,10 @@ materializer builds every such matrix, each column through the probe's `apply`. 
 continuity difference u P+ u^{-1} - P+ over a constant base weight has such a pair,
 `_commutator_pair`: its band Gram has displacement rank 4, so a few length-N FFTs give
 it; any other base materializes the band (0.25 s per distance at N = 2^14, band 64).
-numpy and scipy bundle separate OpenBLAS builds, and alternating calls between their
-thread pools cost about 6x on 2 cores, so the Gram product and the eigensolver are both
-scipy's.
+Every exact p = 2 pair, the projection probe's in `opuc` too, ends in one subset
+eigensolve of the top index only, `_top_pair`.  numpy and scipy bundle separate
+OpenBLAS builds, and alternating calls between their thread pools cost about 6x on
+2 cores, so the Gram product and the eigensolver are both scipy's.
 """
 
 import dataclasses
@@ -199,6 +200,17 @@ def power_method_lp(probe: OperatorProbe, x0: np.ndarray) -> tuple:
     return float(best), False, _POWER_STEPS
 
 
+def _top_pair(gram: np.ndarray) -> tuple:
+    """(largest eigenvalue clipped at 0, its unit eigenvector) of a Hermitian matrix,
+    from its upper triangle; the matrix is overwritten.  The `evr` driver solves for the
+    top index only and still returns a unit eigenvector inside a cluster, such as the
+    (n+1)-fold top eigenvalue of a projection at p = 2."""
+    k = gram.shape[0]
+    vals, vecs = eigh(gram, lower=False, overwrite_a=True, driver="evr",
+                      subset_by_index=[k - 1, k - 1])
+    return max(vals[0], 0.0), vecs[:, 0]
+
+
 def _top_eigenpair(probe: OperatorProbe) -> tuple:
     """Top eigenpair (lambda, v) of M^H M, M the probe's band restriction, or its full
     node-basis matrix for N <= 2^10 without a band: sqrt(lambda) is the exact p = 2
@@ -211,8 +223,7 @@ def _top_eigenpair(probe: OperatorProbe) -> tuple:
         raise ValueError(f"probe '{probe.description}' has no band and N = {probe.grid.size} "
                          f"> 2^10: the p = 2 norm and the p != 2 start both need a band "
                          f"or N <= 2^10")
-    vals, vecs = eigh(blas.zherk(1.0, mat, trans=2), lower=False, driver="evd")  # one OpenBLAS
-    return max(vals[-1], 0.0), vecs[:, -1]
+    return _top_pair(blas.zherk(1.0, mat, trans=2))  # one OpenBLAS: scipy's
 
 
 def _commutator_pair(probe: OperatorProbe) -> tuple:
@@ -254,7 +265,8 @@ def _commutator_pair(probe: OperatorProbe) -> tuple:
     w2 = np.array([[w_hat[0], w_hat[half]], [w_hat[half], w_hat[0]]])
     upd = np.conj(d) @ (y + d @ w2).T + np.conj(y) @ d.T  # w2 is symmetric: W[N/2] is real
 
-    gram = np.empty((2 * band + 1, 2 * band + 1), dtype=complex)
+    # the lower triangle is never written, but eigh checks all of it for NaN and inf
+    gram = np.zeros((2 * band + 1, 2 * band + 1), dtype=complex)
     for r in range(2 * band + 1):
         if r == band:  # first row of the k >= 0 block
             gram[r, r:] = corr[7, ks[band:]]
@@ -264,8 +276,9 @@ def _commutator_pair(probe: OperatorProbe) -> tuple:
             gram[r, r:] = gram[r - 1, r - 1:-1] + upd[r - 1, r - 1:-1]
             if r < band:  # first column of the (k < 0, k >= 0) block
                 gram[r, band] = np.conj(corr[6, ks[r]])
-    vals, vecs = eigh(gram / float(n) ** 3, lower=False, driver="evd")
-    return max(vals[-1], 0.0), s * np.exp(-1j * np.pi * ks / n) * vecs[:, -1]
+    gram /= float(n) ** 3
+    top, v = _top_pair(gram)
+    return top, s * np.exp(-1j * np.pi * ks / n) * v
 
 
 def operator_norm(probe: OperatorProbe) -> NormEstimate:

@@ -31,11 +31,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import blas, eigh
+from scipy.linalg import blas, cholesky, solve_triangular
 
 from .grid import (CircleGrid, GridFunction, MomentSequence, _is_degree, _is_real,
                    lp_norms, trig_moments)
-from .operators import NormEstimate, OperatorProbe, check_exponent, operator_norm
+from .operators import NormEstimate, OperatorProbe, _top_pair, check_exponent, operator_norm
 from .weights import Weight
 
 
@@ -82,21 +82,24 @@ class OPUCSystem:
         return 1.0 / np.sqrt(self.norms_sq)
 
     def monic_coeffs(self, n: int) -> np.ndarray:
-        self._check_degree(n)
+        n = self._check_degree(n)
         return self.monic[n, : n + 1]
 
     def orthonormal_coeffs(self, n: int) -> np.ndarray:
-        self._check_degree(n)
+        n = self._check_degree(n)
         return self.monic[n, : n + 1] / np.sqrt(self.norms_sq[n])
 
     def orthonormal_table(self, n: int) -> np.ndarray:
         """Rows k = 0..n: coefficients of phi_k, zero padded to length n+1."""
-        self._check_degree(n)
+        n = self._check_degree(n)
         return self.monic[: n + 1, : n + 1] / np.sqrt(self.norms_sq[: n + 1, None])
 
-    def _check_degree(self, n: int):
-        if not 0 <= n <= self.nmax:
-            raise ValueError(f"degree {n} out of range [0, {self.nmax}]")
+    def _check_degree(self, n) -> int:
+        """n as an int, if it is an integer degree in [0, nmax]."""
+        if not (_is_degree(n) and 0 <= n <= self.nmax):
+            raise ValueError(f"degree {n!r} out of range [0, {self.nmax}]; a degree is an "
+                             f"integer in that range")
+        return int(n)
 
 
 def _monic_rows(nmax: int, alphas: np.ndarray, moments: MomentSequence | None = None,
@@ -258,7 +261,7 @@ def _project_values(table: np.ndarray, w: Weight, values: np.ndarray) -> np.ndar
     <f, phi_k>_w = conj(table) <f, z^m>_w, the coefficients table^T <f, phi_k>_w,
     one synthesize.  O(n^2) per row."""
     grid, k, t = w.grid, len(table), table.T  # Fortran order: scipy's BLAS takes t uncopied
-    h = grid.analyze(values * w.values)[..., :k].reshape(-1, k)  # <f, z^m>_w
+    h = grid.analyze(values * w.values, k).reshape(-1, k)  # <f, z^m>_w
     coeffs = blas.zgemm(1.0, t, blas.zgemm(1.0, t, h.T, trans_a=2))  # one column per row of h
     return grid.synthesize(coeffs.T).reshape(np.shape(values))
 
@@ -348,15 +351,16 @@ def projection_norm_probe(system: OPUCSystem, n: int, p: float) -> NormEstimate:
         # ||v g||_2^2 = a^H K a and ||T v g||_2^2 = a^H M^H G M a for g = sum_m a_m z^m, with
         # K, G the conjugated Toeplitz Grams of v^2, u^2 (the transposes of the Hermitian
         # grams: Fortran-order views, taken uncopied) and M = table^T (conj(table) K), which
-        # maps a to the projection's coefficients.  Products and eigh in scipy; not a
-        # subset solver: at p = 2 the top eigenvalue is (n+1)-fold, and zhegvx then
-        # returns no vector
+        # maps a to the projection's coefficients.  With K = L L^H (overwriting K) and
+        # X = M L^-H = table^T (conj(table) L), a = L^-H y for the top eigenpair of the
+        # standard problem X^H G X y = lambda y, and a^H K a = y^H y = 1.  Each Gram is
+        # popped as it is used, so at most four (n+1)^2 matrices are alive at once
         gram = [trig_moments(GridFunction(grid, x * x), n).toeplitz_gram(n).T for x in (v, u)]
-        m = blas.zgemm(1.0, t, blas.zgemm(1.0, t, gram[0], trans_a=2))
-        m = blas.zgemm(1.0, m, blas.zgemm(1.0, gram.pop(), m), trans_a=2)
-        vals, vecs = eigh(m, gram.pop(), lower=False, overwrite_a=True, overwrite_b=True,
-                          driver="gvd")
-        return max(vals[-1], 0.0), v * grid.synthesize(vecs[:, -1])  # node values: no band
+        low = cholesky(gram.pop(0), lower=True, overwrite_a=True)
+        x = blas.zgemm(1.0, t, blas.zgemm(1.0, t, low, trans_a=2))
+        top, y = _top_pair(blas.zgemm(1.0, x, blas.zgemm(1.0, gram.pop(), x), trans_a=2))
+        a = solve_triangular(low, y, lower=True, trans="C", overwrite_b=True)
+        return top, v * grid.synthesize(a)  # node values: no band
 
     probe = OperatorProbe(grid, lambda x: u * _project_values(table, w, x / u),
                           lambda x: v * _project_values(table, w, x / v), None, p,

@@ -106,6 +106,19 @@ def test_trig_moments_equal_analyze_bins(grid12, kmax):
                           grid12.analyze(z)[: kmax + 1])
 
 
+@pytest.mark.parametrize("k", [1, 7, 129, 2048, 4096])
+def test_analyze_prefix_is_the_slice_bitwise(grid12, k):
+    rng = np.random.default_rng(11)
+    real = rng.standard_normal((3, grid12.size))
+    for values in (real, real + 1j * rng.standard_normal(real.shape), real[0]):
+        got = grid12.analyze(values, k)
+        assert got.shape == values.shape[:-1] + (k,)
+        assert np.array_equal(got, grid12.analyze(values)[..., :k])
+    for bad in (0, grid12.size + 1, 2.5, True, "8"):
+        with pytest.raises(GridSizeError, match="bins"):
+            grid12.analyze(real, bad)
+
+
 def test_trig_moments_preconditions(grid12):
     f = ok.GridFunction(grid12, np.ones(grid12.size))
     with pytest.raises(MomentError):

@@ -401,18 +401,26 @@ def test_materializer_arguments_name_probe_and_grid(grid12, capfd):
 
 
 def test_top_eigenpair_matches_numpy_eigh(grid12):
+    # band 24: the top eigenvalue is simple (relative gap 0.30), so the vector is pinned
     w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    probe = ok.weighted_riesz(w, 2.0, band=24)
+    mat = ok.materialize_band(probe, probe.band)
+    vals, vecs = np.linalg.eigh(zherk(1.0, mat, trans=2), UPLO="U")
+    top, v = _top_eigenpair(probe)
+    assert_allclose(top, vals[-1], rtol=1e-14)
+    phase = np.vdot(vecs[:, -1], v)
+    assert_allclose(abs(phase), 1.0, rtol=1e-12)
+    assert_allclose(v, phase * vecs[:, -1], rtol=0, atol=1e-12)
+    # the full node basis at m = 8: the top eigenvalue is 2-fold (relative gap 7.5e-15),
+    # so any unit vector of its eigenspace is right; check the value and v's residual
     g = ok.CircleGrid(8)
-    for probe, mat in ((ok.weighted_riesz(w, 2.0, band=24), None),
-                       (ok.weighted_riesz(ok.make_weight("fisher_hartwig", {"beta": 0.3}, g), 2.0),
-                        "full")):
-        mat = materialize_full(probe) if mat else ok.materialize_band(probe, probe.band)
-        vals, vecs = np.linalg.eigh(zherk(1.0, mat, trans=2), UPLO="U")
-        top, v = _top_eigenpair(probe)
-        assert_allclose(top, vals[-1], rtol=1e-14)
-        phase = np.vdot(vecs[:, -1], v)
-        assert_allclose(abs(phase), 1.0, rtol=1e-12)
-        assert_allclose(v, phase * vecs[:, -1], rtol=0, atol=1e-12)
+    probe = ok.weighted_riesz(ok.make_weight("fisher_hartwig", {"beta": 0.3}, g), 2.0)
+    mat = materialize_full(probe)
+    gram = mat.conj().T @ mat
+    top, v = _top_eigenpair(probe)
+    assert_allclose(top, np.linalg.eigvalsh(gram)[-1], rtol=1e-14)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+    assert np.linalg.norm(gram @ v - top * v) <= 1e-13 * top
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
@@ -420,10 +428,10 @@ def test_norms_never_call_numpy_lapack(grid12, monkeypatch, p):
     # the Gram product is scipy's zherk: an eigensolver from numpy's separate OpenBLAS
     # would switch thread pools on every probe
     def numpy_lapack(*args, **kwargs):
-        raise AssertionError("numpy.linalg eigensolver called")
+        raise AssertionError("numpy.linalg LAPACK routine called")
 
-    monkeypatch.setattr(np.linalg, "eigh", numpy_lapack)
-    monkeypatch.setattr(np.linalg, "eigvalsh", numpy_lapack)
+    for name in ("eigh", "eigvalsh", "cholesky", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, numpy_lapack)
     w = ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid12)
     g = ok.CircleGrid(8)
     small = ok.weighted_riesz(ok.make_weight("fisher_hartwig", {"beta": 0.2}, g), p)
@@ -435,6 +443,9 @@ def test_norms_never_call_numpy_lapack(grid12, monkeypatch, p):
     f = ok.GridFunction(grid12, np.cos(grid12.nodes))
     res = ok.continuity_experiment(const, f, p, [1e-2, 1e-1], band=16)
     assert all(dist > 0 for _, dist in res["rows"])
+    # the projection probe's pair: its Cholesky factor and triangular solve are scipy's too
+    est = ok.projection_norm_probe(ok.system_from_weight(w, 32), 32, p)
+    assert est.value >= 1.0 - 1e-10
 
 
 @pytest.mark.parametrize("m", [10, 12])

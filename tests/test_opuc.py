@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import tracemalloc
@@ -165,6 +166,23 @@ def test_cd_kernel_lebesgue(grid12):
         ok.cd_kernel(sys, 9, z, zeta)
 
 
+@pytest.mark.parametrize("call, bad", [
+    (lambda sys, w, n: ok.phi_values(sys, w.grid, n), 2.5),
+    (lambda sys, w, n: ok.entropy(sys, w, n), 2.5),
+    (lambda sys, w, n: ok.gram_matrix(sys, n), 2.5),
+    (lambda sys, w, n: w.moments(n).c, 1.5),
+    (lambda sys, w, n: w.moments(4).toeplitz_gram(n), 2.5),
+    (lambda sys, w, n: ok.cd_kernel(sys, n, 0.3 + 0.1j, -0.2j), True),
+], ids=["phi_values", "entropy", "gram_matrix", "moments", "toeplitz_gram", "cd_kernel"])
+def test_degree_checks_name_a_non_integer(call, bad):
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.2}, ok.CircleGrid(10))
+    sys = ok.system_from_weight(w, 8)
+    with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        call(sys, w, bad)
+    # an integer-valued float is that degree
+    assert np.array_equal(call(sys, w, 2.0), call(sys, w, 2))
+
+
 def test_cd_kernel_hermitian_and_positive(fh02_system):
     w, sys = fh02_system
     pts = [0.0, 0.5, 0.3 - 0.6j, 0.9j]
@@ -288,6 +306,32 @@ def test_projection_probe_p2_pair_matches_full_svd(monkeypatch, p, n):
     assert_allclose(np.sqrt(top), sigma, rtol=1e-12)
     # v is the top right singular vector: its Rayleigh quotient reaches sigma
     assert_allclose(np.linalg.norm(probe.apply(v)) / np.linalg.norm(v), sigma, rtol=1e-12)
+
+
+def test_projection_probe_p2_pair_in_the_p2_cluster(grid12, monkeypatch):
+    # at p = 2 the top eigenvalue is (n+1)-fold; the pair still has a unit ratio vector
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
+    for n in (16, 64):
+        probe, _ = _projection_probe(monkeypatch, ok.system_from_weight(w, n), n, 2.0)
+        top, v = probe.p2_pair()
+        assert abs(top - 1.0) < 1e-12
+        assert abs(np.linalg.norm(probe.apply(v)) / np.linalg.norm(v) - 1.0) < 1e-12
+
+
+def test_projection_probe_p2_pair_memory(fh02_system, monkeypatch):
+    # the Cholesky-reduced pair keeps at most four (n+1)^2 complex matrices alive at once
+    # (4.0 measured); keeping K, L, X, G X and C alive at once reads 6.1
+    w, sys = fh02_system
+    n, probes = 512, []
+    monkeypatch.setattr(opuc, "operator_norm", probes.append)
+    ok.projection_norm_probe(sys, n, 2.1)
+    tracemalloc.start()
+    try:
+        probes[0].p2_pair()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 16 * (n + 1) ** 2
 
 
 def test_projection_probe_stacks_and_adjoint(grid12, monkeypatch):
