@@ -18,8 +18,9 @@ and `poisson_extend_circles` act on (..., N) stacks along the last axis: k vecto
 go through one call as a (k, N) stack, and row r of the result is the call on row r
 alone.  `synthesize` also takes a (..., k) prefix, 1 <= k <= N, of bins 0..k-1 with
 the rest zero: the coefficients of polynomials of degree < k, valued at the nodes
-without building the padded spectrum.  `analyze(values, k)` returns that prefix,
-scaling and phasing bins 0..k-1 only.
+without building the padded spectrum; with `hermitian=True`, k <= N/2 bins of a
+conjugate-symmetric spectrum give real values by one real inverse FFT.
+`analyze(values, k)` returns that prefix, scaling and phasing bins 0..k-1 only.
 """
 
 import numbers
@@ -85,7 +86,8 @@ class CircleGrid:
         k = int(k)
         return np.fft.fft(values, axis=-1)[..., :k] / self.size * self._phase[:k]
 
-    def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None,
+                   hermitian: bool = False) -> np.ndarray:
         """Inverse of `analyze`: samples at the grid nodes, shape (..., N).
 
         `coeffs` is a (..., k) stack, 1 <= k <= N, holding bins 0..k-1 in FFT
@@ -94,15 +96,24 @@ class CircleGrid:
         polynomial of degree k - 1 costs no full-length pass before the transform.
         With `out`, a complex (..., N) array, the samples are written there and
         `out` is returned: a caller that synthesizes many rows reuses one buffer.
+
+        With `hermitian`, `coeffs` holds bins 0..k-1, k <= N/2, of a spectrum with
+        c_{-j} = conj(c_j) (the imaginary part of c_0 is dropped), and the samples
+        are real: one real inverse FFT, into `out`, a float (..., N) array, if given.
         """
         coeffs = np.asarray(coeffs, dtype=complex)
         k = coeffs.shape[-1] if coeffs.ndim else 0
-        if not 1 <= k <= self.size:
-            raise GridSizeError(f"expected 1 to {self.size} coefficients along the last axis, "
-                                f"got shape {coeffs.shape}")
-        # e^{+i pi k / N} undoes `_phase` on the way back to the nodes
-        unphase = np.exp(1j * np.pi * self.freqs[:k] / self.size)
-        return np.fft.ifft(coeffs * unphase, n=self.size, axis=-1, norm="forward", out=out)
+        top = self.size // 2 if hermitian else self.size
+        if not 1 <= k <= top:
+            raise GridSizeError(f"expected 1 to {top} coefficients along the last axis, "
+                                f"got shape {coeffs.shape} (k = {k})")
+        # e^{+i pi j / N} undoes `_phase` on the way back to the nodes; the signed j is
+        # bitwise self.freqs[:k], without the N-point table
+        j = np.arange(k)
+        j[self.size // 2:] -= self.size
+        unphase = np.exp(1j * np.pi * j / self.size)
+        transform = np.fft.irfft if hermitian else np.fft.ifft
+        return transform(coeffs * unphase, n=self.size, axis=-1, norm="forward", out=out)
 
 
 @dataclass

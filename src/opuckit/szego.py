@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import CircleGrid, GridFunction, conjugate_function, mean
-from .opuc import OPUCSystem, phi_values, weighted_lp_norm
+from .opuc import OPUCSystem, _abs2_values, phi_values, weighted_lp_norm
 from .weights import Weight, resample
 
 
@@ -98,12 +98,14 @@ def strong_szego_error(system: OPUCSystem, szego: SzegoData, n: int, p: float = 
 def entropy(system: OPUCSystem, w: Weight, n: int) -> float:
     """E(n, w) = (1/2pi) int |phi_n|^2 log|phi_n| w dtheta.
 
-    |phi_n| is floored at 1e-300 in the logarithm so a polynomial zero
-    landing on a node cannot produce -inf.
+    s = |phi_n|^2 comes from `_abs2_values` (one real inverse FFT), and
+    |phi_n|^2 log|phi_n| = s log(s) / 2.  s is floored at the smallest normal
+    float in the logarithm, so a polynomial zero landing on a node cannot
+    produce -inf.
     """
     _require_normalized(w, "entropy")
-    av = np.abs(phi_values(system, w.grid, n))
-    return float(np.mean(av * av * np.log(np.maximum(av, 1e-300)) * w.values))
+    s = _abs2_values(w.grid, system.orthonormal_coeffs(n))
+    return float(np.mean(s * (0.5 * np.log(np.maximum(s, np.finfo(float).tiny))) * w.values))
 
 
 def entropy_limit_target(w: Weight) -> float:

@@ -18,7 +18,7 @@ KEPT = {
     "weights.poisson_characteristics": "harmonic16 times it; ROADMAP item 8 gives it a record",
     "weights.bmo_norm": "harmonic16 times it; ROADMAP item 10 gives it a record",
     "weights.bmo_norm_bruteforce": "harmonic16's oracle for bmo_norm",
-    "opuc.OPUCSystem.monic_coeffs": "the path the steklov_norms tests compare against bitwise",
+    "opuc.OPUCSystem.monic_coeffs": "the complex route the steklov_norms tests compare against",
     "opuc.cd_kernel": "ROADMAP item 6's bound extends it",
     "clark.ClarkData.F_boundary": "harmonic16 reads it",
     "clark.schur_from_caratheodory": "the Schur-invariance oracle of the Clark tests",

@@ -307,7 +307,7 @@ def test_synthesize_prefix_equals_padded_call(k):
     assert g.synthesize(prefix).shape == (4, g.size)
 
 
-@pytest.mark.parametrize("k", [1, 7, 129, 2048, 4096])
+@pytest.mark.parametrize("k", [1, 7, 129, 2048, 2049, 4096])
 def test_synthesize_phases_equal_full_frequency_table(grid12, k):
     # synthesize phases only its k bins; the N-bin table's first k entries are bitwise the same
     rng = np.random.default_rng(k)
@@ -315,6 +315,38 @@ def test_synthesize_phases_equal_full_frequency_table(grid12, k):
     unphase = np.exp(1j * np.pi * grid12.freqs / grid12.size)
     want = np.fft.ifft(coeffs * unphase[:k], n=grid12.size, axis=-1, norm="forward")
     assert np.array_equal(grid12.synthesize(coeffs), want)
+
+
+def test_synthesize_builds_no_frequency_table():
+    g = ok.CircleGrid(10)
+    g.synthesize(np.ones(g.size))
+    g.synthesize(np.ones((2, g.size // 2)), hermitian=True)
+    assert "freqs" not in vars(g)
+
+
+@pytest.mark.parametrize("k", [1, 2, 100, 512])
+def test_hermitian_synthesize_is_the_real_complex_call(k):
+    # bins 0..k-1 and their mirrors -1..-(k-1), conjugated: a real trigonometric polynomial
+    g = ok.CircleGrid(10)
+    rng = np.random.default_rng(k)
+    coeffs = rng.standard_normal((3, k)) + 1j * rng.standard_normal((3, k))
+    coeffs[:, 0] = coeffs[:, 0].real
+    full = np.zeros((3, g.size), dtype=complex)
+    full[:, :k] = coeffs
+    full[:, g.size - k + 1:] = np.conj(coeffs[:, :0:-1])
+    got = g.synthesize(coeffs, hermitian=True)
+    assert got.dtype == np.float64 and got.shape == (3, g.size)
+    assert_allclose(got, g.synthesize(full).real, rtol=0, atol=1e-13 * np.max(np.abs(got)))
+    out = np.empty((3, g.size))
+    assert g.synthesize(coeffs, out=out, hermitian=True) is out
+    assert np.array_equal(out, got)
+    assert np.array_equal(got[1], g.synthesize(coeffs[1], hermitian=True))
+
+
+def test_hermitian_synthesize_rejects_the_nyquist_bin_naming_k():
+    g = ok.CircleGrid(8)
+    with pytest.raises(GridSizeError, match=r"1 to 128 .*\(k = 129\)"):
+        g.synthesize(np.ones(g.size // 2 + 1), hermitian=True)
 
 
 @pytest.mark.parametrize("shape", [(0,), (3, 0), (257,), (2, 257), ()])
