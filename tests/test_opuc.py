@@ -607,7 +607,7 @@ def test_steklov_norms_memory_stays_below_table(grid14):
 
 
 def test_steklov_norms_peak_is_a_few_grid_arrays(grid14):
-    # the 2N-float workspace, the moments' real FFT and small change; the 4N-float
+    # the 2N-float workspace, the moments' real FFT and small arrays; the 4N-float
     # workspace with a complex transform per degree peaked at 5.1 * 8N bytes here
     w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid14)
     tracemalloc.start()
