@@ -43,8 +43,8 @@ class CircleGrid:
     log2_size: int = 14
 
     def __post_init__(self):
-        m = self.log2_size  # numpy integers pass; floats, even integral ones, and bools do not
-        if not (isinstance(m, numbers.Integral) and not isinstance(m, bool) and 6 <= m <= 24):
+        m = self.log2_size
+        if not (_is_integer(m) and 6 <= m <= 24):
             raise GridSizeError(f"log2_size must be an integer in [6, 24], got {m!r}")
 
     @property
@@ -61,15 +61,13 @@ class CircleGrid:
         """e^{i theta_j}, the nodes as points on the circle."""
         return np.exp(1j * self.nodes)
 
-    @cached_property
-    def freqs(self) -> np.ndarray:
-        """Signed integer frequencies in FFT order: 0..N/2-1, -N/2..-1."""
-        return np.fft.fftfreq(self.size, 1.0 / self.size).astype(np.int64)
-
-    @cached_property
-    def _phase(self) -> np.ndarray:
-        # e^{-i pi k / N}: carries the half-step offset through the FFT.
-        return np.exp(-1j * np.pi * self.freqs / self.size)
+    def _phase(self, k: int, sign: float) -> np.ndarray:
+        """e^{sign i pi j / N} for the signed frequencies j of bins 0..k-1 (FFT order:
+        0..N/2-1, then -N/2..-1): the half-step offset, carried through the FFT by
+        sign = -1 and undone by sign = +1, for the k bins a call touches only."""
+        j = np.arange(k)
+        j[self.size // 2:] -= self.size
+        return np.exp(sign * 1j * np.pi * j / self.size)
 
     def analyze(self, values: np.ndarray, k: int | None = None) -> np.ndarray:
         """Fourier coefficients (FFT order) of samples on this grid, shape (..., N).
@@ -84,7 +82,7 @@ class CircleGrid:
         if not (_is_degree(k) and 1 <= k <= self.size):
             raise GridSizeError(f"expected 1 to {self.size} bins, got k = {k!r}")
         k = int(k)
-        return np.fft.fft(values, axis=-1)[..., :k] / self.size * self._phase[:k]
+        return np.fft.fft(values, axis=-1)[..., :k] / self.size * self._phase(k, -1.0)
 
     def synthesize(self, coeffs: np.ndarray, out: np.ndarray | None = None,
                    hermitian: bool = False) -> np.ndarray:
@@ -107,11 +105,9 @@ class CircleGrid:
         if not 1 <= k <= top:
             raise GridSizeError(f"expected 1 to {top} coefficients along the last axis, "
                                 f"got shape {coeffs.shape} (k = {k})")
-        # e^{+i pi j / N} undoes `_phase` on the way back to the nodes; the signed j is
-        # bitwise self.freqs[:k], without the N-point table
-        j = np.arange(k)
-        j[self.size // 2:] -= self.size
-        unphase = np.exp(1j * np.pi * j / self.size)
+        # bound to a name: an unnamed temporary operand lets numpy multiply in place, by a
+        # loop that rounds differently in the last bit
+        unphase = self._phase(k, 1.0)
         transform = np.fft.irfft if hermitian else np.fft.ifft
         return transform(coeffs * unphase, n=self.size, axis=-1, norm="forward", out=out)
 
@@ -152,28 +148,23 @@ def mean(f: GridFunction) -> complex:
     return float(out) if f.is_real else complex(out)
 
 
-def fourier_multiplier(values: np.ndarray, multiplier) -> np.ndarray:
-    """Apply a Fourier multiplier along the last axis of a (..., N) stack of samples.
-
-    `multiplier` is an array m(k) in FFT order, or a band (lo, hi) standing
-    for the 0/1 mask of lo <= k <= hi, which zeroes slices instead of
-    multiplying.  `synthesize(analyze(v) * m)` scales bin k by e^{-i pi k/N}/N
-    and back by N e^{i pi k/N}; both are diagonal, commute with m and cancel,
-    so ifft(fft(v) m) is the same operator without two passes (up to rounding).
-    """
+def fourier_multiplier(values: np.ndarray, band: tuple) -> np.ndarray:
+    """Keep the signed frequencies lo <= k <= hi, band = (lo, hi), of each row of a
+    (..., N) stack of samples and zero the rest: slices of the spectrum are zeroed,
+    nothing is multiplied.  `synthesize(analyze(v) * mask)` scales bin k by
+    e^{-i pi k/N}/N and back by N e^{i pi k/N}; both are diagonal, commute with the
+    mask and cancel, so ifft(fft(v) mask) is the same operator without two passes
+    (up to rounding)."""
     spec = np.fft.fft(values, axis=-1)
-    if isinstance(multiplier, tuple):
-        lo, hi = multiplier
-        n = spec.shape[-1]
-        half = n // 2
-        # bins 0..N/2-1 hold k = 0..N/2-1 and bins N/2..N-1 hold k = -N/2..-1,
-        # so each sign half loses at most a slice below lo and one above hi
-        spec[..., : min(max(lo, 0), half)] = 0.0
-        spec[..., min(max(hi + 1, 0), half): half] = 0.0
-        spec[..., half: n + min(max(lo, -half), 0)] = 0.0
-        spec[..., n + min(max(hi + 1, -half), 0):] = 0.0
-    else:
-        spec *= multiplier
+    lo, hi = band
+    n = spec.shape[-1]
+    half = n // 2
+    # bins 0..N/2-1 hold k = 0..N/2-1 and bins N/2..N-1 hold k = -N/2..-1,
+    # so each sign half loses at most a slice below lo and one above hi
+    spec[..., : min(max(lo, 0), half)] = 0.0
+    spec[..., min(max(hi + 1, 0), half): half] = 0.0
+    spec[..., half: n + min(max(lo, -half), 0)] = 0.0
+    spec[..., n + min(max(hi + 1, -half), 0):] = 0.0
     return np.fft.ifft(spec, axis=-1)
 
 
@@ -244,6 +235,11 @@ def band_project(f: GridFunction, lo: int, hi: int) -> GridFunction:
 def _is_real(x) -> bool:
     """A real number given as one: not a bool, a string or an array."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _is_integer(n) -> bool:
+    """An integer given as one: numpy integers pass; a bool, a float or a string does not."""
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
 
 
 def _is_degree(n) -> bool:
@@ -329,7 +325,6 @@ def trig_moments(f: GridFunction, kmax: int) -> MomentSequence:
     kmax = int(kmax)
     if not f.is_real:
         return MomentSequence(grid.analyze(f.values, kmax + 1))
-    # grid._phase[: kmax + 1], bitwise, without the other N - kmax - 1 bins
-    c = np.fft.rfft(f.values)[: kmax + 1] / n * np.exp(-1j * np.pi * np.arange(kmax + 1) / n)
+    c = np.fft.rfft(f.values)[: kmax + 1] / n * grid._phase(kmax + 1, -1.0)
     c[0] = c[0].real
     return MomentSequence(c)

@@ -25,7 +25,8 @@ import numpy as np
 from scipy.linalg import blas, eigh
 
 from .fits import fit_loglog
-from .grid import (CircleGrid, GridFunction, duality_map, fourier_multiplier, lp_norms,
+from .grid import (CircleGrid, GridFunction, _is_integer, _is_real, duality_map,
+                   fourier_multiplier, lp_norms,
                    riesz_project)  # noqa: F401  (riesz_project: the GridFunction form of P+)
 from .weights import Weight, make_weight
 
@@ -35,13 +36,13 @@ _POWER_STEPS = 20  # power_method_lp's cap on steps
 
 def check_exponent(p: float, what: str):
     """The one exponent check of every probe: p in (1, inf)."""
-    if not 1.0 < p < np.inf:
-        raise ValueError(f"{what} needs p in (1, inf), got p = {p}")
+    if not (_is_real(p) and 1.0 < p < np.inf):
+        raise ValueError(f"{what} needs p in (1, inf), got p = {p!r}")
 
 
 def check_band(band, n: int, what: str):
     """The one band check of every probe: an integer 0 <= band < N/2."""
-    if not (isinstance(band, (int, np.integer)) and 0 <= band < n // 2):
+    if not (_is_integer(band) and 0 <= band < n // 2):
         raise ValueError(f"{what} needs an integer band with 0 <= band < N/2 = {n // 2}, "
                          f"got band = {band!r}")
 
@@ -116,8 +117,9 @@ def build_Q(w: Weight, p: float, n: int) -> OperatorProbe:
     at p = 2; satisfies zeta_n = w^{1/p} z^n + Q zeta_n for zeta_n = w^{1/p} Phi_n.
     """
     check_exponent(p, "build_Q")
-    if n >= w.grid.size // 4:
-        raise ValueError(f"band cap n must stay below N/4, got n = {n} with N = {w.grid.size}")
+    if not (_is_integer(n) and 0 <= n < w.grid.size // 4):
+        raise ValueError(f"band cap n must be an integer with 0 <= n < N/4, got n = {n!r} "
+                         f"with N = {w.grid.size}")
     q = p / (p - 1.0)
     u = w.values ** (1.0 / p)        # w^{1/p}
     v = w.values ** (1.0 / q)        # w^{1/p'}

@@ -84,10 +84,6 @@ class OPUCSystem:
     def kappa(self) -> np.ndarray:
         return 1.0 / np.sqrt(self.norms_sq)
 
-    def monic_coeffs(self, n: int) -> np.ndarray:
-        n = self._check_degree(n)
-        return self.monic[n, : n + 1]
-
     def orthonormal_coeffs(self, n: int) -> np.ndarray:
         n = self._check_degree(n)
         return self.monic[n, : n + 1] / np.sqrt(self.norms_sq[n])
@@ -203,12 +199,11 @@ def second_kind(system: OPUCSystem) -> OPUCSystem:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def poly_values(grid: CircleGrid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Values of sum_m coeffs[m] z^m at the grid nodes, by one zero-padded inverse FFT,
-    written into `out` (a complex N-array, returned) when given."""
+def poly_values(grid: CircleGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Values of sum_m coeffs[m] z^m at the grid nodes, by one zero-padded inverse FFT."""
     if len(coeffs) > grid.size // 2:
         raise ValueError("polynomial degree must stay below N/2")
-    return grid.synthesize(coeffs, out=out)
+    return grid.synthesize(coeffs)
 
 
 def _abs2_values(grid: CircleGrid, coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -285,8 +280,8 @@ def _project_values(table: np.ndarray, w: Weight, values: np.ndarray) -> np.ndar
 
 def weighted_lp_norm(f: GridFunction | np.ndarray, w: Weight, p: float) -> float:
     """((1/2pi) int |f|^p w dtheta)^{1/p}, rescaled to avoid overflow at large p."""
-    if not 1.0 <= p < np.inf:
-        raise ValueError(f"finite p >= 1 required, got p = {p}")
+    if not (_is_real(p) and 1.0 <= p < np.inf):
+        raise ValueError(f"finite p >= 1 required, got p = {p!r}")
     vals = f.values if isinstance(f, GridFunction) else np.asarray(f)
     return float(lp_norms(vals, (p,), w.values)[0])
 

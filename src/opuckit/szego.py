@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid import CircleGrid, GridFunction, conjugate_function, mean
+from .grid import CircleGrid, GridFunction, _is_real, conjugate_function, mean
 from .opuc import OPUCSystem, _abs2_values, phi_values, weighted_lp_norm
 from .weights import Weight, resample
 
@@ -80,8 +80,8 @@ def strong_szego_error(system: OPUCSystem, szego: SzegoData, n: int, p: float = 
     """
     w = szego.weight
     _require_normalized(w, "strong_szego_error")
-    if p < 2.0:
-        raise ValueError("p >= 2 required")
+    if not (_is_real(p) and p >= 2.0):
+        raise ValueError(f"strong_szego_error needs p >= 2, got p = {p!r}")
     if p > 2.0:
         try:
             cap = 2.0 * (1.0 + estimate_qcr(w))

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (CircleGrid, GridFunction, poisson_extend_circles, poisson_probabilities,
-                   trig_moments)
+from .grid import (CircleGrid, GridFunction, _is_real, poisson_extend_circles,
+                   poisson_probabilities, trig_moments)
 
 FAMILIES = ("constant", "fisher_hartwig", "bernstein_szego", "perturbed", "user")
 ARC_KINDS = ("dyadic", "full")
@@ -233,8 +233,8 @@ def ap_characteristic(w: Weight, p: float, arcs: str = "dyadic") -> ApReport:
     >= 1 by the discrete Jensen inequality.  Cost is O(N) per arc length via
     one circular prefix sum per input.
     """
-    if not p > 1.0:
-        raise ValueError(f"A_p requires p > 1, got p = {p}")
+    if not (_is_real(p) and p > 1.0):
+        raise ValueError(f"A_p requires p > 1, got p = {p!r}")
     if p == np.inf:
         raise ValueError(f"A_p requires a finite p, got p = {p}")
     lengths = arc_lengths(w.grid, arcs)

@@ -218,7 +218,7 @@ def test_criterion_09_q_algebra():
     worst_fixed = 0.0
     for p in cfg["fixed_point_ps"]:
         q = ok.build_Q(w, p, n)
-        zeta = w.values ** (1.0 / p) * ok.poly_values(GRID, sys.monic_coeffs(n))
+        zeta = w.values ** (1.0 / p) * ok.poly_values(GRID, sys.monic[n, : n + 1])
         resid = zeta - q.apply(zeta) - w.values ** (1.0 / p) * np.exp(1j * n * GRID.nodes)
         worst_fixed = max(worst_fixed, float(np.max(np.abs(resid))))
 

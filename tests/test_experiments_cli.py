@@ -315,6 +315,15 @@ def _continuity12(deltas, band=16):
     (lambda: ExperimentSpec(name="fh_growth", p_grid=(3.0, float("nan"))), "p_grid = (3.0, nan)"),
     (lambda: ok.ap_characteristic(_W12, float("nan")), "A_p requires p > 1, got p = nan"),
     (lambda: ok.ap_characteristic(_W12, float("inf")), "A_p requires a finite p, got p = inf"),
+    # an exponent or a band given as a bool or a string is named, not read as a number
+    (lambda: ok.weighted_riesz(_W12, "3"), "needs p in (1, inf), got p = '3'"),
+    (lambda: ok.projection_norm_probe(ok.system_from_weight(_W12, 4), 4, "3"), "got p = '3'"),
+    (lambda: ok.weighted_lp_norm(_W12.values, _W12, True), "p >= 1 required, got p = True"),
+    (lambda: ok.ap_characteristic(_W12, "3"), "A_p requires p > 1, got p = '3'"),
+    (lambda: ok.strong_szego_error(ok.system_from_weight(_W12, 4), ok.szego_function(_W12), 4,
+                                   True), "strong_szego_error needs p >= 2, got p = True"),
+    (lambda: ok.build_Q(_W12, 2.0, True), "0 <= n < N/4, got n = True with N = 4096"),
+    (lambda: ok.build_Q(_W12, 2.0, -1), "0 <= n < N/4, got n = -1 with N = 4096"),
     # a grid size or a degree must be an integer: a float, even an integral one, is named
     (lambda: ok.CircleGrid(10.5), "log2_size must be an integer in [6, 24], got 10.5"),
     (lambda: ok.CircleGrid(10.0), "log2_size must be an integer in [6, 24], got 10.0"),
@@ -344,6 +353,7 @@ def _continuity12(deltas, band=16):
     (lambda: _continuity12([0.1, 0.01], band=-1), "0 <= band < N/2 = 2048, got band = -1"),
     (lambda: _continuity12([0.1, 0.01], band=2048), "got band = 2048"),
     (lambda: _continuity12([0.1, 0.01], band=16.0), "got band = 16.0"),
+    (lambda: _continuity12([0.1, 0.01], band=True), "got band = True"),
 ])
 def test_bad_exponent_errors_name_the_value(call, named):
     with pytest.raises(ValueError) as exc:

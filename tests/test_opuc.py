@@ -33,7 +33,7 @@ def test_bernstein_szego_closed_form(grid12):
     sys = ok.system_from_weight(w, 8)
     assert_allclose(sys.verblunsky[0], 0.5, atol=1e-13)
     assert np.max(np.abs(sys.verblunsky[1:])) < 1e-13
-    assert_allclose(sys.monic_coeffs(1), [-0.5, 1.0], atol=1e-13)
+    assert_allclose(sys.monic[1, :2], [-0.5, 1.0], atol=1e-13)
     assert_allclose(sys.kappa[1], 1.0 / np.sqrt(0.75), rtol=1e-13)
 
 
@@ -404,7 +404,7 @@ def test_monic_representation_identity(fh02_system, grid14):
     # Phi_n + w^{-1} [P_{n-1}, w] Phi_n = z^n on the grid
     w, sys = fh02_system
     for n in (4, 16, 48):
-        phi = ok.poly_values(grid14, sys.monic_coeffs(n))
+        phi = ok.poly_values(grid14, sys.monic[n, : n + 1])
         wphi = ok.GridFunction(grid14, w.values * phi)
         commutator = (ok.band_project(wphi, 0, n - 1).values
                       - w.values * ok.band_project(ok.GridFunction(grid14, phi), 0, n - 1).values)
@@ -454,7 +454,7 @@ def test_steklov_norms_equal_weighted_lp_norm(grid12, family, params):
     assert got.shape == (len(p_grid), len(n_grid))
     for i, p in enumerate(p_grid):
         for j, n in enumerate(n_grid):
-            expected = ok.weighted_lp_norm(ok.poly_values(grid12, sys.monic_coeffs(n)), w, float(p))
+            expected = ok.weighted_lp_norm(ok.poly_values(grid12, sys.monic[n, : n + 1]), w, float(p))
             assert abs(got[i, j] - expected) <= 8 * EPS * expected
 
 
@@ -514,7 +514,7 @@ def test_steklov_norms_follow_the_weight(grid12):
     sys = ok.system_from_weight(moved, max(n_grid))
     for i, p in enumerate(p_grid):
         for j, n in enumerate(n_grid):
-            expected = ok.weighted_lp_norm(ok.poly_values(grid12, sys.monic_coeffs(n)), moved, p)
+            expected = ok.weighted_lp_norm(ok.poly_values(grid12, sys.monic[n, : n + 1]), moved, p)
             assert abs(got[i, j] - expected) <= 8 * EPS * expected
 
 
