@@ -35,7 +35,6 @@ from .opuc import (
     cd_kernel,
     gram_matrix,
     gram_schmidt_monic,
-    phi_values,
     poly_eval,
     poly_values,
     projection_norm_probe,

@@ -73,7 +73,7 @@ def clark_weight(w: Weight, alpha: complex) -> ClarkData:
     1 for weights in A_2 where mu_alpha stays absolutely continuous; its
     distance from 1 measures the discretization of any near-singular peak.
     """
-    if abs(abs(alpha) - 1.0) > 1e-12:
+    if not abs(abs(alpha) - 1.0) <= 1e-12:  # NaN fails
         raise ValueError(f"alpha must be unimodular, got |alpha| = {abs(alpha)}")
     _warn_outside_a2(w, "clark_weight")
     # for a normalized w, [w]_{A_2} is finite at working precision exactly

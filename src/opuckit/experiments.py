@@ -22,7 +22,7 @@ from . import __version__
 from .clark import clark_weight, generalized_entropy
 from .fits import (classify_growth, fit_loglog, growth_exponent,
                    regression_ssr, threshold_intercept)
-from .grid import CircleGrid, GridFunction, _is_degree, _is_real
+from .grid import CircleGrid, GridFunction, _is_degree, _is_integer, _is_real
 from .opuc import (gram_matrix, gram_schmidt_monic, projection_norm_probe,
                    second_kind, steklov_norms, system_from_weight)
 from .opuc import poly_values  # noqa: F401 - bench/test_bench.py traces this re-bound name
@@ -66,6 +66,9 @@ class ExperimentSpec:
             raise SpecError("format must be 'csv' or 'json'")
         if self.arcs not in ARC_KINDS:
             raise SpecError(f"arcs must be one of {ARC_KINDS}, got {self.arcs!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise SpecError(f"seed must be a non-negative integer (from the CLI: --seed), "
+                            f"got seed = {self.seed!r}")
         for key, value in (("beta", self.beta), ("a", self.a)):
             if value is None:
                 continue

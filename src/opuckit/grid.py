@@ -316,15 +316,14 @@ def trig_moments(f: GridFunction, kmax: int) -> MomentSequence:
     Requires kmax < N/2.  For a positive weight these are exactly the moments
     of the discrete measure sum_j (f(theta_j)/N) delta_{theta_j}, which is what
     keeps quadrature inner products of the resulting polynomials consistent.
-    Real samples go through a real FFT, and only bins 0..kmax are phased.
+    The samples are real (`real_values` names a complex f): one real FFT, and only
+    bins 0..kmax are phased.
     """
     grid, n = f.grid, f.grid.size
     if not (_is_degree(kmax) and 0 <= kmax < n // 2):
         raise MomentError(f"kmax must be an integer with 0 <= kmax < N/2 = {n // 2}, "
                           f"got kmax = {kmax!r}")
     kmax = int(kmax)
-    if not f.is_real:
-        return MomentSequence(grid.analyze(f.values, kmax + 1))
-    c = np.fft.rfft(f.values)[: kmax + 1] / n * grid._phase(kmax + 1, -1.0)
+    c = np.fft.rfft(f.real_values())[: kmax + 1] / n * grid._phase(kmax + 1, -1.0)
     c[0] = c[0].real
     return MomentSequence(c)

@@ -165,6 +165,8 @@ def szego_recursion(moments: MomentSequence, nmax: int, weight: Weight | None = 
 
 def system_from_weight(w: Weight, nmax: int) -> OPUCSystem:
     nmax = _check_nmax(nmax)
+    if nmax >= w.grid.size // 2:
+        raise ValueError(f"nmax must stay below N/2 = {w.grid.size // 2}, got nmax = {nmax}")
     return szego_recursion(w.moments(nmax), nmax, weight=w)
 
 
@@ -230,14 +232,6 @@ def poly_eval(coeffs: np.ndarray, z) -> np.ndarray:
     for m in range(coeffs.shape[-1] - 1, -1, -1):
         out = out * z + coeffs[..., m]
     return out
-
-
-def phi_values(system: OPUCSystem, grid: CircleGrid, n: int, reverse: bool = False) -> np.ndarray:
-    """Grid values of phi_n (or phi_n^* with reverse=True)."""
-    coeffs = system.orthonormal_coeffs(n)
-    if reverse:
-        coeffs = np.conj(coeffs[::-1])
-    return poly_values(grid, coeffs)
 
 
 def _weight_of(system: OPUCSystem, weight: Weight | None) -> Weight:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import CircleGrid, GridFunction, _is_real, conjugate_function, mean
-from .opuc import OPUCSystem, _abs2_values, phi_values, weighted_lp_norm
+from .opuc import OPUCSystem, _abs2_values, poly_values, weighted_lp_norm
 from .weights import Weight, resample
 
 
@@ -91,7 +91,7 @@ def strong_szego_error(system: OPUCSystem, szego: SzegoData, n: int, p: float = 
             cap = np.inf
         if p > cap:
             raise ValueError(f"p = {p} exceeds the admissible cap 2(1 + q_cr) ~ {cap:.3g}")
-    diff = phi_values(system, w.grid, n, reverse=True) - szego.Dinv.values
+    diff = poly_values(w.grid, np.conj(system.orthonormal_coeffs(n)[::-1])) - szego.Dinv.values
     return weighted_lp_norm(diff, w, p)
 
 

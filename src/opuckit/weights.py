@@ -80,36 +80,44 @@ def make_weight(family: str, params: dict | None = None, grid: CircleGrid | None
     """Sample a weight family on the grid; optionally rescale to ||w/2pi||_1 = 1."""
     params = dict(params or {})
     grid = grid or CircleGrid()
-    theta = grid.nodes
     missing = [k for k in _REQUIRED.get(family, ()) if k not in params]
     if missing:
         raise ValueError(f"weight family {family!r} needs parameter {missing[0]!r}")
 
+    def real(key: str) -> float:
+        if not _is_real(params[key]):
+            raise ValueError(f"weight family {family!r} needs {key} as a real number, got "
+                             f"{key} = {params[key]!r} of type {type(params[key]).__name__}")
+        return float(params[key])
+
     if family == "constant":
-        c = float(params.setdefault("value", 1.0))
+        params.setdefault("value", 1.0)
+        c = real("value")
         if not c > 0:
             raise ValueError(f"weight family 'constant' needs value > 0, got value = {c}")
         vals = np.full(grid.size, c)
     elif family == "fisher_hartwig":
         # beta < 1/2 is required for the A_2 statements; larger beta serves moments only
-        beta = float(params["beta"])
+        beta = real("beta")
         if not beta >= 0:
             raise ValueError(f"weight family 'fisher_hartwig' needs beta >= 0, got beta = {beta}")
-        vals = fisher_hartwig_values(theta, beta)
+        vals = fisher_hartwig_values(grid.nodes, beta)
     elif family == "bernstein_szego":
-        a = float(params["a"])
+        a = real("a")
         if not -1.0 < a < 1.0:
             raise ValueError(f"weight family 'bernstein_szego' needs |a| < 1, got a = {a}")
-        vals = bernstein_szego_values(theta, a)
+        vals = bernstein_szego_values(grid.nodes, a)
     elif family == "perturbed":
         base = params["base"]
         if not isinstance(base, Weight):
             raise TypeError("perturbed weight needs a base Weight")
         if base.grid.log2_size != grid.log2_size:
             raise ValueError("base weight lives on a different grid")
-        f = params["f"]
-        fvals = f(theta) if callable(f) else np.asarray(f)
-        delta = float(params["delta"])
+        fvals = np.asarray(params["f"])
+        if not (fvals.shape == (grid.size,) and fvals.dtype.kind in "iuf" and np.isfinite(fvals).all()):
+            raise ValueError(f"weight family 'perturbed' needs f as {grid.size} finite real "
+                             f"samples, got f of shape {fvals.shape} and dtype {fvals.dtype}")
+        delta = real("delta")
         if not np.isfinite(delta):
             raise ValueError(f"weight family 'perturbed' needs a finite delta, got delta = {delta}")
         scaled = delta * fvals
@@ -149,15 +157,10 @@ def renormalized(w: Weight) -> Weight:
 
 
 def resample(w: Weight, grid: CircleGrid) -> Weight:
-    """Re-sample a parametric weight on another grid. 'user' weights cannot move."""
-    if w.family == "user":
-        raise ValueError("user weights carry no sampling rule and cannot be resampled")
-    if w.family == "perturbed" and not callable(w.params["f"]):
-        raise ValueError("perturbed weight with array-valued f cannot be resampled")
-    params = dict(w.params)
-    if w.family == "perturbed":
-        params["base"] = resample(w.params["base"], grid)
-    return make_weight(w.family, params, grid, normalize=w.normalized)
+    """Re-sample a parametric weight on another grid; 'user' and 'perturbed' weights cannot move."""
+    if w.family in ("user", "perturbed"):
+        raise ValueError(f"{w.family} weights carry no sampling rule and cannot be resampled")
+    return make_weight(w.family, dict(w.params), grid, normalize=w.normalized)
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +236,8 @@ def ap_characteristic(w: Weight, p: float, arcs: str = "dyadic") -> ApReport:
     >= 1 by the discrete Jensen inequality.  Cost is O(N) per arc length via
     one circular prefix sum per input.
     """
-    if not (_is_real(p) and p > 1.0):
-        raise ValueError(f"A_p requires p > 1, got p = {p!r}")
-    if p == np.inf:
-        raise ValueError(f"A_p requires a finite p, got p = {p}")
+    if not (_is_real(p) and 1.0 < p < np.inf):
+        raise ValueError(f"A_p requires a finite p > 1, got p = {p!r}")
     lengths = arc_lengths(w.grid, arcs)
     _warn_outside_a2(w, "ap_characteristic")
 

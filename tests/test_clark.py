@@ -69,8 +69,10 @@ def test_clark_weight_constant_fixed_point(grid12):
 
 def test_clark_weight_rejects_bad_alpha(grid12):
     w = ok.make_weight("constant", {}, grid12)
-    with pytest.raises(ValueError):
-        ok.clark_weight(w, 0.5)
+    # NaN fails the unimodular check too, before the Moebius map can warn
+    for alpha, modulus in ((0.5, "0.5"), (float("nan"), "nan"), (complex(1.0, float("nan")), "nan")):
+        with pytest.raises(ValueError, match=rf"alpha must be unimodular, got \|alpha\| = {modulus}$"):
+            ok.clark_weight(w, alpha)
 
 
 @pytest.mark.parametrize("tiny,count", [(1e-310, 1), (1e-306, 2048)])

@@ -278,6 +278,18 @@ def test_cli_bad_grid_log2_names_the_value(capsys):
     assert "log2_size must be an integer in [6, 24], got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "x"])
+def test_spec_names_a_seed_that_is_no_nonnegative_integer(seed):
+    with pytest.raises(SpecError, match=re.escape("seed must be a non-negative integer (from the "
+                                                  f"CLI: --seed), got seed = {seed!r}")):
+        ExperimentSpec(name="a2_scaling", seed=seed)
+
+
+def test_cli_negative_seed_exits_4(capsys):
+    assert main(["a2", "--seed", "-3"]) == 4
+    assert "got seed = -3" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, needs", [
     (["steklov", "--nmax", "0"], "--nmax >= 1"),  # log n of n = 0
     (["entropy", "--nmax", "0"], "--nmax >= 2"),  # no degree for the n >= 2 gap
@@ -313,13 +325,13 @@ def _continuity12(deltas, band=16):
      "p = nan"),
     (lambda: ExperimentSpec(name="fh_growth", p_grid=(3.0, 0.75)), "p_grid = (3.0, 0.75)"),
     (lambda: ExperimentSpec(name="fh_growth", p_grid=(3.0, float("nan"))), "p_grid = (3.0, nan)"),
-    (lambda: ok.ap_characteristic(_W12, float("nan")), "A_p requires p > 1, got p = nan"),
-    (lambda: ok.ap_characteristic(_W12, float("inf")), "A_p requires a finite p, got p = inf"),
+    (lambda: ok.ap_characteristic(_W12, float("nan")), "A_p requires a finite p > 1, got p = nan"),
+    (lambda: ok.ap_characteristic(_W12, float("inf")), "A_p requires a finite p > 1, got p = inf"),
     # an exponent or a band given as a bool or a string is named, not read as a number
     (lambda: ok.weighted_riesz(_W12, "3"), "needs p in (1, inf), got p = '3'"),
     (lambda: ok.projection_norm_probe(ok.system_from_weight(_W12, 4), 4, "3"), "got p = '3'"),
     (lambda: ok.weighted_lp_norm(_W12.values, _W12, True), "p >= 1 required, got p = True"),
-    (lambda: ok.ap_characteristic(_W12, "3"), "A_p requires p > 1, got p = '3'"),
+    (lambda: ok.ap_characteristic(_W12, "3"), "A_p requires a finite p > 1, got p = '3'"),
     (lambda: ok.strong_szego_error(ok.system_from_weight(_W12, 4), ok.szego_function(_W12), 4,
                                    True), "strong_szego_error needs p >= 2, got p = True"),
     (lambda: ok.build_Q(_W12, 2.0, True), "0 <= n < N/4, got n = True with N = 4096"),
@@ -335,6 +347,8 @@ def _continuity12(deltas, band=16):
     (lambda: ok.system_from_weight(_W12, 1.5),
      "nmax must be nonnegative and an integer, got nmax = 1.5"),
     (lambda: ok.szego_recursion(_W12.moments(4), 2.5), "got nmax = 2.5"),
+    # the degree, not the moment order it implies, is named
+    (lambda: ok.system_from_weight(_W12, 2048), "nmax must stay below N/2 = 2048, got nmax = 2048"),
     (lambda: ok.weighted_lp_norm(_W12.values, _W12, float("inf")),
      "finite p >= 1 required, got p = inf"),
     (lambda: ExperimentSpec(name="fh_growth", p_grid=(float("inf"),)), "p_grid = (inf,)"),

@@ -24,7 +24,7 @@ def test_lebesgue_system(grid12):
     assert np.max(np.abs(sys.verblunsky)) < 1e-14
     assert_allclose(sys.kappa, 1.0, atol=1e-14)
     # phi_n = z^n
-    vals = ok.phi_values(sys, grid12, 7)
+    vals = ok.poly_values(grid12, sys.orthonormal_coeffs(7))
     assert_allclose(vals, np.exp(7j * grid12.nodes), atol=1e-12)
 
 
@@ -120,8 +120,8 @@ def test_kappa_product_identity(fh02_system):
 def test_reversed_same_modulus_on_circle(fh02_system, grid14):
     w, sys = fh02_system
     for n in (3, 17, 64):
-        phi = ok.phi_values(sys, grid14, n)
-        phi_star = ok.phi_values(sys, grid14, n, reverse=True)
+        phi = ok.poly_values(grid14, sys.orthonormal_coeffs(n))
+        phi_star = ok.poly_values(grid14, np.conj(sys.orthonormal_coeffs(n)[::-1]))
         assert_allclose(np.abs(phi), np.abs(phi_star), rtol=1e-10)
         # phi_n(xi) = xi^n conj(phi_n^*(xi)) on the circle
         assert_allclose(phi, np.exp(1j * n * grid14.nodes) * np.conj(phi_star), atol=1e-10)
@@ -167,13 +167,12 @@ def test_cd_kernel_lebesgue(grid12):
 
 
 @pytest.mark.parametrize("call, bad", [
-    (lambda sys, w, n: ok.phi_values(sys, w.grid, n), 2.5),
     (lambda sys, w, n: ok.entropy(sys, w, n), 2.5),
     (lambda sys, w, n: ok.gram_matrix(sys, n), 2.5),
     (lambda sys, w, n: w.moments(n).c, 1.5),
     (lambda sys, w, n: w.moments(4).toeplitz_gram(n), 2.5),
     (lambda sys, w, n: ok.cd_kernel(sys, n, 0.3 + 0.1j, -0.2j), True),
-], ids=["phi_values", "entropy", "gram_matrix", "moments", "toeplitz_gram", "cd_kernel"])
+], ids=["entropy", "gram_matrix", "moments", "toeplitz_gram", "cd_kernel"])
 def test_degree_checks_name_a_non_integer(call, bad):
     w = ok.make_weight("fisher_hartwig", {"beta": 0.2}, ok.CircleGrid(10))
     sys = ok.system_from_weight(w, 8)
@@ -243,10 +242,10 @@ def test_values_table_rows_equal_per_row_synthesis(fh02_system, grid14, n):
 
 def test_projection_on_basis(fh02_system, grid14):
     w, sys = fh02_system
-    phi3 = ok.phi_values(sys, grid14, 3)
+    phi3 = ok.poly_values(grid14, sys.orthonormal_coeffs(3))
     proj = opuc._project_values(sys.orthonormal_table(5), w, phi3)
     assert np.max(np.abs(proj - phi3)) < 1e-8
-    phi5 = ok.phi_values(sys, grid14, 5)
+    phi5 = ok.poly_values(grid14, sys.orthonormal_coeffs(5))
     proj3 = opuc._project_values(sys.orthonormal_table(3), w, phi5)
     assert np.max(np.abs(proj3)) < 1e-8
 
@@ -356,7 +355,7 @@ def test_projection_probe_stacks_and_adjoint(grid12, monkeypatch):
 def test_weighted_lp_norms(fh02_system, grid14):
     w, sys = fh02_system
     for n in (0, 5, 60):
-        phi = ok.phi_values(sys, grid14, n)
+        phi = ok.poly_values(grid14, sys.orthonormal_coeffs(n))
         assert abs(ok.weighted_lp_norm(phi, w, 2.0) - 1.0) < 1e-8
     w1 = ok.make_weight("constant", {}, grid14)
     zn = np.exp(16j * grid14.nodes)

@@ -26,11 +26,26 @@ def test_make_weight_constant(grid12):
     ("fisher_hartwig", {"beta": -0.1}, "'fisher_hartwig' needs beta >= 0, got beta = -0.1"),
     ("constant", {"value": float("nan")}, "'constant' needs value > 0, got value = nan"),
     ("bernstein_szego", {"a": float("nan")}, "'bernstein_szego' needs |a| < 1, got a = nan"),
-    ("perturbed", {"f": np.cos, "delta": float("nan")},
-     "'perturbed' needs a finite delta, got delta = nan")])
+    ("perturbed", {"delta": float("nan")}, "'perturbed' needs a finite delta, got delta = nan"),
+    # a bool or a string is not read as a number: it would sample beta = 1 or be stored
+    # as text, which a2_ok then compares with 0.5
+    ("constant", {"value": True},
+     "'constant' needs value as a real number, got value = True of type bool"),
+    ("fisher_hartwig", {"beta": "0.3"},
+     "'fisher_hartwig' needs beta as a real number, got beta = '0.3' of type str"),
+    ("bernstein_szego", {"a": "0.5"},
+     "'bernstein_szego' needs a as a real number, got a = '0.5' of type str"),
+    ("perturbed", {"delta": True},
+     "'perturbed' needs delta as a real number, got delta = True of type bool"),
+    # f is N finite real samples: not a rule, a short, NaN or complex array, or a stack
+    *[("perturbed", {"f": f, "delta": 0.1},
+       f"'perturbed' needs f as 4096 finite real samples, got f of shape {shape}")
+      for f, shape in [(np.cos, "()"), (np.zeros(4), "(4,)"), (np.full(4096, np.nan), "(4096,)"),
+                       (np.ones(4096, dtype=complex), "(4096,)"), (np.ones((2, 4096)), "(2, 4096)")]]])
 def test_bad_family_parameter_is_named(grid12, family, params, named):
     if family == "perturbed":
-        params = {**params, "base": ok.make_weight("constant", {}, grid12)}
+        params = {"base": ok.make_weight("constant", {}, grid12), "f": np.cos(grid12.nodes),
+                  **params}
     with pytest.raises(ValueError, match=re.escape(named)):
         ok.make_weight(family, params, grid12)
 
@@ -43,7 +58,7 @@ def test_bernstein_szego_already_normalized(grid12):
 
 def test_perturbed_family_shape(grid12):
     base = ok.make_weight("constant", {}, grid12)
-    f = lambda th: np.log(np.abs(1.0 - np.exp(1j * th)))
+    f = np.log(np.abs(1.0 - np.exp(1j * grid12.nodes)))
     w = ok.make_weight("perturbed", {"base": base, "f": f, "delta": 0.3}, grid12,
                        normalize=False)
     expected = np.abs(1.0 - np.exp(1j * grid12.nodes)) ** 0.3
@@ -444,7 +459,7 @@ def test_bmo_sqrt_tau_trend(grid12):
     base = ok.make_weight("constant", {}, grid12)
     for delta in (0.05, 0.1, 0.2):
         w = ok.make_weight("perturbed",
-                           {"base": base, "f": lambda th: np.cos(th), "delta": delta},
+                           {"base": base, "f": np.cos(grid12.nodes), "delta": delta},
                            grid12, normalize=False)
         tau = ok.ap_characteristic(w, 2.0).value - 1.0
         bmo = ok.bmo_norm(ok.GridFunction(grid12, np.log(w.values)))
@@ -463,18 +478,14 @@ def test_resample(grid12):
     w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
     w8 = ok.resample(w, ok.CircleGrid(8))
     assert w8.grid.size == 256
+    assert np.array_equal(w8.values, ok.make_weight("fisher_hartwig", {"beta": 0.3},
+                                                    ok.CircleGrid(8)).values)
+    # a user weight's values and a perturbed weight's f are samples on their own grid
     user = ok.make_weight("user", {"values": np.ones(grid12.size)}, grid12)
-    with pytest.raises(ValueError):
-        ok.resample(user, ok.CircleGrid(8))
-    # a perturbed weight moves with its base when f is a rule, not when it is samples
-    moved = ok.make_weight("perturbed", {"base": w, "f": np.cos, "delta": 0.2}, grid12)
-    m8 = ok.resample(moved, ok.CircleGrid(8))
-    assert m8.params["base"].grid.size == 256 and m8.params["f"] is np.cos
-    assert_allclose(m8.values, ok.make_weight("perturbed", {"base": w8, "f": np.cos, "delta": 0.2},
-                                              ok.CircleGrid(8)).values, rtol=1e-15)
     sampled = ok.make_weight("perturbed", {"base": w, "f": np.cos(grid12.nodes), "delta": 0.2}, grid12)
-    with pytest.raises(ValueError, match="array-valued f cannot be resampled"):
-        ok.resample(sampled, ok.CircleGrid(8))
+    for fixed in (user, sampled):
+        with pytest.raises(ValueError, match=f"{fixed.family} weights carry no sampling rule"):
+            ok.resample(fixed, ok.CircleGrid(8))
 
 
 @pytest.mark.parametrize("base, error, named", [
@@ -484,7 +495,7 @@ def test_perturbed_base_must_be_a_weight_on_the_grid(grid12, base, error, named)
     if isinstance(base, str):
         base = ok.make_weight("constant", {}, ok.CircleGrid(8))
     with pytest.raises(error, match=named):
-        ok.make_weight("perturbed", {"base": base, "f": np.cos, "delta": 0.1}, grid12)
+        ok.make_weight("perturbed", {"base": base, "f": np.cos(grid12.nodes), "delta": 0.1}, grid12)
 
 
 def test_ap_characteristic_names_a_dual_power_that_overflows(grid12):
