@@ -69,6 +69,7 @@ class ExperimentSpec:
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise SpecError(f"seed must be a non-negative integer (from the CLI: --seed), "
                             f"got seed = {self.seed!r}")
+        self.seed = int(self.seed)  # a numpy integer would reach the JSON record as a float
         for key, value in (("beta", self.beta), ("a", self.a)):
             if value is None:
                 continue

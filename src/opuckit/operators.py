@@ -12,7 +12,8 @@ continuity difference u P+ u^{-1} - P+ over a constant base weight has such a pa
 `_commutator_pair`: its band Gram has displacement rank 4, so a few length-N FFTs give
 it; any other base materializes the band (0.25 s per distance at N = 2^14, band 64).
 Every exact p = 2 pair, the projection probe's in `opuc` too, ends in one subset
-eigensolve of the top index only, `_top_pair`.  numpy and scipy bundle separate
+eigensolve of the top index only, `_top_pair`, or in the full solve where that returns
+no eigenvalue inside an exact top cluster.  numpy and scipy bundle separate
 OpenBLAS builds, and alternating calls between their thread pools cost about 6x on
 2 cores, so the Gram product and the eigensolver are both scipy's.
 """
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import blas, eigh
+from scipy.linalg import LinAlgError, blas, eigh
 
 from .fits import fit_loglog
 from .grid import (CircleGrid, GridFunction, _is_integer, _is_real, duality_map,
@@ -202,15 +203,24 @@ def power_method_lp(probe: OperatorProbe, x0: np.ndarray) -> tuple:
     return float(best), False, _POWER_STEPS
 
 
-def _top_pair(gram: np.ndarray) -> tuple:
-    """(largest eigenvalue clipped at 0, its unit eigenvector) of a Hermitian matrix,
-    from its upper triangle; the matrix is overwritten.  The `evr` driver solves for the
-    top index only and still returns a unit eigenvector inside a cluster, such as the
-    (n+1)-fold top eigenvalue of a projection at p = 2."""
+def _top_pair(form) -> tuple:
+    """(largest eigenvalue clipped at 0, its unit eigenvector) of the Hermitian matrix
+    that `form()` returns, from its upper triangle; the matrix is overwritten.  The `evr`
+    driver solves for the top index only.  Inside an exact top cluster, such as the
+    (n+1)-fold top eigenvalue of a projection at p = 2, it may return no eigenvalue or
+    fail; then the matrix is formed again, not copied beforehand, for the full `evd` solve."""
+    gram = form()
     k = gram.shape[0]
-    vals, vecs = eigh(gram, lower=False, overwrite_a=True, driver="evr",
-                      subset_by_index=[k - 1, k - 1])
-    return max(vals[0], 0.0), vecs[:, 0]
+    try:
+        vals, vecs = eigh(gram, lower=False, overwrite_a=True, driver="evr",
+                          subset_by_index=[k - 1, k - 1])
+    except LinAlgError:
+        vals = ()
+    if len(vals):
+        return max(vals[0], 0.0), vecs[:, 0]
+    del gram
+    vals, vecs = eigh(form(), lower=False, overwrite_a=True, driver="evd")
+    return max(vals[-1], 0.0), vecs[:, -1]
 
 
 def _top_eigenpair(probe: OperatorProbe) -> tuple:
@@ -225,7 +235,7 @@ def _top_eigenpair(probe: OperatorProbe) -> tuple:
         raise ValueError(f"probe '{probe.description}' has no band and N = {probe.grid.size} "
                          f"> 2^10: the p = 2 norm and the p != 2 start both need a band "
                          f"or N <= 2^10")
-    return _top_pair(blas.zherk(1.0, mat, trans=2))  # one OpenBLAS: scipy's
+    return _top_pair(partial(blas.zherk, 1.0, mat, trans=2))  # one OpenBLAS: scipy's
 
 
 def _commutator_pair(probe: OperatorProbe) -> tuple:
@@ -267,19 +277,22 @@ def _commutator_pair(probe: OperatorProbe) -> tuple:
     w2 = np.array([[w_hat[0], w_hat[half]], [w_hat[half], w_hat[0]]])
     upd = np.conj(d) @ (y + d @ w2).T + np.conj(y) @ d.T  # w2 is symmetric: W[N/2] is real
 
-    # the lower triangle is never written, but eigh checks all of it for NaN and inf
-    gram = np.zeros((2 * band + 1, 2 * band + 1), dtype=complex)
-    for r in range(2 * band + 1):
-        if r == band:  # first row of the k >= 0 block
-            gram[r, r:] = corr[7, ks[band:]]
-        elif r == 0:  # first rows of the k < 0 and the (k < 0, k >= 0) blocks
-            gram[r] = np.concatenate([corr[4, ks[:band]], corr[5, ks[band:]]])
-        else:
-            gram[r, r:] = gram[r - 1, r - 1:-1] + upd[r - 1, r - 1:-1]
-            if r < band:  # first column of the (k < 0, k >= 0) block
-                gram[r, band] = np.conj(corr[6, ks[r]])
-    gram /= float(n) ** 3
-    top, v = _top_pair(gram)
+    def form():
+        # the lower triangle is never written, but eigh checks all of it for NaN and inf
+        gram = np.zeros((2 * band + 1, 2 * band + 1), dtype=complex)
+        for r in range(2 * band + 1):
+            if r == band:  # first row of the k >= 0 block
+                gram[r, r:] = corr[7, ks[band:]]
+            elif r == 0:  # first rows of the k < 0 and the (k < 0, k >= 0) blocks
+                gram[r] = np.concatenate([corr[4, ks[:band]], corr[5, ks[band:]]])
+            else:
+                gram[r, r:] = gram[r - 1, r - 1:-1] + upd[r - 1, r - 1:-1]
+                if r < band:  # first column of the (k < 0, k >= 0) block
+                    gram[r, band] = np.conj(corr[6, ks[r]])
+        gram /= float(n) ** 3
+        return gram
+
+    top, v = _top_pair(form)
     return top, s * np.exp(-1j * np.pi * ks / n) * v
 
 

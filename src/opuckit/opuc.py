@@ -31,7 +31,7 @@ those moments.
 import queue
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import blas, cholesky, solve_triangular
@@ -75,10 +75,7 @@ class OPUCSystem:
     def monic(self) -> np.ndarray:
         """(nmax+1)^2 table, rebuilt from `verblunsky` (bitwise the rows the
         moment-driven run produced, since the update arithmetic is shared)."""
-        monic = np.zeros((self.nmax + 1, self.nmax + 1), dtype=complex)
-        for n, b in _monic_rows(self.nmax, self.verblunsky):
-            monic[n, : n + 1] = b
-        return monic
+        return _monic_table(self.nmax, self.verblunsky)
 
     @property
     def kappa(self) -> np.ndarray:
@@ -89,9 +86,13 @@ class OPUCSystem:
         return self.monic[n, : n + 1] / np.sqrt(self.norms_sq[n])
 
     def orthonormal_table(self, n: int) -> np.ndarray:
-        """Rows k = 0..n: coefficients of phi_k, zero padded to length n+1."""
+        """Rows k = 0..n: coefficients of phi_k, zero padded to length n+1, so lower
+        triangular.  A fresh table from `verblunsky`, divided in place: bitwise the
+        slice of `monic`, which it neither reads nor caches."""
         n = self._check_degree(n)
-        return self.monic[: n + 1, : n + 1] / np.sqrt(self.norms_sq[: n + 1, None])
+        table = _monic_table(n, self.verblunsky)
+        table /= np.sqrt(self.norms_sq[: n + 1, None])
+        return table
 
     def _check_degree(self, n) -> int:
         """n as an int, if it is an integer degree in [0, nmax]."""
@@ -136,6 +137,14 @@ def _monic_rows(nmax: int, alphas: np.ndarray, moments: MomentSequence | None = 
         zb = buf[nmax - n - 1:]
         zb[0] = 0.0
         zb[: n + 1] -= abar * np.conj(b[::-1])
+
+
+def _monic_table(nmax: int, alphas: np.ndarray) -> np.ndarray:
+    """(nmax+1)^2 table whose row n holds the coefficients of Phi_n, zero padded."""
+    table = np.zeros((nmax + 1, nmax + 1), dtype=complex)
+    for n, b in _monic_rows(nmax, alphas):
+        table[n, : n + 1] = b
+    return table
 
 
 def _check_nmax(nmax) -> int:
@@ -361,19 +370,30 @@ def projection_norm_probe(system: OPUCSystem, n: int, p: float) -> NormEstimate:
     table = system.orthonormal_table(n)
     t = table.T  # Fortran order: scipy's BLAS takes it uncopied
 
+    def factor(x):
+        # lower Cholesky factor of the conjugated Toeplitz Gram of x^2 (the transpose of the
+        # Hermitian gram: a Fortran-order view, taken uncopied), formed in the Gram's storage
+        gram = trig_moments(GridFunction(grid, x * x), n).toeplitz_gram(n).T
+        return cholesky(gram, lower=True, overwrite_a=True)
+
     def p2_pair():
         # ||v g||_2^2 = a^H K a and ||T v g||_2^2 = a^H M^H G M a for g = sum_m a_m z^m, with
-        # K, G the conjugated Toeplitz Grams of v^2, u^2 (the transposes of the Hermitian
-        # grams: Fortran-order views, taken uncopied) and M = table^T (conj(table) K), which
-        # maps a to the projection's coefficients.  With K = L L^H (overwriting K) and
-        # X = M L^-H = table^T (conj(table) L), a = L^-H y for the top eigenpair of the
-        # standard problem X^H G X y = lambda y, and a^H K a = y^H y = 1.  Each Gram is
-        # popped as it is used, so at most four (n+1)^2 matrices are alive at once
-        gram = [trig_moments(GridFunction(grid, x * x), n).toeplitz_gram(n).T for x in (v, u)]
-        low = cholesky(gram.pop(0), lower=True, overwrite_a=True)
-        x = blas.zgemm(1.0, t, blas.zgemm(1.0, t, low, trans_a=2))
-        top, y = _top_pair(blas.zgemm(1.0, x, blas.zgemm(1.0, gram.pop(), x), trans_a=2))
-        a = solve_triangular(low, y, lower=True, trans="C", overwrite_b=True)
+        # K, G the conjugated Toeplitz Grams of v^2, u^2 and M = table^T (conj(table) K),
+        # which maps a to the projection's coefficients.  With K = L L^H, G = S S^H and
+        # X = M L^-H = table^T (conj(table) L), a = L^-H y for the top eigenpair of
+        # Z^H Z y = lambda y, Z = S^H X, and a^H K a = y^H y = 1.  Table and S are lower
+        # triangular, so X and then Z overwrite L by in-place products (conj(table) L =
+        # conj(table conj(L))), and L is re-formed for a: at most two (n+1)^2 matrices
+        # are alive beside the table
+        x = factor(v)
+        np.conj(x, out=x)
+        x = blas.ztrmm(1.0, t, x, lower=0, trans_a=1, overwrite_b=1)  # t is table^T: upper
+        np.conj(x, out=x)
+        x = blas.ztrmm(1.0, t, x, lower=0, overwrite_b=1)
+        x = blas.ztrmm(1.0, factor(u), x, lower=1, trans_a=2, overwrite_b=1)
+        top, y = _top_pair(partial(blas.zherk, 1.0, x, trans=2))
+        del x
+        a = solve_triangular(factor(v), y, lower=True, trans="C", overwrite_b=True)
         return top, v * grid.synthesize(a)  # node values: no band
 
     probe = OperatorProbe(grid, lambda x: u * _project_values(table, w, x / u),

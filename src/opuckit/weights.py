@@ -126,6 +126,9 @@ def make_weight(family: str, params: dict | None = None, grid: CircleGrid | None
         vals = base.values * np.exp(scaled)
     elif family == "user":
         vals = np.asarray(params["values"], dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"weight family 'user' needs finite values, got "
+                             f"{np.count_nonzero(~np.isfinite(vals))} NaN or inf samples")
         if np.any(vals <= 0):
             raise ValueError("user weight samples must be strictly positive")
     else:

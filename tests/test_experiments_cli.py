@@ -285,6 +285,17 @@ def test_spec_names_a_seed_that_is_no_nonnegative_integer(seed):
         ExperimentSpec(name="a2_scaling", seed=seed)
 
 
+def test_numpy_integer_seed_is_written_as_an_integer():
+    rec = run(ExperimentSpec(name="projection_bound", grid_log2=10, n_grid=(16, 32),
+                             seed=np.int64(3)))
+    payload = json.loads(rec.to_json())
+    assert payload["seed"] == 3 and type(payload["seed"]) is int
+    assert type(payload["spec"]["seed"]) is int
+    rows = rec.to_csv().splitlines()
+    seeds = {line.split(",")[rows[0].split(",").index("seed")] for line in rows[1:]}
+    assert seeds == {"3"}
+
+
 def test_cli_negative_seed_exits_4(capsys):
     assert main(["a2", "--seed", "-3"]) == 4
     assert "got seed = -3" in capsys.readouterr().err

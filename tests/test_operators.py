@@ -423,6 +423,34 @@ def test_top_eigenpair_matches_numpy_eigh(grid12):
     assert np.linalg.norm(gram @ v - top * v) <= 1e-13 * top
 
 
+@pytest.mark.parametrize("failure", ["empty", "raises"])
+def test_top_pair_falls_back_to_the_full_solve(grid12, monkeypatch, failure):
+    # inside an exact top cluster the subset `evr` solve may return no eigenvalue or fail:
+    # the matrix is formed again and the full `evd` solve gives the pair
+    probe = ok.weighted_riesz(ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12), 2.0,
+                              band=24)
+    mat = ok.materialize_band(probe, probe.band)
+    eigh, formed = operators.eigh, []
+
+    def failing_evr(a, **kwargs):
+        if kwargs["driver"] != "evr":
+            return eigh(a, **kwargs)
+        if failure == "raises":
+            raise operators.LinAlgError("planted evr failure")
+        return np.empty(0), np.empty((a.shape[0], 0), dtype=complex)
+
+    def form():
+        formed.append(1)
+        return zherk(1.0, mat, trans=2)
+
+    monkeypatch.setattr(operators, "eigh", failing_evr)
+    top, v = operators._top_pair(form)
+    vals, vecs = np.linalg.eigh(zherk(1.0, mat, trans=2), UPLO="U")
+    assert len(formed) == 2
+    assert_allclose(top, vals[-1], rtol=1e-14)
+    assert_allclose(abs(np.vdot(vecs[:, -1], v)), 1.0, rtol=1e-12)
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_norms_never_call_numpy_lapack(grid12, monkeypatch, p):
     # the Gram product is scipy's zherk: an eigensolver from numpy's separate OpenBLAS

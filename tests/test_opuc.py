@@ -307,10 +307,14 @@ def test_projection_probe_p2_pair_matches_full_svd(monkeypatch, p, n):
     assert_allclose(np.linalg.norm(probe.apply(v)) / np.linalg.norm(v), sigma, rtol=1e-12)
 
 
-def test_projection_probe_p2_pair_in_the_p2_cluster(grid12, monkeypatch):
-    # at p = 2 the top eigenvalue is (n+1)-fold; the pair still has a unit ratio vector
-    w = ok.make_weight("fisher_hartwig", {"beta": 0.3}, grid12)
-    for n in (16, 64):
+def test_projection_probe_p2_pair_in_the_p2_cluster(monkeypatch):
+    # at p = 2 the top eigenvalue is (n+1)-fold; the pair still has a unit ratio vector.
+    # (m, beta, n) = (10, 0.2, 17) .. (14, 0.4, 64) are degrees where the subset `evr`
+    # solve on the former product X^H G X returned no eigenvalue
+    cases = [(12, 0.3, 16), (12, 0.3, 64), (10, 0.2, 17), (12, 0.3, 34), (14, 0.3, 32),
+             (14, 0.4, 64)]
+    for m, beta, n in cases:
+        w = ok.make_weight("fisher_hartwig", {"beta": beta}, ok.CircleGrid(m))
         probe, _ = _projection_probe(monkeypatch, ok.system_from_weight(w, n), n, 2.0)
         top, v = probe.p2_pair()
         assert abs(top - 1.0) < 1e-12
@@ -318,8 +322,9 @@ def test_projection_probe_p2_pair_in_the_p2_cluster(grid12, monkeypatch):
 
 
 def test_projection_probe_p2_pair_memory(fh02_system, monkeypatch):
-    # the Cholesky-reduced pair keeps at most four (n+1)^2 complex matrices alive at once
-    # (4.0 measured); keeping K, L, X, G X and C alive at once reads 6.1
+    # X and Z overwrite the Cholesky factor L in place, so the pair keeps at most two
+    # (n+1)^2 complex matrices alive at once (2.10 measured); K, L, X, G X and C as
+    # separate arrays, each Gram dropped after use, read 4.0
     w, sys = fh02_system
     n, probes = 512, []
     monkeypatch.setattr(opuc, "operator_norm", probes.append)
@@ -330,7 +335,31 @@ def test_projection_probe_p2_pair_memory(fh02_system, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * 16 * (n + 1) ** 2
+    assert peak <= 2.5 * 16 * (n + 1) ** 2
+
+
+def test_projection_probe_memory_on_a_fresh_system(grid14):
+    # the table, the pair's two matrices and N-sized arrays: 3.16 (n+1)^2 complex matrices
+    # measured, against 6.06 when the table was a slice of a cached `monic`
+    w = ok.make_weight("fisher_hartwig", {"beta": 0.2}, grid14)
+    sys, n = ok.system_from_weight(w, 512), 512
+    tracemalloc.start()
+    try:
+        ok.projection_norm_probe(sys, n, 2.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 16 * (n + 1) ** 2
+    assert "monic" not in vars(sys)
+
+
+def test_orthonormal_table_is_the_monic_slice_bitwise(fh02_system):
+    w, sys = fh02_system
+    for n in (0, 1, 64, sys.nmax - 1, sys.nmax):
+        table = sys.orthonormal_table(n)
+        assert table.shape == (n + 1, n + 1)
+        want = sys.monic[: n + 1, : n + 1] / np.sqrt(sys.norms_sq[: n + 1, None])
+        assert np.array_equal(table, want)
 
 
 def test_projection_probe_stacks_and_adjoint(grid12, monkeypatch):

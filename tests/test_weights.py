@@ -41,7 +41,12 @@ def test_make_weight_constant(grid12):
     *[("perturbed", {"f": f, "delta": 0.1},
        f"'perturbed' needs f as 4096 finite real samples, got f of shape {shape}")
       for f, shape in [(np.cos, "()"), (np.zeros(4), "(4,)"), (np.full(4096, np.nan), "(4096,)"),
-                       (np.ones(4096, dtype=complex), "(4096,)"), (np.ones((2, 4096)), "(2, 4096)")]]])
+                       (np.ones(4096, dtype=complex), "(4096,)"), (np.ones((2, 4096)), "(2, 4096)")]],
+    # NaN passes the positivity check `vals <= 0`
+    ("user", {"values": np.full(4096, np.nan)},
+     "'user' needs finite values, got 4096 NaN or inf samples"),
+    ("user", {"values": np.r_[np.ones(4095), np.inf]},
+     "'user' needs finite values, got 1 NaN or inf samples")])
 def test_bad_family_parameter_is_named(grid12, family, params, named):
     if family == "perturbed":
         params = {"base": ok.make_weight("constant", {}, grid12), "f": np.cos(grid12.nodes),
